@@ -3,10 +3,13 @@ testing and translations in both directions."""
 
 from .experiments import (
     ExperimentGraph,
+    compose_all,
     may_satisfy,
+    may_states,
     may_witness,
     must_counterexample,
     must_satisfy,
+    must_states,
     must_unfold_law,
     parallel_compose,
 )
@@ -74,12 +77,13 @@ __all__ = [
     "Min", "Mu", "Nil", "OMEGA", "Or", "ParseError", "Prefix",
     "SimFormula", "Success", "Sum", "TAU", "TVar", "TestError",
     "TrialConfig", "TrialReport", "Tt", "Var", "approximant",
-    "bekic_eliminate", "explore", "format_formula", "format_lts",
+    "bekic_eliminate", "compose_all", "explore", "format_formula", "format_lts",
     "format_test", "formula_to_may_test", "formula_to_must_test",
     "free_vars", "generate_formula", "generate_lts", "generate_test",
     "interpret", "interpret_simultaneous", "interpret_states",
     "is_mayhml", "is_musthml", "is_tt_grammar", "may_satisfy",
-    "may_witness", "must_counterexample", "must_satisfy",
+    "may_states", "may_witness", "must_counterexample", "must_satisfy",
+    "must_states",
     "must_unfold_law", "parallel_compose", "parse_formula", "parse_lts",
     "parse_test", "reachable_lts", "report_json", "report_text",
     "satisfies", "spawn_rng", "substitute", "test_lts_to_may_system",

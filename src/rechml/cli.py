@@ -258,6 +258,9 @@ def main(argv=None) -> int:
     except CapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("error: input nested too deeply (recursion limit reached)", file=sys.stderr)
+        return 3
     except (ParseError, LtsError, FormulaError, TestError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

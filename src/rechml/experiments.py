@@ -9,22 +9,24 @@ transitions are never taken.
 A process may pass the test when some success configuration is reachable;
 it must pass when every maximal computation visits a success configuration.
 The must set is the least fixpoint of "successful now, or at least one move
-and all moves lead into the set", computed backwards with a worklist.
+and all moves lead into the set", and the may set that of "successful now,
+or some move leads into the set"; one backward worklist computes both.
 """
 
 from collections import deque
 from dataclasses import dataclass
 
-from .lts import OMEGA, TAU, Lts, LtsError, visible
+from .lts import TAU, Lts, LtsError, visible
 from .testterms import Mu, Test, TestError, reachable_lts
 
 
 @dataclass
 class ExperimentGraph:
-    """Reachable configurations of a process paired with a test.  The root
-    is configuration 0; edges[i] lists successor indices in deterministic
-    order; success[i] marks configurations whose test component offers
-    omega."""
+    """Reachable configurations of a process paired with a test.  The
+    roots come first, configuration 0 for a single-root graph and
+    configuration i for process state i in an all-roots graph; edges[i]
+    lists successor indices in deterministic order; success[i] marks
+    configurations whose test component offers omega."""
 
     proc: Lts
     test: Lts
@@ -40,21 +42,17 @@ class ExperimentGraph:
         return len(self.configs)
 
 
-def parallel_compose(proc: Lts, test: Lts, p: str, t: str) -> ExperimentGraph:
-    """Experiment graph of process state p against test state t.
-
-    The process must not mention omega; the test may.  Only configurations
-    reachable from (p, t) are materialized.
-    """
+def _compose(proc: Lts, test: Lts, roots, t: str) -> ExperimentGraph:
+    """Breadth-first product seeded with (i, t) for each process state
+    index i in roots, in that order."""
     if proc.has_omega:
         raise LtsError("process side of an experiment cannot use omega")
-    ip = proc.state_index(p)
     it = test.state_index(t)
 
-    index: dict[tuple[int, int], int] = {(ip, it): 0}
-    configs = [(ip, it)]
+    configs = [(ip, it) for ip in roots]
+    index: dict[tuple[int, int], int] = {pair: k for k, pair in enumerate(configs)}
     edges: list[list[int]] = []
-    queue = deque(((ip, it),))
+    queue = deque(configs)
     shared = [visible(a) for a in sorted(set(proc.alphabet) & set(test.alphabet))]
 
     def config_id(pair):
@@ -98,20 +96,37 @@ def parallel_compose(proc: Lts, test: Lts, p: str, t: str) -> ExperimentGraph:
     return ExperimentGraph(proc, test, named, edges, success)
 
 
-def _must_set(graph: ExperimentGraph) -> list[bool]:
+def parallel_compose(proc: Lts, test: Lts, p: str, t: str) -> ExperimentGraph:
+    """Experiment graph of process state p against test state t.
+
+    The process must not mention omega; the test may.  Only configurations
+    reachable from (p, t) are materialized.
+    """
+    return _compose(proc, test, (proc.state_index(p),), t)
+
+
+def compose_all(proc: Lts, test: Lts, t: str) -> ExperimentGraph:
+    """One experiment graph for every process state against test state t:
+    configuration i is (proc.states[i], t).  Whether a configuration
+    passes does not depend on the root it was reached from, so one solve
+    answers every state."""
+    return _compose(proc, test, range(len(proc.states)), t)
+
+
+def _passing(graph: ExperimentGraph, every: bool) -> list[bool]:
+    """Configurations that pass, as the least set holding the success
+    configurations and closed backwards: a configuration joins once some
+    move (may) or, with at least one move, every move (must) leads into
+    the set.  Solved with a worklist of remaining-move counters."""
     n = len(graph.configs)
     preds: list[list[int]] = [[] for _ in range(n)]
     remaining = [0] * n
     for src, targets in enumerate(graph.edges):
-        remaining[src] = len(targets)
+        remaining[src] = len(targets) if every else 1
         for dst in targets:
             preds[dst].append(src)
-    inside = [False] * n
-    queue = deque()
-    for c in range(n):
-        if graph.success[c]:
-            inside[c] = True
-            queue.append(c)
+    inside = list(graph.success)
+    queue = deque(c for c in range(n) if inside[c])
     while queue:
         c = queue.popleft()
         for p in preds[c]:
@@ -122,27 +137,34 @@ def _must_set(graph: ExperimentGraph) -> list[bool]:
     return inside
 
 
+def _root_mask(graph: ExperimentGraph, every: bool) -> int:
+    inside = _passing(graph, every)
+    mask = 0
+    for i in range(len(graph.proc.states)):
+        if inside[i]:
+            mask |= 1 << i
+    return mask
+
+
 def may_satisfy(graph: ExperimentGraph) -> bool:
     """Some computation from the root reaches a success configuration."""
-    n = len(graph.configs)
-    seen = [False] * n
-    seen[0] = True
-    queue = deque((0,))
-    while queue:
-        c = queue.popleft()
-        if graph.success[c]:
-            return True
-        for d in graph.edges[c]:
-            if not seen[d]:
-                seen[d] = True
-                queue.append(d)
-    return False
+    return _passing(graph, False)[0]
 
 
 def must_satisfy(graph: ExperimentGraph) -> bool:
     """Every maximal computation from the root visits a success
     configuration."""
-    return _must_set(graph)[0]
+    return _passing(graph, True)[0]
+
+
+def may_states(graph: ExperimentGraph) -> int:
+    """Mask of the process states that may pass, for a compose_all graph."""
+    return _root_mask(graph, False)
+
+
+def must_states(graph: ExperimentGraph) -> int:
+    """Mask of the process states that must pass, for a compose_all graph."""
+    return _root_mask(graph, True)
 
 
 def may_witness(graph: ExperimentGraph):
@@ -178,7 +200,7 @@ def must_counterexample(graph: ExperimentGraph):
     None when the path ends in a deadlocked configuration.  Returns None
     when the root must-passes.
     """
-    inside = _must_set(graph)
+    inside = _passing(graph, True)
     if inside[0]:
         return None
     path_ids = [0]
@@ -202,28 +224,26 @@ def must_counterexample(graph: ExperimentGraph):
 
 @dataclass
 class UnfoldVerdicts:
-    """Must verdicts for a recursive test and its one-step unfolding,
-    together with the two directions of the unfolding law."""
+    """Must verdicts for a recursive test and its one-step unfolding, as
+    masks over the process states, with the converging states."""
 
-    recursive: bool
-    unfolded: bool
-    process_converges: bool
-
-    @property
-    def forward_ok(self) -> bool:
-        # must for mu X.t implies must for the unfolding, unconditionally
-        return (not self.recursive) or self.unfolded
+    recursive: int
+    unfolded: int
+    converging: int
 
     @property
-    def converse_ok(self) -> bool:
-        # the converse needs convergence of the process
-        if not self.process_converges:
-            return True
-        return (not self.unfolded) or self.recursive
+    def violations(self) -> int:
+        """States breaking either direction of the unfolding law: must for
+        mu X.t implies must for the unfolding unconditionally, and the
+        converse holds at converging states."""
+        forward = self.recursive & ~self.unfolded
+        converse = self.converging & self.unfolded & ~self.recursive
+        return forward | converse
 
 
-def must_unfold_law(proc: Lts, p: str, test: Test) -> UnfoldVerdicts:
-    """Check both directions of the recursion unfolding law for must."""
+def must_unfold_law(proc: Lts, test: Test) -> UnfoldVerdicts:
+    """Check both directions of the recursion unfolding law for must at
+    every process state."""
     from .testterms import substitute
 
     if not isinstance(test, Mu):
@@ -231,6 +251,6 @@ def must_unfold_law(proc: Lts, p: str, test: Test) -> UnfoldVerdicts:
     unfolded = substitute(test.body, test.var, test)
     rec_lts, rec_root = reachable_lts(test)
     unf_lts, unf_root = reachable_lts(unfolded)
-    rec = must_satisfy(parallel_compose(proc, rec_lts, p, rec_root))
-    unf = must_satisfy(parallel_compose(proc, unf_lts, p, unf_root))
-    return UnfoldVerdicts(rec, unf, proc.converges(p))
+    rec = must_states(compose_all(proc, rec_lts, rec_root))
+    unf = must_states(compose_all(proc, unf_lts, unf_root))
+    return UnfoldVerdicts(rec, unf, proc.full_mask & ~proc.divergent_mask)

@@ -6,10 +6,10 @@ Known awkward shapes (deadlock, a tau self-loop, the a/b fork and a
 divergent fork) are seeded into every run as trial 0 fixtures alongside
 the random instances.
 
-The mutation flag swaps in a deliberately corrupted compiler (the visible
-box loses its tau escape to success) and is expected to produce failures;
-it exists so a silent-green harness can be told apart from one that cannot
-see anything.
+The mutation flag corrupts the output of the real must compiler (the
+visible box loses its tau escape to success) and is expected to produce
+failures; it exists so a silent-green harness can be told apart from one
+that cannot see anything.
 """
 
 import json
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from . import formulas as fm
 from . import testterms as tm
-from .experiments import must_satisfy, may_satisfy, must_unfold_law, parallel_compose
+from .experiments import compose_all, may_states, must_states, must_unfold_law
 from .formulas import bekic_eliminate
 from .generators import TrialConfig, generate_formula, generate_lts, generate_sim_system, generate_test, spawn_rng
 from .lts import TAU, Lts, visible
@@ -86,43 +86,32 @@ def _tauloop_lts(cfg) -> Lts:
                alphabet=cfg.alphabet(), name="tauloop")
 
 
-def _corrupted_must_test(formula):
-    """Wrong on purpose: the visible box forgets that refusing the action
-    is acceptable, so deadlocked processes are misjudged."""
-    def conv(node):
-        match node:
-            case fm.Tt():
-                return tm.Success()
-            case fm.Ff():
-                return tm.Nil()
-            case fm.Acc(actions):
-                out = tm.Nil()
-                for x in sorted(actions):
-                    arm = tm.Prefix(visible(x), tm.Success())
-                    out = arm if isinstance(out, tm.Nil) else tm.Sum(out, arm)
-                return out
-            case fm.Var(name):
-                return tm.Var(name)
-            case fm.Box(action, body):
-                if action.kind == "tau":
-                    return tm.Prefix(TAU, conv(body))
-                return tm.Prefix(action, conv(body))
-            case fm.And(left, right):
-                if fm.tt_shape(node):
-                    return tm.Success()
-                return tm.Sum(tm.Prefix(TAU, conv(left)), tm.Prefix(TAU, conv(right)))
-            case fm.Min(var, body):
-                if not fm.free_vars(body):
-                    return conv(body)
-                return tm.Mu(var, conv(body))
-            case _:
-                raise fm.FormulaError(f"not in the must fragment: {node}")
-
-    return conv(formula)
+def _strip_box_escapes(test):
+    """Wrong on purpose: every visible box forgets that refusing the action
+    is acceptable, so deadlocked processes are misjudged.  The must compiler
+    emits a.t + tau.w.0 for a visible box and nowhere else (Acc arms are
+    all visible, conjunction arms all tau)."""
+    match test:
+        case tm.Sum(tm.Prefix(action, body), tm.Prefix(escape, tm.Success())) if (
+            action.kind == "visible" and escape == TAU
+        ):
+            return tm.Prefix(action, _strip_box_escapes(body))
+        case tm.Prefix(action, body):
+            return tm.Prefix(action, _strip_box_escapes(body))
+        case tm.Sum(left, right):
+            return tm.Sum(_strip_box_escapes(left), _strip_box_escapes(right))
+        case tm.Mu(var, body):
+            return tm.Mu(var, _strip_box_escapes(body))
+        case _:
+            return test
 
 
 def _bool(value) -> str:
     return "true" if value else "false"
+
+
+def _has(mask: int, i: int) -> bool:
+    return bool(mask & (1 << i))
 
 
 class _Harness:
@@ -180,35 +169,34 @@ class _Harness:
             self._divergent += 1
         return lts
 
-    def _compare(self, lts, formula, test, mode, stats, extra=None):
+    def _compare(self, lts, formula, test, mode, stats):
         sat = interpret(lts, formula, stats=stats)
         tlts, troot = reachable_lts(test)
-        for i, state in enumerate(lts.states):
-            graph = parallel_compose(lts, tlts, state, troot)
-            verdict = must_satisfy(graph) if mode == "must" else may_satisfy(graph)
-            expected = bool(sat & (1 << i))
-            if verdict != expected:
-                out = {
-                    "state": state,
-                    "formula": format_formula(formula),
-                    "test": format_test(test),
-                    "formula_verdict": expected,
-                    "test_verdict": verdict,
-                    "mode": mode,
-                    "lts": format_lts(lts, state),
-                }
-                if extra:
-                    out.update(extra)
-                return out
-        return None
+        graph = compose_all(lts, tlts, troot)
+        passing = must_states(graph) if mode == "must" else may_states(graph)
+        if sat == passing:
+            return None
+        i = next(lts.iter_mask(sat ^ passing))
+        state = lts.states[i]
+        return {
+            "state": state,
+            "formula": format_formula(formula),
+            "test": format_test(test),
+            "formula_verdict": _has(sat, i),
+            "test_verdict": _has(passing, i),
+            "mode": mode,
+            "lts": format_lts(lts, state),
+        }
 
     # -- representation theorems --------------------------------------------
 
     def check_must_formula(self, trial, rng, stats):
         lts = self.trial_lts(trial, rng)
         formula = generate_formula(self.cfg, rng, "must")
-        compiler = _corrupted_must_test if self.mutate else formula_to_must_test
-        return self._compare(lts, formula, compiler(formula), "must", stats)
+        test = formula_to_must_test(formula)
+        if self.mutate:
+            test = _strip_box_escapes(test)
+        return self._compare(lts, formula, test, "must", stats)
 
     def check_may_formula(self, trial, rng, stats):
         lts = self.trial_lts(trial, rng)
@@ -365,29 +353,31 @@ class _Harness:
         lts = self.trial_lts(trial, rng)
         body = generate_test(self.cfg, rng, scope=("X0",))
         test = tm.Mu("X0", body)
-        for state in lts.states:
-            verdicts = must_unfold_law(lts, state, test)
-            if not verdicts.forward_ok or not verdicts.converse_ok:
-                return {"lts": format_lts(lts, state), "state": state,
-                        "test": format_test(test),
-                        "recursive": verdicts.recursive,
-                        "unfolded": verdicts.unfolded,
-                        "converges": verdicts.process_converges}
-        return None
+        verdicts = must_unfold_law(lts, test)
+        if not verdicts.violations:
+            return None
+        i = next(lts.iter_mask(verdicts.violations))
+        state = lts.states[i]
+        return {"lts": format_lts(lts, state), "state": state,
+                "test": format_test(test),
+                "recursive": _has(verdicts.recursive, i),
+                "unfolded": _has(verdicts.unfolded, i),
+                "converges": _has(verdicts.converging, i)}
 
     def check_must_implies_may(self, trial, rng, stats):
         lts = self.trial_lts(trial, rng)
         test = generate_test(self.cfg, rng)
         tlts, troot = reachable_lts(test)
-        for state in lts.states:
-            graph = parallel_compose(lts, tlts, state, troot)
-            if len(graph) > len(lts.states) * len(tlts.states):
-                return {"lts": format_lts(lts, state), "test": format_test(test),
-                        "error": "experiment larger than the product bound"}
-            if must_satisfy(graph) and not may_satisfy(graph):
-                return {"lts": format_lts(lts, state), "state": state,
-                        "test": format_test(test)}
-        return None
+        graph = compose_all(lts, tlts, troot)
+        if len(graph) > len(lts.states) * len(tlts.states):
+            return {"lts": format_lts(lts), "test": format_test(test),
+                    "error": "experiment larger than the product bound"}
+        bad = must_states(graph) & ~may_states(graph)
+        if not bad:
+            return None
+        state = lts.states[next(lts.iter_mask(bad))]
+        return {"lts": format_lts(lts, state), "state": state,
+                "test": format_test(test)}
 
     def check_tt_grammar(self, trial, rng, stats):
         formula = generate_formula(self.cfg, rng, "must")

@@ -211,9 +211,6 @@ class Lts:
         row = self._strong.get(act)
         return row[i] if row else 0
 
-    def closure_mask(self, i: int) -> int:
-        return self._closure[i]
-
     def weak_row(self, act: Action) -> list[int]:
         """Weak derivative masks for every state; all zeroes for an action
         with no transitions anywhere."""
@@ -223,6 +220,14 @@ class Lts:
         if row is None:
             row = [0] * len(self.states)
         return row
+
+    def pre(self, act: Action, mask: int) -> int:
+        """States with some weak act-derivative in the mask."""
+        out = 0
+        for i, targets in enumerate(self.weak_row(act)):
+            if targets & mask:
+                out |= 1 << i
+        return out
 
     @property
     def divergent_mask(self) -> int:
@@ -239,9 +244,6 @@ class Lts:
         return self._omega_mask != 0
 
     # -- name-level queries ------------------------------------------------
-
-    def strong_successors(self, state: str, act: Action) -> frozenset[str]:
-        return frozenset(self.names_of(self.strong_mask(act, self.state_index(state))))
 
     def weak_tau_closure(self, state: str) -> frozenset[str]:
         """States reachable by zero or more tau steps."""

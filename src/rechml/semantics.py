@@ -35,7 +35,7 @@ from .formulas import (
     free_var_map,
     sim_free_vars,
 )
-from .lts import Lts, visible
+from .lts import TAU, Lts, visible
 
 
 @dataclass
@@ -58,6 +58,7 @@ class _Evaluator:
         self.lts = lts
         self.fmap = fmap
         self.stats = stats
+        self.converging = lts.full_mask & ~lts.divergent_mask
         self.closed_cache: dict[int, int] = {}
         # binder id -> (env signature over its free vars, fixpoint found)
         self.resume: dict[int, tuple[tuple[int, ...], int]] = {}
@@ -88,20 +89,10 @@ class _Evaluator:
             case And(l, r):
                 out = self.eval(l, env) & self.eval(r, env)
             case Dia(act, body):
-                p = self.eval(body, env)
-                row = lts.weak_row(act)
-                out = 0
-                for i in range(len(lts.states)):
-                    if row[i] & p:
-                        out |= 1 << i
+                out = lts.pre(act, self.eval(body, env))
             case Box(act, body):
                 p = self.eval(body, env)
-                row = lts.weak_row(act)
-                converging = lts.full_mask & ~lts.divergent_mask
-                out = 0
-                for i in lts.iter_mask(converging):
-                    if row[i] & ~p == 0:
-                        out |= 1 << i
+                out = self.converging & ~lts.pre(act, lts.full_mask & ~p)
             case Min(_, _) | Max(_, _):
                 out = self._fixpoint(node, env, fv)
             case _:
@@ -111,19 +102,12 @@ class _Evaluator:
         return out
 
     def _acc(self, actions) -> int:
+        # convergent, and no tau-reachable state is stuck outside A
         lts = self.lts
         can_some = 0
         for a in sorted(actions):
-            row = lts.weak_row(visible(a))
-            for i in range(len(lts.states)):
-                if row[i]:
-                    can_some |= 1 << i
-        out = 0
-        converging = lts.full_mask & ~lts.divergent_mask
-        for i in lts.iter_mask(converging):
-            if lts.closure_mask(i) & ~can_some == 0:
-                out |= 1 << i
-        return out
+            can_some |= lts.pre(visible(a), lts.full_mask)
+        return self.converging & ~lts.pre(TAU, lts.full_mask & ~can_some)
 
     def _fixpoint(self, node, env, fv) -> int:
         least = isinstance(node, Min)

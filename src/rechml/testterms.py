@@ -166,16 +166,6 @@ def test_step(term) -> list[tuple[Action, Test]]:
     return out
 
 
-def summand_count(term) -> int:
-    """Number of top-level summands; the step relation never branches more
-    than this."""
-    match term:
-        case Sum(left, right):
-            return summand_count(left) + summand_count(right)
-        case _:
-            return 1
-
-
 def explore(term, max_states: int = 100_000):
     """Breadth-first exploration of the reachable test terms up to
     alpha-equivalence.
@@ -220,24 +210,3 @@ def reachable_lts(term, max_states: int = 100_000) -> tuple[Lts, str]:
     lts, root, _ = explore(term, max_states)
     return lts, root
 
-
-def is_finitary(lts: Lts, root: str) -> bool:
-    """Every state reachable from the root lies in the finite state list.
-
-    True by construction for any Lts; the traversal exists to validate
-    externally loaded test systems and their root.
-    """
-    from .lts import visible
-
-    start = lts.state_index(root)
-    seen = {start}
-    queue = [start]
-    actions = [TAU, OMEGA] + [visible(a) for a in lts.alphabet]
-    while queue:
-        i = queue.pop()
-        for action in actions:
-            for j in lts.iter_mask(lts.strong_mask(action, i)):
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-    return seen <= set(range(len(lts.states)))

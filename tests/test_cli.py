@@ -114,6 +114,16 @@ def test_cap_exceeded_exits_three(proc_file):
     assert "error" in done.stderr
 
 
+def test_deep_nesting_exits_three(proc_file, tmp_path):
+    deep = tmp_path / "deep.hml"
+    deep.write_text("[a]" * 120_000 + "tt\n")
+    done = run_cli("check", proc_file, "p0", str(deep))
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
 def test_verify_small_and_deterministic():
     args = ("verify", "--seed", "42", "--trials", "12",
             "--property-trials", "4")

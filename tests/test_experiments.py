@@ -2,10 +2,14 @@ import pytest
 
 from rechml import testterms as tm
 from rechml.experiments import (
+    UnfoldVerdicts,
+    compose_all,
     may_satisfy,
+    may_states,
     may_witness,
     must_counterexample,
     must_satisfy,
+    must_states,
     must_unfold_law,
     parallel_compose,
 )
@@ -116,15 +120,28 @@ def test_must_counterexample_shapes():
 
 
 def test_unfold_law_requires_recursion():
-    with pytest.raises(Exception):
-        must_unfold_law(proc_fixture(), "fork", tm.Success())
+    with pytest.raises(tm.TestError):
+        must_unfold_law(proc_fixture(), tm.Success())
 
 
 def test_unfold_law_agrees_on_loop():
+    proc = proc_fixture()
     loop = tm.Mu("X", tm.Sum(tm.Prefix(A, tm.Var("X")), tm.Prefix(B, tm.Success())))
-    for state in proc_fixture().states:
-        verdicts = must_unfold_law(proc_fixture(), state, loop)
-        assert verdicts.forward_ok and verdicts.converse_ok
+    verdicts = must_unfold_law(proc, loop)
+    assert verdicts.violations == 0
+    tlts, troot = reachable_lts(loop)
+    expected = proc.mask_of(
+        s for s in proc.states if must_satisfy(parallel_compose(proc, tlts, s, troot))
+    )
+    assert verdicts.recursive == expected
+    assert verdicts.converging == proc.mask_of(s for s in proc.states if s != "div")
+
+
+def test_unfold_violations_mask():
+    # state 0 breaks the forward direction; state 1 the converse, which
+    # only counts where the process converges (state 2 does not)
+    verdicts = UnfoldVerdicts(recursive=0b001, unfolded=0b110, converging=0b011)
+    assert verdicts.violations == 0b011
 
 
 @pytest.mark.parametrize("trial", range(40))
@@ -134,8 +151,17 @@ def test_verdicts_match_oracle(trial):
     proc = generate_lts(cfg, rng)
     test = generate_test(cfg, rng)
     tlts, troot = reachable_lts(test)
+    may_mask = must_mask = 0
     for state in proc.states:
         graph = parallel_compose(proc, tlts, state, troot)
         assert set(graph.configs) == oracles.compose(proc, tlts, state, troot)[0]
-        assert may_satisfy(graph) == oracles.may_oracle(proc, tlts, state, troot)
-        assert must_satisfy(graph) == oracles.must_oracle(proc, tlts, state, troot)
+        may = oracles.may_oracle(proc, tlts, state, troot)
+        must = oracles.must_oracle(proc, tlts, state, troot)
+        assert may_satisfy(graph) == may
+        assert must_satisfy(graph) == must
+        may_mask |= may << proc.state_index(state)
+        must_mask |= must << proc.state_index(state)
+    every = compose_all(proc, tlts, troot)
+    assert every.configs[: len(proc.states)] == [(s, troot) for s in proc.states]
+    assert may_states(every) == may_mask
+    assert must_states(every) == must_mask

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from rechml.experiments import must_satisfy, parallel_compose
@@ -75,6 +76,19 @@ def test_report_text_shape():
     payload = json.loads(report_json(report))
     assert payload["summary"]["verdict"] == "pass"
     assert len(payload["checks"]) == 14
+
+
+def test_report_digests_frozen():
+    # sha256 of report_text, fixed when the harness solved one experiment
+    # per process state; the all-roots solve must report the same bytes
+    cfg = TrialConfig(seed=5, trials=40, property_trials=10)
+    expected = {
+        False: "350c3435205731be1ca0566ad67f3f7544efe6d1b353e5b7d52623997ed448a3",
+        True: "a329561182a1a43bd71e53c3c40cb16c4875d6a112d0f7f52e78224d27e24581",
+    }
+    for mutate, digest in expected.items():
+        text = report_text(verify_theorems(cfg, mutate=mutate))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, mutate
 
 
 def test_mutation_is_detected():

@@ -50,11 +50,6 @@ def test_canonical_alpha_equivalence():
     assert tm.canonical(left) == tm.canonical(right)
 
 
-def test_summand_count():
-    t = tm.Sum(tm.Sum(tm.Nil(), tm.Success()), tm.Prefix(A, tm.Nil()))
-    assert tm.summand_count(t) == 3
-
-
 def test_explore_loop_is_two_states():
     loop = tm.Mu("X", tm.Prefix(A, tm.Var("X")))
     lts, root, terms = tm.explore(loop)
@@ -89,9 +84,3 @@ def test_explore_cap():
     t = tm.Prefix(A, tm.Prefix(A, tm.Prefix(A, tm.Nil())))
     with pytest.raises(tm.CapExceeded):
         tm.explore(t, max_states=2)
-
-
-def test_reachable_lts_is_finitary():
-    t = tm.Mu("X", tm.Sum(tm.Prefix(A, tm.Var("X")), tm.Prefix(TAU, tm.Success())))
-    lts, root = tm.reachable_lts(t)
-    assert tm.is_finitary(lts, root)
