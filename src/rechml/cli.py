@@ -8,6 +8,7 @@ limits.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -163,18 +164,7 @@ def _cmd_compile_test(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = TrialConfig(
-        seed=args.seed,
-        trials=args.trials,
-        property_trials=args.property_trials,
-        max_states=args.max_states,
-        alphabet_size=args.alphabet_size,
-        max_formula_depth=args.max_formula_depth,
-        max_test_depth=args.max_test_depth,
-        max_sim_vars=args.max_sim_vars,
-        tau_density=args.tau_density,
-        divergence_bias=args.divergence_bias,
-    )
+    cfg = TrialConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrialConfig)})
     report = verify_theorems(cfg, mutate=args.self_test_mutation)
     if args.format == "json":
         sys.stdout.write(report_json(report))
@@ -231,16 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compile_test)
 
     p = sub.add_parser("verify", help="machine-check the theorems on random instances")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--property-trials", type=int, default=200)
-    p.add_argument("--max-states", type=int, default=8)
-    p.add_argument("--alphabet-size", type=int, default=3)
-    p.add_argument("--max-formula-depth", type=int, default=5)
-    p.add_argument("--max-test-depth", type=int, default=5)
-    p.add_argument("--max-sim-vars", type=int, default=4)
-    p.add_argument("--tau-density", type=float, default=0.3)
-    p.add_argument("--divergence-bias", type=float, default=0.5)
+    for f in dataclasses.fields(TrialConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.add_argument("--self-test-mutation", action="store_true",
                    help="corrupt the must compiler on purpose; failures expected")
     add_format(p)

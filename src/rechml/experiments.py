@@ -34,10 +34,6 @@ class ExperimentGraph:
     edges: list[list[int]]
     success: list[bool]
 
-    @property
-    def root(self) -> int:
-        return 0
-
     def __len__(self):
         return len(self.configs)
 

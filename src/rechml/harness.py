@@ -13,7 +13,7 @@ that cannot see anything.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import formulas as fm
 from . import testterms as tm
@@ -405,16 +405,8 @@ def verify_theorems(cfg: TrialConfig, mutate: bool = False, only=None) -> TrialR
 
 
 def report_text(report: TrialReport) -> str:
-    cfg = report.config
-    lines = [
-        "verify"
-        f" seed={cfg.seed} trials={cfg.trials} property_trials={cfg.property_trials}"
-        f" max_states={cfg.max_states} alphabet_size={cfg.alphabet_size}"
-        f" max_formula_depth={cfg.max_formula_depth} max_test_depth={cfg.max_test_depth}"
-        f" max_sim_vars={cfg.max_sim_vars} tau_density={cfg.tau_density}"
-        f" divergence_bias={cfg.divergence_bias}"
-        f" mutation={'on' if report.mutation else 'off'}"
-    ]
+    settings = "".join(f" {k}={v}" for k, v in asdict(report.config).items())
+    lines = [f"verify{settings} mutation={'on' if report.mutation else 'off'}"]
     for check in report.checks:
         lines.append(
             f"check name={check.name} trials={check.trials} failures={check.failures}"
@@ -440,33 +432,10 @@ def report_text(report: TrialReport) -> str:
 
 
 def report_json(report: TrialReport) -> str:
-    cfg = report.config
     payload = {
-        "config": {
-            "seed": cfg.seed,
-            "trials": cfg.trials,
-            "property_trials": cfg.property_trials,
-            "max_states": cfg.max_states,
-            "alphabet_size": cfg.alphabet_size,
-            "max_formula_depth": cfg.max_formula_depth,
-            "max_test_depth": cfg.max_test_depth,
-            "max_sim_vars": cfg.max_sim_vars,
-            "tau_density": cfg.tau_density,
-            "divergence_bias": cfg.divergence_bias,
-        },
+        "config": asdict(report.config),
         "mutation": report.mutation,
-        "checks": [
-            {
-                "name": c.name,
-                "trials": c.trials,
-                "failures": c.failures,
-                "divergent_trials": c.divergent_trials,
-                "fixpoint_iterations": c.fixpoint_iterations,
-                "max_fixpoint_iterations": c.max_fixpoint_iterations,
-                "counterexample": c.counterexample,
-            }
-            for c in report.checks
-        ],
+        "checks": [asdict(c) for c in report.checks],
         "summary": {
             "checks": len(report.checks),
             "failures": report.failures,

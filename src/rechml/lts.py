@@ -1,9 +1,12 @@
 """Finite labelled transition systems.
 
 States are interned to dense integer indices at construction time and sets
-of states are manipulated as integer bit masks keyed by that order.  All
-derived relations (tau closure, weak derivatives, divergence) are computed
-eagerly, so a constructed Lts is immutable and safe to share.
+of states are manipulated as integer bit masks keyed by that order.  Every
+derived relation comes from two mask primitives, the image of a mask under
+a row of successor masks and its reachability closure.  Tau closure and
+divergence are computed at construction; the weak row of a visible action
+is built on first use and cached.  The cache only memoises a function of
+the transitions, so an Lts is still observably immutable and safe to share.
 """
 
 from dataclasses import dataclass
@@ -56,6 +59,26 @@ def visible(name: str) -> Action:
     return Action("visible", name)
 
 
+def _image(rows: list[int], mask: int) -> int:
+    """The union of rows[i] over the bits i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _reach(rows: list[int], mask: int) -> int:
+    """The states reachable from mask in zero or more row steps; each
+    reached state is expanded once."""
+    seen = frontier = mask
+    while frontier:
+        frontier = _image(rows, frontier) & ~seen
+        seen |= frontier
+    return seen
+
+
 class Lts:
     """An immutable finite labelled transition system.
 
@@ -83,6 +106,7 @@ class Lts:
         for s in states:
             intern(s)
         triples: list[tuple[str, Action, str]] = []
+        self._outgoing: dict[str, list[tuple[str, Action, str]]] = {}
         seen = set()
         for src, act, dst in transitions:
             if not isinstance(act, Action):
@@ -93,6 +117,7 @@ class Lts:
             if triple not in seen:
                 seen.add(triple)
                 triples.append(triple)
+                self._outgoing.setdefault(src, []).append(triple)
 
         self.states: tuple[str, ...] = tuple(order)
         self._index = index
@@ -108,79 +133,15 @@ class Lts:
             row = self._strong.setdefault(act, [0] * n)
             row[index[src]] |= 1 << index[dst]
 
-        self._closure = self._tau_closures()
-        self._divergent = self._divergent_mask()
+        tau = self._strong.get(TAU, [0] * n)
+        self._closure = [_reach(tau, 1 << i) for i in range(n)]
+        # A state lies on a tau cycle iff it tau-reaches itself in one or
+        # more steps (a tau self-loop is the one-state case); a state
+        # diverges iff its closure meets such a state.
+        cyclic = sum(1 << i for i in range(n) if _image(self._closure, tau[i]) >> i & 1)
+        self._divergent = sum(1 << i for i, c in enumerate(self._closure) if c & cyclic)
+        self._omega_mask = sum(1 << i for i, r in enumerate(self._strong.get(OMEGA, ())) if r)
         self._weak: dict[Action, list[int]] = {TAU: self._closure}
-        for a in self.alphabet:
-            self._weak[visible(a)] = self._weak_visible(visible(a))
-        omega_row = self._strong.get(OMEGA, [0] * n)
-        self._omega_mask = 0
-        for i in range(n):
-            if omega_row[i]:
-                self._omega_mask |= 1 << i
-
-    def _tau_closures(self) -> list[int]:
-        n = len(self.states)
-        step = self._strong.get(TAU, [0] * n)
-        closure = [(1 << i) for i in range(n)]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = closure[i]
-                frontier = acc
-                while frontier:
-                    j = (frontier & -frontier).bit_length() - 1
-                    frontier &= frontier - 1
-                    acc |= step[j]
-                if acc != closure[i]:
-                    closure[i] = acc
-                    changed = True
-        return closure
-
-    def _divergent_mask(self) -> int:
-        # A state diverges iff it can tau-reach a state lying on a tau cycle
-        # (a tau self-loop is the one-state case).
-        n = len(self.states)
-        step = self._strong.get(TAU, [0] * n)
-        cyclic = 0
-        for i in range(n):
-            frontier = step[i]
-            reach = 0
-            while frontier:
-                j = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                reach |= self._closure[j]
-            if reach & (1 << i):
-                cyclic |= 1 << i
-        mask = 0
-        for i in range(n):
-            if self._closure[i] & cyclic:
-                mask |= 1 << i
-        return mask
-
-    def _weak_visible(self, act: Action) -> list[int]:
-        n = len(self.states)
-        step = self._strong.get(act, [0] * n)
-        after = [0] * n  # one strong step then tau closure
-        for j in range(n):
-            targets = step[j]
-            acc = 0
-            while targets:
-                k = (targets & -targets).bit_length() - 1
-                targets &= targets - 1
-                acc |= self._closure[k]
-            after[j] = acc
-        weak = [0] * n
-        for i in range(n):
-            sources = self._closure[i]
-            acc = 0
-            while sources:
-                j = (sources & -sources).bit_length() - 1
-                sources &= sources - 1
-                acc |= after[j]
-            weak[i] = acc
-        return weak
 
     # -- interning helpers ------------------------------------------------
 
@@ -218,7 +179,11 @@ class Lts:
             raise LtsError("omega has no weak derivatives")
         row = self._weak.get(act)
         if row is None:
-            row = [0] * len(self.states)
+            strong = self._strong.get(act)
+            if strong is None:
+                return [0] * len(self.states)
+            after = [_image(self._closure, r) for r in strong]
+            row = self._weak[act] = [_image(after, c) for c in self._closure]
         return row
 
     def pre(self, act: Action, mask: int) -> int:
@@ -263,7 +228,7 @@ class Lts:
 
     def outgoing(self, state: str):
         """Transitions leaving the state, in construction order."""
-        return [t for t in self.transitions if t[0] == state]
+        return list(self._outgoing.get(state, ()))
 
     def __repr__(self):
         return (f"Lts({self.name!r}, {len(self.states)} states, "

@@ -13,6 +13,7 @@ yields a single formula in the corresponding fragment.
 """
 
 import hashlib
+from functools import reduce
 
 from . import formulas as fm
 from . import testterms as tm
@@ -21,31 +22,10 @@ from .lts import OMEGA, TAU, Lts, visible
 from .testterms import Test
 
 
-def _sum(parts: list[Test]) -> Test:
-    if not parts:
-        return tm.Nil()
-    out = parts[0]
-    for part in parts[1:]:
-        out = tm.Sum(out, part)
-    return out
-
-
-def _conj(parts: list[Formula]) -> Formula:
-    if not parts:
-        return fm.Tt()
-    out = parts[0]
-    for part in parts[1:]:
-        out = fm.And(out, part)
-    return out
-
-
-def _disj(parts: list[Formula]) -> Formula:
-    if not parts:
-        return fm.Ff()
-    out = parts[0]
-    for part in parts[1:]:
-        out = fm.Or(out, part)
-    return out
+def _fold(join, parts: list, empty):
+    """The parts joined left-nested by the binary constructor join, or
+    empty when there are none."""
+    return reduce(join, parts) if parts else empty
 
 
 def _require_fragment(formula, fragment: str, who: str):
@@ -68,7 +48,8 @@ def formula_to_must_test(formula: Formula) -> Test:
             case fm.Ff():
                 return tm.Nil()
             case fm.Acc(actions):
-                return _sum([tm.Prefix(visible(a), tm.Success()) for a in sorted(actions)])
+                offers = [tm.Prefix(visible(a), tm.Success()) for a in sorted(actions)]
+                return _fold(tm.Sum, offers, tm.Nil())
             case fm.Var(name):
                 return tm.Var(name)
             case fm.Box(action, body):
@@ -158,11 +139,11 @@ def test_lts_to_must_system(lts: Lts, root: str, terms=None) -> SimFormula:
         elif not taus:
             parts: list[Formula] = [fm.Box(a, fm.Var(var_of[d])) for a, d in vis]
             parts.append(fm.Acc(frozenset(a.name for a, _ in vis)))
-            bodies.append(_conj(parts))
+            bodies.append(_fold(fm.And, parts, fm.Tt()))
         else:
             parts = [fm.Box(TAU, fm.Var(var_of[d])) for d in taus]
             parts.extend(fm.Box(a, fm.Var(var_of[d])) for a, d in vis)
-            bodies.append(_conj(parts))
+            bodies.append(_fold(fm.And, parts, fm.Tt()))
     return SimFormula(
         tuple(var_of[s] for s in lts.states),
         tuple(bodies),
@@ -185,20 +166,12 @@ def test_lts_to_may_system(lts: Lts, root: str, terms=None) -> SimFormula:
         else:
             parts: list[Formula] = [fm.Dia(TAU, fm.Var(var_of[d])) for d in taus]
             parts.extend(fm.Dia(a, fm.Var(var_of[d])) for a, d in vis)
-            bodies.append(_disj(parts))
+            bodies.append(_fold(fm.Or, parts, fm.Ff()))
     return SimFormula(
         tuple(var_of[s] for s in lts.states),
         tuple(bodies),
         lts.state_index(root),
     )
-
-
-def test_lts_to_must_formula(lts: Lts, root: str) -> Formula:
-    return bekic_eliminate(test_lts_to_must_system(lts, root))
-
-
-def test_lts_to_may_formula(lts: Lts, root: str) -> Formula:
-    return bekic_eliminate(test_lts_to_may_system(lts, root))
 
 
 def test_to_must_formula(test: Test) -> Formula:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rechml.generators import TrialConfig, generate_lts, spawn_rng
@@ -96,6 +98,31 @@ def test_mask_round_trip():
 def test_closures_match_oracle(trial):
     cfg = TrialConfig(max_states=7)
     lts = generate_lts(cfg, spawn_rng(99, "lts_oracle", trial))
+    for state in lts.states:
+        assert lts.weak_tau_closure(state) == oracles.tau_closure(lts, state)
+        assert lts.converges(state) == oracles.converges(lts, state)
+        for letter in lts.alphabet:
+            act = visible(letter)
+            assert set(lts.weak_derivatives(state, act)) == \
+                oracles.weak_derivatives(lts, state, act)
+
+
+def test_long_tau_chains_match_oracle():
+    """A 35-state tau path feeding a 20-state tau cycle, and a convergent
+    5-state tau tail, declared in shuffled order so that closures take
+    many steps in no particular index order."""
+    path = [f"p{i}" for i in range(35)]
+    cycle = [f"c{i}" for i in range(20)]
+    tail = [f"q{i}" for i in range(5)]
+    transitions = [(x, TAU, y) for chain in (path, cycle, tail) for x, y in zip(chain, chain[1:])]
+    transitions += [("p34", TAU, "c0"), ("c19", TAU, "c0"),
+                    ("p3", visible("a"), "p28"), ("p17", visible("b"), "q0"),
+                    ("c11", visible("a"), "q2"), ("q4", visible("a"), "p0")]
+    states = path + cycle + tail
+    random.Random(7).shuffle(states)
+    lts = Lts(states=states, transitions=transitions)
+    assert len(lts.weak_tau_closure("p0")) == 55
+    assert not lts.converges("p0") and lts.converges("q0")
     for state in lts.states:
         assert lts.weak_tau_closure(state) == oracles.tau_closure(lts, state)
         assert lts.converges(state) == oracles.converges(lts, state)

@@ -65,6 +65,20 @@ def test_acc_frozen():
     assert interpret_states(lts, fm.Acc(set())) == set()
 
 
+def test_tau_modalities_see_whole_tau_chain():
+    # s0 and s1 offer a, but both tau-reach the stable, a-refusing s2 in
+    # one or two steps; one reflexive strong tau step would miss s2 from s0
+    lts = Lts(
+        states=["s0", "s1", "s2"],
+        transitions=[("s0", TAU, "s1"), ("s1", TAU, "s2"),
+                     ("s0", A, "s0"), ("s1", A, "s1")],
+        alphabet=["a"],
+    )
+    assert interpret_states(lts, fm.Acc({"a"})) == set()
+    assert interpret_states(lts, fm.Box(TAU, fm.Dia(A, fm.Tt()))) == set()
+    assert interpret_states(lts, fm.Dia(TAU, fm.Box(A, fm.Ff()))) == {"s0", "s1", "s2"}
+
+
 def test_min_reaches_through_tau():
     lts = Lts(
         states=["s0", "s1", "s2"],
