@@ -60,10 +60,6 @@ def _load_test_side(value: str, cap: int):
     return lts, root, terms
 
 
-def _config_line(pairs) -> str:
-    return " ".join(f"{k}={v}" for k, v in pairs)
-
-
 def _cmd_check(args) -> int:
     lts, _ = _load_lts_file(args.lts)
     formula = parse_formula(_source(args.formula))

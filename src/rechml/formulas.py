@@ -1,10 +1,17 @@
-"""Syntax of recursive Hennessy-Milner logic.
+"""Syntax of recursive Hennessy-Milner logic, and the binder operations
+shared with test terms.
 
 Formula nodes are frozen dataclasses compared structurally.  Functions here
 are purely syntactic: free variables, capture-avoiding substitution,
 canonical renaming of bound variables, fragment membership, finite
 approximants and elimination of simultaneous fixpoints.  Interpretation
 over an Lts lives in rechml.semantics.
+
+The first three work on any term language built from the marker bases
+Term, Variable and Binder: formulas here and the test terms of
+rechml.testterms, which re-exports them.  They look only at the shape of a
+node (variable, binder or other) and reach other nodes through the
+family's children() and map_children(f).
 
 Large formulas produced by substitution share subterm objects, so the
 traversals below memoize on object identity to stay linear in the size of
@@ -20,13 +27,60 @@ class FormulaError(Exception):
     """Raised for open formulas, fragment violations and bad indices."""
 
 
-class Formula:
+class Term:
+    """Base of a term language with binders.  A family names the prefix of
+    its canonical bound names in bound_prefix and defines children() and
+    map_children(f), the latter rebuilding a node with f applied to each
+    child."""
+
     __slots__ = ()
+
+
+class Variable:
+    """Marker for variable nodes; they have a field name."""
+
+    __slots__ = ()
+
+
+class Binder:
+    """Marker for binder nodes; they have fields var and body, and name the
+    variable class of their family in var_class."""
+
+    __slots__ = ()
+
+
+class Formula(Term):
+    __slots__ = ()
+    bound_prefix = "V"
 
     def __str__(self):
         from .textio import format_formula
 
         return format_formula(self)
+
+    def children(self):
+        match self:
+            case Or(l, r) | And(l, r):
+                return (l, r)
+            case Dia(_, b) | Box(_, b) | Min(_, b) | Max(_, b):
+                return (b,)
+            case _:
+                return ()
+
+    def map_children(self, f):
+        match self:
+            case Or(l, r):
+                return Or(f(l), f(r))
+            case And(l, r):
+                return And(f(l), f(r))
+            case Dia(a, b):
+                return Dia(a, f(b))
+            case Box(a, b):
+                return Box(a, f(b))
+            case Min(x, b) | Max(x, b):
+                return type(self)(x, f(b))
+            case _:
+                return self
 
 
 @dataclass(frozen=True)
@@ -40,7 +94,7 @@ class Ff(Formula):
 
 
 @dataclass(frozen=True)
-class Var(Formula):
+class Var(Formula, Variable):
     name: str
 
 
@@ -91,15 +145,17 @@ class Box(Formula):
 
 
 @dataclass(frozen=True)
-class Min(Formula):
+class Min(Formula, Binder):
     var: str
     body: Formula
+    var_class = Var
 
 
 @dataclass(frozen=True)
-class Max(Formula):
+class Max(Formula, Binder):
     var: str
     body: Formula
+    var_class = Var
 
 
 @dataclass(frozen=True)
@@ -124,20 +180,10 @@ class SimFormula:
             raise FormulaError(f"projection index {self.index} out of range")
 
 
-def _children(formula):
-    match formula:
-        case Or(l, r) | And(l, r):
-            return (l, r)
-        case Dia(_, b) | Box(_, b) | Min(_, b) | Max(_, b):
-            return (b,)
-        case _:
-            return ()
-
-
-def free_var_map(formula) -> dict[int, frozenset[str]]:
+def free_var_map(term) -> dict[int, frozenset[str]]:
     """Free variables of every subterm, keyed by object identity.
 
-    Valid only while the formula object is alive; callers use it to make
+    Valid only while the term object is alive; callers use it to make
     traversals over shared structure linear.
     """
     memo: dict[int, frozenset[str]] = {}
@@ -147,23 +193,23 @@ def free_var_map(formula) -> dict[int, frozenset[str]]:
         if got is not None:
             return got
         match node:
-            case Var(name):
+            case Variable(name=name):
                 out = frozenset((name,))
-            case Min(x, b) | Max(x, b):
+            case Binder(var=x, body=b):
                 out = walk(b) - {x}
             case _:
                 out = frozenset()
-                for child in _children(node):
+                for child in node.children():
                     out |= walk(child)
         memo[id(node)] = out
         return out
 
-    walk(formula)
+    walk(term)
     return memo
 
 
-def free_vars(formula) -> frozenset[str]:
-    return free_var_map(formula)[id(formula)]
+def free_vars(term) -> frozenset[str]:
+    return free_var_map(term)[id(term)]
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -176,9 +222,9 @@ def fresh_name(base: str, avoid) -> str:
     return f"{base}{k}"
 
 
-def _substitute_many(formula, mapping: dict[str, Formula]) -> Formula:
-    fmap = free_var_map(formula)
-    memo: dict[tuple, Formula] = {}
+def _substitute_many(term, mapping: dict[str, Term]) -> Term:
+    fmap = free_var_map(term)
+    memo: dict[tuple, Term] = {}
 
     def node_free(node):
         fv = fmap.get(id(node))
@@ -197,85 +243,69 @@ def _substitute_many(formula, mapping: dict[str, Formula]) -> Formula:
         if got is not None:
             return got
         match node:
-            case Var(name):
-                out = live.get(name, node)
-            case Or(l, r):
-                out = Or(sub(l, live), sub(r, live))
-            case And(l, r):
-                out = And(sub(l, live), sub(r, live))
-            case Dia(a, b):
-                out = Dia(a, sub(b, live))
-            case Box(a, b):
-                out = Box(a, sub(b, live))
-            case Min(x, b) | Max(x, b):
-                binder = type(node)
-                inner = {v: r for v, r in live.items() if v != x}
-                if not inner:
-                    out = node
-                else:
-                    incoming = frozenset()
-                    for r in inner.values():
-                        incoming |= node_free(r)
-                    if x in incoming:
-                        x2 = fresh_name(x, set(fv) | incoming | {x})
-                        inner = dict(inner)
-                        inner[x] = Var(x2)
-                        out = binder(x2, sub(b, inner))
-                    else:
-                        out = binder(x, sub(b, inner))
+            case Variable(name=name):
+                out = live[name]
+            case Binder(var=x, body=b):
+                # x is bound here, so it is never among the live variables
+                incoming = frozenset()
+                for r in live.values():
+                    incoming |= node_free(r)
+                if x in incoming:
+                    x2 = fresh_name(x, fv | incoming | {x})
+                    live[x] = node.var_class(x2)
+                    x = x2
+                out = type(node)(x, sub(b, live))
             case _:
-                out = node
+                out = node.map_children(lambda child: sub(child, live))
         memo[key] = out
         return out
 
-    return sub(formula, dict(mapping))
+    return sub(term, dict(mapping))
 
 
-def substitute(formula, var: str, replacement) -> Formula:
+def substitute(term, var: str, replacement) -> Term:
     """Capture-avoiding substitution of replacement for free occurrences of
     var.  Bound variables are renamed (with a numeric suffix) only when a
     free variable of the replacement would otherwise be captured."""
-    return _substitute_many(formula, {var: replacement})
+    return _substitute_many(term, {var: replacement})
 
 
-def canonical(formula) -> Formula:
-    """Rename bound variables to V0, V1, ... in traversal order; two
-    formulas are alpha-equivalent exactly when their canonical forms are
-    structurally equal."""
+def canonical(term) -> Term:
+    """Rename bound variables to P0, P1, ... in traversal order, where P is
+    the family's bound_prefix; two terms are alpha-equivalent exactly when
+    their canonical forms are structurally equal."""
+    prefix = term.bound_prefix
     counter = [0]
 
     def walk(node, env):
         match node:
-            case Var(name):
-                return Var(env.get(name, name))
-            case Or(l, r):
-                return Or(walk(l, env), walk(r, env))
-            case And(l, r):
-                return And(walk(l, env), walk(r, env))
-            case Dia(a, b):
-                return Dia(a, walk(b, env))
-            case Box(a, b):
-                return Box(a, walk(b, env))
-            case Min(x, b) | Max(x, b):
-                name = f"V{counter[0]}"
+            case Variable(name=name):
+                return type(node)(env.get(name, name))
+            case Binder(var=x, body=b):
+                name = f"{prefix}{counter[0]}"
                 counter[0] += 1
-                env2 = dict(env)
-                env2[x] = name
-                return type(node)(name, walk(b, env2))
+                return type(node)(name, walk(b, {**env, x: name}))
             case _:
-                return node
+                return node.map_children(lambda child: walk(child, env))
 
-    return walk(formula, {})
+    return walk(term, {})
 
 
-def _shape_ok(formula, allowed) -> bool:
-    memo: dict[int, bool] = {}
+def _offender(formula, allowed):
+    """First subterm (preorder) whose node type is not in allowed, or None."""
+    memo: dict[int, Formula | None] = {}
 
     def walk(node):
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        out = isinstance(node, allowed) and all(walk(c) for c in _children(node))
+        if id(node) in memo:
+            return memo[id(node)]
+        if not isinstance(node, allowed):
+            out = node
+        else:
+            out = None
+            for child in node.children():
+                out = walk(child)
+                if out is not None:
+                    break
         memo[id(node)] = out
         return out
 
@@ -297,30 +327,19 @@ def is_mayhml(formula) -> bool:
     """Membership in the may fragment: tt, ff, variables, diamonds,
     disjunction and least fixpoints.  The formula must be closed."""
     _require_closed(formula, "is_mayhml")
-    return _shape_ok(formula, _MAY_NODES)
+    return _offender(formula, _MAY_NODES) is None
 
 
 def is_musthml(formula) -> bool:
     """Membership in the must fragment: tt, ff, Acc, variables, boxes,
     conjunction and least fixpoints.  The formula must be closed."""
     _require_closed(formula, "is_musthml")
-    return _shape_ok(formula, _MUST_NODES)
+    return _offender(formula, _MUST_NODES) is None
 
 
 def fragment_offender(formula, fragment: str):
     """First subterm (preorder) outside the given fragment, or None."""
-    allowed = _MAY_NODES if fragment == "may" else _MUST_NODES
-
-    def walk(node):
-        if not isinstance(node, allowed):
-            return node
-        for child in _children(node):
-            bad = walk(child)
-            if bad is not None:
-                return bad
-        return None
-
-    return walk(formula)
+    return _offender(formula, _MAY_NODES if fragment == "may" else _MUST_NODES)
 
 
 def is_tt_grammar(formula) -> bool:
@@ -332,13 +351,13 @@ def is_tt_grammar(formula) -> bool:
     """
     if not is_musthml(formula):
         raise FormulaError("is_tt_grammar expects a formula in the must fragment")
-    return _shape_ok(formula, (Tt, And, Min))
+    return tt_shape(formula)
 
 
 def tt_shape(formula) -> bool:
     """Shape test behind is_tt_grammar, usable on open subterms during
     translation (a formula of this shape is necessarily closed)."""
-    return _shape_ok(formula, (Tt, And, Min))
+    return _offender(formula, (Tt, And, Min)) is None
 
 
 def nesting_depth(formula) -> int:
@@ -349,7 +368,7 @@ def nesting_depth(formula) -> int:
         got = memo.get(id(node))
         if got is not None:
             return got
-        kids = [walk(c) for c in _children(node)]
+        kids = [walk(c) for c in node.children()]
         out = max(kids, default=0)
         if isinstance(node, (Min, Max)):
             out += 1

@@ -43,6 +43,14 @@ class TrialConfig:
             raise ValueError("alphabet_size out of range")
         if self.max_states < 1:
             raise ValueError("max_states must be positive")
+        if self.max_sim_vars < 1:
+            raise ValueError("max_sim_vars must be positive")
+        for name in ("trials", "property_trials", "max_formula_depth", "max_test_depth"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+        for name in ("tau_density", "divergence_bias"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
     def alphabet(self) -> list[str]:
         return list(_LETTERS[: self.alphabet_size])

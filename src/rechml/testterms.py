@@ -5,10 +5,14 @@ actions, variables, binary sum and recursion mu X.t.  Success is the only
 way omega enters a test.  The step relation follows the usual rules: a
 prefix fires its action, a sum commits to one side, and recursion unfolds
 in a single tau step.
+
+Free variables, substitution and canonical renaming are the shared binder
+operations of rechml.formulas (bound names B0, B1, ...), re-exported here.
 """
 
 from dataclasses import dataclass
 
+from .formulas import Binder, Term, Variable, canonical, free_vars, substitute
 from .lts import OMEGA, TAU, Action, Lts
 
 
@@ -21,13 +25,34 @@ class CapExceeded(TestError):
     indicates a runaway construction rather than bad input."""
 
 
-class Test:
+class Test(Term):
     __slots__ = ()
+    bound_prefix = "B"
 
     def __str__(self):
         from .textio import format_test
 
         return format_test(self)
+
+    def children(self):
+        match self:
+            case Sum(l, r):
+                return (l, r)
+            case Prefix(_, b) | Mu(_, b):
+                return (b,)
+            case _:
+                return ()
+
+    def map_children(self, f):
+        match self:
+            case Sum(l, r):
+                return Sum(f(l), f(r))
+            case Prefix(a, b):
+                return Prefix(a, f(b))
+            case Mu(x, b):
+                return Mu(x, f(b))
+            case _:
+                return self
 
 
 @dataclass(frozen=True)
@@ -51,7 +76,7 @@ class Prefix(Test):
 
 
 @dataclass(frozen=True)
-class Var(Test):
+class Var(Test, Variable):
     name: str
 
 
@@ -62,77 +87,10 @@ class Sum(Test):
 
 
 @dataclass(frozen=True)
-class Mu(Test):
+class Mu(Test, Binder):
     var: str
     body: Test
-
-
-def free_vars(term) -> frozenset[str]:
-    match term:
-        case Var(name):
-            return frozenset((name,))
-        case Prefix(_, body):
-            return free_vars(body)
-        case Sum(left, right):
-            return free_vars(left) | free_vars(right)
-        case Mu(var, body):
-            return free_vars(body) - {var}
-        case _:
-            return frozenset()
-
-
-def substitute(term, var: str, replacement) -> Test:
-    """Capture-avoiding substitution in a test term."""
-    from .formulas import fresh_name
-
-    repl_free = free_vars(replacement)
-
-    def sub(node):
-        fv = free_vars(node)
-        if var not in fv:
-            return node
-        match node:
-            case Var(_):
-                return replacement
-            case Prefix(action, body):
-                return Prefix(action, sub(body))
-            case Sum(left, right):
-                return Sum(sub(left), sub(right))
-            case Mu(x, body):
-                if x in repl_free:
-                    x2 = fresh_name(x, repl_free | free_vars(body) | {var, x})
-                    body = substitute(body, x, Var(x2))
-                    return Mu(x2, sub(body))
-                return Mu(x, sub(body))
-            case _:
-                return node
-
-    return sub(term)
-
-
-def canonical(term) -> Test:
-    """Bound variables renamed B0, B1, ... in traversal order; structural
-    equality of canonical forms is alpha-equivalence."""
-    counter = [0]
-
-    def walk(node, env):
-        match node:
-            case Var(name):
-                return Var(env.get(name, name))
-            case Prefix(action, body):
-                return Prefix(action, walk(body, env))
-            case Sum(left, right):
-                return Sum(walk(left, env), walk(right, env))
-            case Mu(x, body):
-                name = f"B{counter[0]}"
-                counter[0] += 1
-                env2 = dict(env)
-                env2[x] = name
-                return Mu(name, walk(body, env2))
-            case _:
-                return node
-
-    return walk(term, {})
+    var_class = Var
 
 
 def _steps(term):
@@ -186,7 +144,9 @@ def explore(term, max_states: int = 100_000):
     while at < len(queue):
         current = queue[at]
         at += 1
-        for action, target in test_step(current):
+        # every term reachable from a closed root is closed, and Lts drops
+        # repeated triples, so the checks of test_step are not needed here
+        for action, target in _steps(current):
             target = canonical(target)
             name = names.get(target)
             if name is None:

@@ -107,6 +107,14 @@ def test_input_errors_exit_two(proc_file, tmp_path):
     assert run_cli("check", str(bad), "p0", "tt").returncode == 2
 
 
+def test_verify_rejects_out_of_range_config():
+    done = run_cli("verify", "--max-sim-vars", "0")
+    assert done.returncode == 2
+    assert "max_sim_vars" in done.stderr
+    assert "randrange" not in done.stderr
+    assert done.stdout == ""
+
+
 def test_cap_exceeded_exits_three(proc_file):
     done = run_cli("must", proc_file, "p0", "a.b.a.b.w.0",
                    "--max-test-states", "2")

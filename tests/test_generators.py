@@ -19,6 +19,19 @@ def test_config_validation():
         TrialConfig(alphabet_size=26)
     with pytest.raises(ValueError):
         TrialConfig(max_states=0)
+    bad = [
+        ("trials", -3), ("property_trials", -1),
+        ("max_formula_depth", -1), ("max_test_depth", -1),
+        ("max_sim_vars", 0),
+        ("tau_density", 2.0), ("tau_density", -0.1),
+        ("divergence_bias", -5.0), ("divergence_bias", 1.5),
+    ]
+    for field, value in bad:
+        with pytest.raises(ValueError, match=field):
+            TrialConfig(**{field: value})
+    # the closed ends of every range are accepted
+    TrialConfig(trials=0, property_trials=0, max_formula_depth=0, max_test_depth=0,
+                max_sim_vars=1, tau_density=0.0, divergence_bias=1.0)
 
 
 def test_alphabet_skips_the_success_letter():

@@ -1,7 +1,11 @@
+import hashlib
+
 import pytest
 
 from rechml import testterms as tm
+from rechml.generators import TrialConfig, generate_test, spawn_rng
 from rechml.lts import OMEGA, TAU, visible
+from rechml.textio import format_test, parse_test
 
 A = visible("a")
 B = visible("b")
@@ -42,6 +46,11 @@ def test_substitute_shadowing_and_capture():
     assert isinstance(out, tm.Mu)
     assert out.var != "X"
     assert tm.free_vars(out) == frozenset({"X"})
+    # both binders must move: the outer one captures the incoming X, and
+    # renaming it to X1 would then be captured by the inner binder
+    nested = tm.Mu("X", tm.Mu("X1", tm.Prefix(A, tm.Sum(tm.Var("Y"), tm.Var("X")))))
+    out = tm.substitute(nested, "Y", tm.Var("X"))
+    assert format_test(out) == "mu X1. mu X11. a.(X + X1)"
 
 
 def test_canonical_alpha_equivalence():
@@ -84,3 +93,23 @@ def test_explore_cap():
     t = tm.Prefix(A, tm.Prefix(A, tm.Prefix(A, tm.Nil())))
     with pytest.raises(tm.CapExceeded):
         tm.explore(t, max_states=2)
+
+
+# sha256 of explore's states, transitions and formatted terms over the
+# inputs of test_explore_output_frozen; a change to stepping, substitution
+# or canonical renaming shows up here.
+EXPLORE_DIGEST = "46bc2c92ba1581b308d59c760ae2385a112c8959b9a3a1f2fbfe6f9d41726a8b"
+
+
+def test_explore_output_frozen():
+    cfg = TrialConfig(max_test_depth=7)
+    terms = [generate_test(cfg, spawn_rng(11, "explore", i)) for i in range(200)]
+    terms.append(parse_test("mu X. a.(mu Y. (b.X + tau.Y + c.mu Z. (a.Z + b.Y + w.0)))"))
+    terms.append(parse_test("mu X. mu Y. (a.X + b.Y + tau.(mu X. c.X + Y))"))
+    h = hashlib.sha256()
+    for t in terms:
+        lts, root, names = tm.explore(t)
+        transitions = [(s, str(a), d) for s, a, d in lts.transitions]
+        formatted = sorted((k, format_test(v)) for k, v in names.items())
+        h.update(repr((root, lts.states, transitions, formatted)).encode())
+    assert h.hexdigest() == EXPLORE_DIGEST
