@@ -23,16 +23,18 @@ from .testterms import Mu, Test, TestError, reachable_lts
 @dataclass
 class ExperimentGraph:
     """Reachable configurations of a process paired with a test.  The
-    roots come first, configuration 0 for a single-root graph and
-    configuration i for process state i in an all-roots graph; edges[i]
-    lists successor indices in deterministic order; success[i] marks
-    configurations whose test component offers omega."""
+    root configurations come first: configuration k is the root of
+    process state index roots[k] (one root for parallel_compose, every
+    state in order for compose_all); edges[i] lists successor indices in
+    deterministic order; success[i] marks configurations whose test
+    component offers omega."""
 
     proc: Lts
     test: Lts
     configs: list[tuple[str, str]]
     edges: list[list[int]]
     success: list[bool]
+    roots: list[int]
 
     def __len__(self):
         return len(self.configs)
@@ -45,6 +47,7 @@ def _compose(proc: Lts, test: Lts, roots, t: str) -> ExperimentGraph:
         raise LtsError("process side of an experiment cannot use omega")
     it = test.state_index(t)
 
+    roots = list(roots)
     configs = [(ip, it) for ip in roots]
     index: dict[tuple[int, int], int] = {pair: k for k, pair in enumerate(configs)}
     edges: list[list[int]] = []
@@ -89,7 +92,7 @@ def _compose(proc: Lts, test: Lts, roots, t: str) -> ExperimentGraph:
 
     success = [bool(test.omega_mask & (1 << ct)) for _, ct in configs]
     named = [(proc.states[i], test.states[j]) for i, j in configs]
-    return ExperimentGraph(proc, test, named, edges, success)
+    return ExperimentGraph(proc, test, named, edges, success, roots)
 
 
 def parallel_compose(proc: Lts, test: Lts, p: str, t: str) -> ExperimentGraph:
@@ -136,9 +139,9 @@ def _passing(graph: ExperimentGraph, every: bool) -> list[bool]:
 def _root_mask(graph: ExperimentGraph, every: bool) -> int:
     inside = _passing(graph, every)
     mask = 0
-    for i in range(len(graph.proc.states)):
-        if inside[i]:
-            mask |= 1 << i
+    for k, ip in enumerate(graph.roots):
+        if inside[k]:
+            mask |= 1 << ip
     return mask
 
 
@@ -154,12 +157,12 @@ def must_satisfy(graph: ExperimentGraph) -> bool:
 
 
 def may_states(graph: ExperimentGraph) -> int:
-    """Mask of the process states that may pass, for a compose_all graph."""
+    """Mask of the root process states that may pass."""
     return _root_mask(graph, False)
 
 
 def must_states(graph: ExperimentGraph) -> int:
-    """Mask of the process states that must pass, for a compose_all graph."""
+    """Mask of the root process states that must pass."""
     return _root_mask(graph, True)
 
 

@@ -351,12 +351,6 @@ def is_tt_grammar(formula) -> bool:
     """
     if not is_musthml(formula):
         raise FormulaError("is_tt_grammar expects a formula in the must fragment")
-    return tt_shape(formula)
-
-
-def tt_shape(formula) -> bool:
-    """Shape test behind is_tt_grammar, usable on open subterms during
-    translation (a formula of this shape is necessarily closed)."""
     return _offender(formula, (Tt, And, Min)) is None
 
 

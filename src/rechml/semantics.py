@@ -116,23 +116,18 @@ class _Evaluator:
             sig = tuple(env[v] for v in sig_vars)
         except KeyError as missing:
             raise FormulaError(f"unbound variable {missing.args[0]}") from None
+        current = 0 if least else self.lts.full_mask
         prev = self.resume.get(id(node))
-        if least:
-            current = 0
-            if prev is not None:
-                psig, pval = prev
-                if psig == sig:
-                    return pval
-                if all(s | p == s for s, p in zip(sig, psig)):
-                    current = pval
-        else:
-            current = self.lts.full_mask
-            if prev is not None:
-                psig, pval = prev
-                if psig == sig:
-                    return pval
-                if all(p | s == p for s, p in zip(sig, psig)):
-                    current = pval
+        if prev is not None:
+            psig, pval = prev
+            if psig == sig:
+                return pval
+            # warm start when the environment only grew (least) or only
+            # shrank (greatest): the old fixpoint then lies below the new
+            # least, or above the new greatest, fixpoint
+            small, big = (psig, sig) if least else (sig, psig)
+            if all(b | s == b for s, b in zip(small, big)):
+                current = pval
         inner = dict(env)
         iterations = 0
         while True:

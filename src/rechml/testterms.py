@@ -130,8 +130,10 @@ def explore(term, max_states: int = 100_000):
 
     Returns (lts, root_name, terms) where terms maps each state name to the
     canonical term it stands for.  States are named t0, t1, ... in
-    discovery order.
+    discovery order.  max_states must be at least 1.
     """
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
     fv = free_vars(term)
     if fv:
         raise TestError(f"open test term; free: {', '.join(sorted(fv))}")
@@ -143,6 +145,7 @@ def explore(term, max_states: int = 100_000):
     at = 0
     while at < len(queue):
         current = queue[at]
+        source = f"t{at}"
         at += 1
         # every term reachable from a closed root is closed, and Lts drops
         # repeated triples, so the checks of test_step are not needed here
@@ -160,8 +163,8 @@ def explore(term, max_states: int = 100_000):
                 names[target] = name
                 terms[name] = target
                 queue.append(target)
-            transitions.append((names[current], action, name))
-    lts = Lts(states=[names[t] for t in queue], transitions=transitions, name="test")
+            transitions.append((source, action, name))
+    lts = Lts(states=list(terms), transitions=transitions, name="test")
     return lts, "t0", terms
 
 

@@ -3,9 +3,11 @@
 Formula to test: a must formula compiles to a test that a process must
 pass exactly when it satisfies the formula, and dually for may.  The one
 delicate case is conjunction on the must side: a conjunction that already
-denotes the full state set (recognized syntactically by tt_shape) must
-compile to immediate success rather than to a tau-choice, because a
-divergent process must-fails any test that cannot succeed at once.
+denotes the full state set must compile to immediate success rather than
+to a tau-choice, because a divergent process must-fails any test that
+cannot succeed at once.  Within the must fragment a subformula denotes the
+full state set exactly when it compiles to success, so the compiler reads
+the rule off the compiled arms in the same single pass.
 
 Test to formula: the reachable states of the test induce one equation per
 state; packaging them as a simultaneous least fixpoint and eliminating it
@@ -40,6 +42,7 @@ def formula_to_must_test(formula: Formula) -> Test:
     """Compile a closed must formula to a test characterizing it under
     must-passing."""
     _require_fragment(formula, "must", "formula_to_must_test")
+    fmap = fm.free_var_map(formula)
 
     def conv(node) -> Test:
         match node:
@@ -57,11 +60,13 @@ def formula_to_must_test(formula: Formula) -> Test:
                     return tm.Prefix(TAU, conv(body))
                 return tm.Sum(tm.Prefix(action, conv(body)), tm.Prefix(TAU, tm.Success()))
             case fm.And(left, right):
-                if fm.tt_shape(node):
+                # isinstance, not ==: comparing two large equal tests is deep
+                lt, rt = conv(left), conv(right)
+                if isinstance(lt, tm.Success) and isinstance(rt, tm.Success):
                     return tm.Success()
-                return tm.Sum(tm.Prefix(TAU, conv(left)), tm.Prefix(TAU, conv(right)))
+                return tm.Sum(tm.Prefix(TAU, lt), tm.Prefix(TAU, rt))
             case fm.Min(var, body):
-                if not fm.free_vars(body):
+                if not fmap[id(body)]:
                     return conv(body)
                 return tm.Mu(var, conv(body))
             case _:
@@ -107,18 +112,44 @@ def _state_variables(lts: Lts, terms=None) -> dict[str, str]:
     return out
 
 
-def _grouped(lts: Lts, state: str):
-    omega = []
-    taus = []
-    vis = []
-    for _, action, dst in lts.outgoing(state):
-        if action == OMEGA:
-            omega.append(dst)
-        elif action == TAU:
-            taus.append(dst)
+def _system(lts: Lts, root: str, terms, moves) -> SimFormula:
+    """The simultaneous system with one variable per test state: success
+    now gives tt, no moves gives ff, and otherwise the body is
+    moves(taus, vis), where taus and vis list the (action, successor
+    variable) pairs of the tau and of the visible moves."""
+    var_of = _state_variables(lts, terms)
+    bodies = []
+    for state in lts.states:
+        taus = []
+        vis = []
+        success = False
+        for _, action, dst in lts.outgoing(state):
+            if action == OMEGA:
+                success = True
+            else:
+                (taus if action == TAU else vis).append((action, fm.Var(var_of[dst])))
+        if success:
+            bodies.append(fm.Tt())
+        elif not taus and not vis:
+            bodies.append(fm.Ff())
         else:
-            vis.append((action, dst))
-    return omega, taus, vis
+            bodies.append(moves(taus, vis))
+    return SimFormula(
+        tuple(var_of[s] for s in lts.states),
+        tuple(bodies),
+        lts.state_index(root),
+    )
+
+
+def _must_moves(taus, vis) -> Formula:
+    parts: list[Formula] = [fm.Box(a, x) for a, x in taus + vis]
+    if not taus:
+        parts.append(fm.Acc(frozenset(a.name for a, _ in vis)))
+    return _fold(fm.And, parts, fm.Tt())
+
+
+def _may_moves(taus, vis) -> Formula:
+    return _fold(fm.Or, [fm.Dia(a, x) for a, x in taus + vis], fm.Ff())
 
 
 def test_lts_to_must_system(lts: Lts, root: str, terms=None) -> SimFormula:
@@ -128,50 +159,14 @@ def test_lts_to_must_system(lts: Lts, root: str, terms=None) -> SimFormula:
     gives boxes over its visible moves plus acceptance of their actions;
     an unstable state gives boxes over all its tau and visible moves.
     """
-    var_of = _state_variables(lts, terms)
-    bodies = []
-    for state in lts.states:
-        omega, taus, vis = _grouped(lts, state)
-        if omega:
-            bodies.append(fm.Tt())
-        elif not taus and not vis:
-            bodies.append(fm.Ff())
-        elif not taus:
-            parts: list[Formula] = [fm.Box(a, fm.Var(var_of[d])) for a, d in vis]
-            parts.append(fm.Acc(frozenset(a.name for a, _ in vis)))
-            bodies.append(_fold(fm.And, parts, fm.Tt()))
-        else:
-            parts = [fm.Box(TAU, fm.Var(var_of[d])) for d in taus]
-            parts.extend(fm.Box(a, fm.Var(var_of[d])) for a, d in vis)
-            bodies.append(_fold(fm.And, parts, fm.Tt()))
-    return SimFormula(
-        tuple(var_of[s] for s in lts.states),
-        tuple(bodies),
-        lts.state_index(root),
-    )
+    return _system(lts, root, terms, _must_moves)
 
 
 def test_lts_to_may_system(lts: Lts, root: str, terms=None) -> SimFormula:
     """The simultaneous system of may equations for a test system: success
     gives tt, deadlock gives ff, anything else the disjunction of diamonds
     over all moves."""
-    var_of = _state_variables(lts, terms)
-    bodies = []
-    for state in lts.states:
-        omega, taus, vis = _grouped(lts, state)
-        if omega:
-            bodies.append(fm.Tt())
-        elif not taus and not vis:
-            bodies.append(fm.Ff())
-        else:
-            parts: list[Formula] = [fm.Dia(TAU, fm.Var(var_of[d])) for d in taus]
-            parts.extend(fm.Dia(a, fm.Var(var_of[d])) for a, d in vis)
-            bodies.append(_fold(fm.Or, parts, fm.Ff()))
-    return SimFormula(
-        tuple(var_of[s] for s in lts.states),
-        tuple(bodies),
-        lts.state_index(root),
-    )
+    return _system(lts, root, terms, _may_moves)
 
 
 def test_to_must_formula(test: Test) -> Formula:

@@ -122,6 +122,13 @@ def test_cap_exceeded_exits_three(proc_file):
     assert "error" in done.stderr
 
 
+def test_nonpositive_test_state_cap_exits_two(proc_file):
+    done = run_cli("must", proc_file, "p0", "a.w.0", "--max-test-states", "0")
+    assert done.returncode == 2
+    assert "max_states" in done.stderr
+    assert done.stdout == ""
+
+
 def test_deep_nesting_exits_three(proc_file, tmp_path):
     deep = tmp_path / "deep.hml"
     deep.write_text("[a]" * 120_000 + "tt\n")

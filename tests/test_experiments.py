@@ -165,3 +165,20 @@ def test_verdicts_match_oracle(trial):
     assert every.configs[: len(proc.states)] == [(s, troot) for s in proc.states]
     assert may_states(every) == may_mask
     assert must_states(every) == must_mask
+
+
+def test_single_root_state_masks():
+    # configuration i of a single-root graph is not process state i
+    line = Lts(states=["p0", "p1", "p2"], transitions=[("p1", A, "p2")])
+    cases = [(line, tm.Prefix(A, tm.Success()))]
+    for term in (tm.Prefix(A, tm.Success()),
+                 tm.Sum(tm.Prefix(B, tm.Success()), tm.Prefix(TAU, tm.Success())),
+                 tm.Mu("X", tm.Sum(tm.Prefix(A, tm.Var("X")), tm.Prefix(B, tm.Success())))):
+        cases.append((proc_fixture(), term))
+    for proc, term in cases:
+        tlts, troot = reachable_lts(term)
+        for state in proc.states:
+            graph = parallel_compose(proc, tlts, state, troot)
+            bit = 1 << proc.state_index(state)
+            assert may_states(graph) == (bit if may_satisfy(graph) else 0), state
+            assert must_states(graph) == (bit if must_satisfy(graph) else 0), state

@@ -1,11 +1,15 @@
+import hashlib
+
 import pytest
 
 from rechml import formulas as fm
 from rechml import testterms as tm
 from rechml.formulas import FormulaError, bekic_eliminate
+from rechml.generators import TrialConfig, generate_formula, generate_test, spawn_rng
 from rechml.lts import TAU, visible
 from rechml.semantics import interpret_states
 from rechml.testterms import reachable_lts
+from rechml.textio import format_formula, format_test
 from rechml.translate import formula_to_may_test, formula_to_must_test
 from rechml.translate import test_lts_to_may_system as lts_to_may_system
 from rechml.translate import test_lts_to_must_system as lts_to_must_system
@@ -144,3 +148,50 @@ def test_round_trip_may_semantics():
         back = to_may_formula(formula_to_may_test(phi))
         assert fm.is_mayhml(back)
         assert interpret_states(lts, phi) == interpret_states(lts, back)
+
+
+TRANSLATE_DIGEST = "10bd8678eedf949029fa1ff4b76253f6af85687d9b8888d2d7cb71fc69e9ea86"
+
+
+def test_translation_output_frozen():
+    # compiled tests, system variables and printed bodies, with and without
+    # the canonical terms that name the variables
+    cfg = TrialConfig(max_formula_depth=6, max_test_depth=5)
+    h = hashlib.sha256()
+    for trial in range(300):
+        rng = spawn_rng(43, "translate", trial)
+        must_phi = generate_formula(cfg, rng, "must")
+        may_phi = generate_formula(cfg, rng, "may")
+        lts, root, terms = tm.explore(generate_test(cfg, rng))
+        h.update(format_test(formula_to_must_test(must_phi)).encode())
+        h.update(format_test(formula_to_may_test(may_phi)).encode())
+        for build in (lts_to_must_system, lts_to_may_system):
+            for names in (terms, None):
+                sim = build(lts, root, names)
+                bodies = [format_formula(b) for b in sim.bodies]
+                h.update(repr((sim.variables, bodies, sim.index)).encode())
+    assert h.hexdigest() == TRANSLATE_DIGEST
+
+
+def test_must_compiler_walks_once(monkeypatch):
+    # the trivially-true rule and vacuous binders are read off one pass,
+    # not off a fresh walk of each subformula
+    calls = {"free_var_map": 0, "_offender": 0}
+    for name in calls:
+        original = getattr(fm, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(fm, name, counted)
+    conj = fm.Box(A, fm.Ff())
+    for _ in range(200):
+        conj = fm.And(fm.Tt(), conj)
+    binders = fm.Tt()
+    for _ in range(200):
+        binders = fm.Min("X", fm.Box(A, fm.And(fm.Var("X"), binders)))
+    for phi in (conj, binders):
+        calls.update(free_var_map=0, _offender=0)
+        formula_to_must_test(phi)
+        assert calls["free_var_map"] <= 2 and calls["_offender"] <= 2, calls
