@@ -4,7 +4,11 @@ Verbs: check (formula satisfaction), may/must (test verdicts), two
 compile verbs for the four translations, and verify (the randomized
 harness).  Exit codes: 0 for success or a true verdict, 1 for a false
 verdict, 2 for input errors, 3 for harness failures and blown internal
-limits.
+limits: the test-state cap, the recursion limit, and the printed size of
+an eliminated formula.  Every error is one "error:" line on stderr.
+
+The walks over terms and formulas are recursive, so main sets the
+recursion limit once, to a depth the running Python survives.
 """
 
 import argparse
@@ -14,7 +18,7 @@ import os
 import sys
 
 from .experiments import may_satisfy, may_witness, must_counterexample, must_satisfy, parallel_compose
-from .formulas import FormulaError, bekic_eliminate
+from .formulas import FormulaError, bekic_eliminate, tree_size
 from .generators import TrialConfig
 from .harness import report_json, report_text, verify_theorems
 from .lts import LtsError
@@ -27,6 +31,12 @@ from .translate import (
     test_lts_to_may_system,
     test_lts_to_must_system,
 )
+
+# compile-test prints no eliminated formula larger than this as a tree:
+# elimination shares subterms and printing unshares them, so a test of 7
+# states with a move between every pair gives a DAG of 516 nodes whose
+# tree has 2.0e14.  Dense tests of 5 states stay below 3e4.
+MAX_PRINTED_NODES = 1_000_000
 
 
 def _bool(value) -> str:
@@ -137,7 +147,16 @@ def _cmd_compile_test(args) -> int:
     test_lts, root, terms = _load_test_side(args.test, args.max_test_states)
     build = test_lts_to_must_system if args.mode == "must" else test_lts_to_may_system
     system = build(test_lts, root, terms)
+    if args.show_system and args.format == "text":
+        for v, b in zip(system.variables, system.bodies):
+            print(f"{v} = {format_formula(b)}")
     formula = bekic_eliminate(system)
+    size = tree_size(formula)
+    if size > MAX_PRINTED_NODES:
+        print(f"error: the eliminated formula has {size} nodes as a tree, more than "
+              f"the {MAX_PRINTED_NODES} that are printed; --show-system with text "
+              "format still prints the equation system", file=sys.stderr)
+        return 3
     if args.format == "json":
         payload = {
             "command": "compile-test",
@@ -152,9 +171,6 @@ def _cmd_compile_test(args) -> int:
             payload["index"] = system.index
         print(json.dumps(payload, sort_keys=True))
     else:
-        if args.show_system:
-            for v, b in zip(system.variables, system.bodies):
-                print(f"{v} = {format_formula(b)}")
         print(format_formula(formula))
     return 0
 
@@ -228,7 +244,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    sys.setrecursionlimit(100_000)
+    # From Python 3.11 on, a Python call takes no C stack, so deep input
+    # only costs memory.  On 3.10 every call does: with an 8 MB stack, each
+    # command survived 20000 frames and crashed at 30000, so 10000 keeps a
+    # margin of two.
+    sys.setrecursionlimit(100_000 if sys.version_info >= (3, 11) else 10_000)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

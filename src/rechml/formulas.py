@@ -372,6 +372,23 @@ def nesting_depth(formula) -> int:
     return walk(formula)
 
 
+def tree_size(formula) -> int:
+    """Number of nodes of the formula printed as a tree, counted over its
+    shared subterms in time linear in the distinct nodes."""
+    memo: dict[int, int] = {}
+
+    def walk(node):
+        got = memo.get(id(node))
+        if got is None:
+            got = 1
+            for child in node.children():
+                got += walk(child)
+            memo[id(node)] = got
+        return got
+
+    return walk(formula)
+
+
 def approximant(formula, k: int) -> Formula:
     """The k-th finite approximant of a closed must formula.
 
@@ -385,6 +402,7 @@ def approximant(formula, k: int) -> Formula:
     if not is_musthml(formula):
         raise FormulaError("approximant is defined on the closed must fragment")
     memo: dict[tuple[int, int], Formula] = {}
+    unfolded = []  # keeps every unfolding alive, so no id in memo is reused
 
     def appr(node, k):
         if k == 0:
@@ -401,7 +419,8 @@ def approximant(formula, k: int) -> Formula:
             case And(l, r):
                 out = And(appr(l, k), appr(r, k))
             case Min(x, b):
-                out = appr(substitute(b, x, node), k - 1)
+                unfolded.append(substitute(b, x, node))
+                out = appr(unfolded[-1], k - 1)
             case _:
                 raise FormulaError(f"approximant hit unexpected node {node!r}")
         memo[key] = out

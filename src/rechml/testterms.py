@@ -8,6 +8,9 @@ in a single tau step.
 
 Free variables, substitution and canonical renaming are the shared binder
 operations of rechml.formulas (bound names B0, B1, ...), re-exported here.
+Exploration identifies states by a flat alpha-invariant key instead, so
+that no deep term is ever hashed or compared; canonical only names the
+states it finds.
 """
 
 from dataclasses import dataclass
@@ -124,13 +127,57 @@ def test_step(term) -> list[tuple[Action, Test]]:
     return out
 
 
+_SUM, _MU, _NIL, _SUCCESS = "+", "mu", "0", "w"
+
+
+def _alpha_key(term) -> tuple:
+    """Flat key of a closed test term: its preorder tokens, which are the
+    action of each prefix, a marker for every other constructor and the de
+    Bruijn index of each bound variable.  Every token fixes how many
+    subterms follow it, so two terms have equal keys exactly when they are
+    alpha-equivalent.  The walk keeps its own stack, and a key hashes and
+    compares without recursion."""
+    out = []
+    stack = [(term, {}, 0)]  # node, binder depth of each name in scope, depth
+    while stack:
+        node, env, depth = stack.pop()
+        match node:
+            case Prefix(action, body):
+                out.append(action)
+                stack.append((body, env, depth))
+            case Sum(left, right):
+                out.append(_SUM)
+                stack.append((right, env, depth))
+                stack.append((left, env, depth))
+            case Mu(var, body):
+                out.append(_MU)
+                stack.append((body, {**env, var: depth}, depth + 1))
+            case Var(name):
+                out.append(depth - 1 - env[name])
+            case Nil():
+                out.append(_NIL)
+            case Success():
+                out.append(_SUCCESS)
+    return tuple(out)
+
+
+_SAMPLE_CHARS = 60  # printed length of a frontier term in the cap message
+
+
+def _clip(term) -> str:
+    text = str(term)
+    return text if len(text) <= _SAMPLE_CHARS else text[:_SAMPLE_CHARS] + "..."
+
+
 def explore(term, max_states: int = 100_000):
     """Breadth-first exploration of the reachable test terms up to
     alpha-equivalence.
 
     Returns (lts, root_name, terms) where terms maps each state name to the
     canonical term it stands for.  States are named t0, t1, ... in
-    discovery order.  max_states must be at least 1.
+    discovery order.  max_states must be at least 1.  The alpha key of a
+    successor decides whether it is a new state; only a new state is
+    renamed by canonical.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
@@ -138,7 +185,7 @@ def explore(term, max_states: int = 100_000):
     if fv:
         raise TestError(f"open test term; free: {', '.join(sorted(fv))}")
     root = canonical(term)
-    names: dict[Test, str] = {root: "t0"}
+    names: dict[tuple, str] = {_alpha_key(root): "t0"}
     terms: dict[str, Test] = {"t0": root}
     queue = [root]
     transitions = []
@@ -150,17 +197,18 @@ def explore(term, max_states: int = 100_000):
         # every term reachable from a closed root is closed, and Lts drops
         # repeated triples, so the checks of test_step are not needed here
         for action, target in _steps(current):
-            target = canonical(target)
-            name = names.get(target)
+            key = _alpha_key(target)
+            name = names.get(key)
             if name is None:
+                target = canonical(target)
                 if len(names) >= max_states:
-                    sample = ", ".join(str(t) for t in [target] + queue[at : at + 2])
+                    sample = ", ".join(_clip(t) for t in [target] + queue[at : at + 2])
                     raise CapExceeded(
                         f"more than {max_states} reachable test terms; "
                         f"frontier starts: {sample}"
                     )
                 name = f"t{len(names)}"
-                names[target] = name
+                names[key] = name
                 terms[name] = target
                 queue.append(target)
             transitions.append((source, action, name))

@@ -1,5 +1,4 @@
 import os
 import sys
 
-sys.setrecursionlimit(100_000)
 sys.path.insert(0, os.path.dirname(__file__))

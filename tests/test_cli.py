@@ -162,3 +162,52 @@ def test_verify_mutation_exits_three():
                    "--self-test-mutation")
     assert done.returncode == 3
     assert "verdict=fail" in done.stdout
+
+
+def _dense_test_lts(n):
+    """A test system with a move between every ordered pair of its n states
+    and visible moves from two of them into a success sink."""
+    labels = ("a", "b", "c", "tau")
+    lines = ["lts dense", "init q0"]
+    for i in range(n):
+        lines += [f"q{i} {labels[(i * n + j) % 4]} q{j}" for j in range(n) if j != i]
+        if i in (n // 2, n - 1):
+            lines.append(f"q{i} {labels[i % 3]} ok")
+    lines.append("ok omega ok")
+    return "\n".join(lines) + "\n"
+
+
+def test_limits_exit_cleanly(tmp_path):
+    # each expected code holds on every supported Python: the inputs that
+    # must answer stay well inside the recursion limit of each version
+    files = {
+        "loop.lts": "lts loop\ninit p0\np0 a p0\n",
+        "sum": " + ".join(["a.w.0"] * 2000) + "\n",
+        "chain": "a." * 500 + "w.0\n",
+        "long": "a." * 20_000 + "w.0\n",
+        "dense.lts": _dense_test_lts(7),
+    }
+    path = {}
+    for name, text in files.items():
+        path[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    cases = [
+        (("must", path["loop.lts"], "p0", path["sum"]), 0, ""),
+        (("must", path["loop.lts"], "p0", path["chain"]), 0, ""),
+        # the state cap, or on Python 3.10 the recursion limit of the parser
+        (("must", path["loop.lts"], "p0", path["long"], "--max-test-states", "3"), 3, ""),
+        (("compile-test", "--mode", "must", "--test", path["dense.lts"]), 3, "--show-system"),
+    ]
+    for argv, code, message in cases:
+        done = run_cli(*argv)
+        assert done.returncode == code, (argv, done.returncode, done.stderr[-500:])
+        assert "Traceback" not in done.stderr
+        if code == 3:
+            assert len(done.stderr.splitlines()) == 1
+            assert done.stderr.startswith("error: ")
+            assert message in done.stderr
+            assert len(done.stderr) < 400  # frontier terms are clipped
+    # the equation system has one line per state and is printed before the cap
+    done = run_cli("compile-test", "--mode", "must", "--test", path["dense.lts"], "--show-system")
+    assert done.returncode == 3
+    assert len(done.stdout.splitlines()) == 8

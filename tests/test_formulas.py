@@ -1,6 +1,9 @@
+import weakref
+
 import pytest
 
 from rechml import formulas as fm
+from rechml.generators import TrialConfig, generate_formula, spawn_rng
 from rechml.lts import TAU, OMEGA, visible
 
 A = visible("a")
@@ -108,6 +111,52 @@ def test_approximant_requires_closed_must():
         fm.approximant(fm.Var("X"), 1)
     with pytest.raises(fm.FormulaError):
         fm.approximant(fm.Dia(A, fm.Tt()), 1)
+
+
+def _reference_approximant(node, k):
+    if k == 0:
+        return fm.Ff()
+    match node:
+        case fm.Tt() | fm.Ff() | fm.Acc():
+            return node
+        case fm.Box(a, b):
+            return fm.Box(a, _reference_approximant(b, k))
+        case fm.And(l, r):
+            return fm.And(_reference_approximant(l, k), _reference_approximant(r, k))
+        case fm.Min(x, b):
+            return _reference_approximant(fm.substitute(b, x, node), k - 1)
+
+
+def test_approximant_survives_recycled_ids(monkeypatch):
+    # approximant memoises on id(); the shim hands out small ints as ids
+    # and gives an object's int to the next new object once it dies, so an
+    # unfolding that died too early leaves a stale memo entry behind
+    small, free, fresh = {}, [], [0]
+
+    def release(key):
+        free.append(small.pop(key))
+
+    def small_id(obj):
+        key = id(obj)
+        got = small.get(key)
+        if got is None:
+            if free:
+                got = free.pop()
+            else:
+                got = fresh[0]
+                fresh[0] += 1
+            small[key] = got
+            weakref.finalize(obj, release, key)
+        return got
+
+    monkeypatch.setattr(fm, "id", small_id, raising=False)
+    cfg = TrialConfig()
+    for i in range(600):
+        formula = generate_formula(cfg, spawn_rng(7, "appr", i), "must")
+        for k in range(6):
+            expected = _reference_approximant(formula, k)
+            got = fm.approximant(formula, k)
+            assert got == expected, (i, k)
 
 
 def test_sim_formula_validation():

@@ -59,6 +59,21 @@ def test_canonical_alpha_equivalence():
     assert tm.canonical(left) == tm.canonical(right)
 
 
+def test_explore_compares_no_terms(monkeypatch):
+    # states are told apart by a flat alpha key; hashing or comparing a
+    # deep term recurses through C, which Python 3.12 refuses at about
+    # 500 levels
+    def refuse(*_):
+        raise AssertionError("explore hashed or compared a test term")
+
+    for cls in (tm.Nil, tm.Success, tm.Prefix, tm.Var, tm.Sum, tm.Mu):
+        monkeypatch.setattr(cls, "__hash__", refuse)
+        monkeypatch.setattr(cls, "__eq__", refuse)
+    # unfolding revisits both loops under new binder names
+    lts, _, _ = tm.explore(parse_test("mu X. a.mu Y. (b.Y + a.X + w.0)"))
+    assert len(lts.states) == 5
+
+
 def test_explore_loop_is_two_states():
     loop = tm.Mu("X", tm.Prefix(A, tm.Var("X")))
     lts, root, terms = tm.explore(loop)
