@@ -273,22 +273,32 @@ def substitute(term, var: str, replacement) -> Term:
 def canonical(term) -> Term:
     """Rename bound variables to P0, P1, ... in traversal order, where P is
     the family's bound_prefix; two terms are alpha-equivalent exactly when
-    their canonical forms are structurally equal."""
+    their canonical forms are structurally equal.  One scope dict serves
+    the whole walk: each binder saves the entry it shadows and restores it
+    on the way out."""
     prefix = term.bound_prefix
     counter = [0]
+    env: dict[str, str] = {}
 
-    def walk(node, env):
+    def walk(node):
         match node:
             case Variable(name=name):
                 return type(node)(env.get(name, name))
             case Binder(var=x, body=b):
                 name = f"{prefix}{counter[0]}"
                 counter[0] += 1
-                return type(node)(name, walk(b, {**env, x: name}))
+                shadowed = env.get(x)
+                env[x] = name
+                body = walk(b)
+                if shadowed is None:
+                    del env[x]
+                else:
+                    env[x] = shadowed
+                return type(node)(name, body)
             case _:
-                return node.map_children(lambda child: walk(child, env))
+                return node.map_children(walk)
 
-    return walk(term, {})
+    return walk(term)
 
 
 def _offender(formula, allowed):

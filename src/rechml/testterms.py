@@ -8,11 +8,13 @@ in a single tau step.
 
 Free variables, substitution and canonical renaming are the shared binder
 operations of rechml.formulas (bound names B0, B1, ...), re-exported here.
-Exploration identifies states by a flat alpha-invariant key instead, so
-that no deep term is ever hashed or compared; canonical only names the
-states it finds.
+Exploration does not use them: it converts the root once to de Bruijn
+nodes interned to ints (de Bruijn 1972), steps and substitutes on those
+ids, and tells states apart by id.  The named canonical term of a state is
+built only when a caller reads it.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .formulas import Binder, Term, Variable, canonical, free_vars, substitute
@@ -97,19 +99,26 @@ class Mu(Test, Binder):
 
 
 def _steps(term):
-    match term:
-        case Nil() | Var(_):
-            return []
-        case Success():
-            return [(OMEGA, Nil())]
-        case Prefix(action, body):
-            return [(action, body)]
-        case Sum(left, right):
-            return _steps(left) + _steps(right)
-        case Mu(var, body):
-            return [(TAU, substitute(body, var, term))]
-        case _:
-            raise TestError(f"cannot step {term!r}")
+    """Moves of a test term in the order left summand before right,
+    duplicates kept; one walk with its own stack over the summands."""
+    out = []
+    stack = [term]
+    while stack:
+        match stack.pop():
+            case Sum(left, right):
+                stack.append(right)
+                stack.append(left)
+            case Prefix(action, body):
+                out.append((action, body))
+            case Success():
+                out.append((OMEGA, Nil()))
+            case Mu(var, body) as node:
+                out.append((TAU, substitute(body, var, node)))
+            case Nil() | Var(_):
+                pass
+            case other:
+                raise TestError(f"cannot step {other!r}")
+    return out
 
 
 def test_step(term) -> list[tuple[Action, Test]]:
@@ -127,38 +136,225 @@ def test_step(term) -> list[tuple[Action, Test]]:
     return out
 
 
-_SUM, _MU, _NIL, _SUCCESS = "+", "mu", "0", "w"
+# Interned de Bruijn nodes: ("0",), ("w",), ("pre", action, id),
+# ("+", id, id), ("mu", id) and ("idx", k), where k counts the binders
+# between a variable and its own.
+_NIL, _SUCCESS = ("0",), ("w",)
 
 
-def _alpha_key(term) -> tuple:
-    """Flat key of a closed test term: its preorder tokens, which are the
-    action of each prefix, a marker for every other constructor and the de
-    Bruijn index of each bound variable.  Every token fixes how many
-    subterms follow it, so two terms have equal keys exactly when they are
-    alpha-equivalent.  The walk keeps its own stack, and a key hashes and
-    compares without recursion."""
-    out = []
-    stack = [(term, {}, 0)]  # node, binder depth of each name in scope, depth
+class _Table:
+    """Closed test terms as interned de Bruijn nodes.  Two alpha-equivalent
+    terms get the same id, so a state is deduplicated by an int lookup and
+    no term is hashed, compared or renamed.  Every id also records its
+    free depth: 1 + its highest free index, or 0 when it is closed."""
+
+    def __init__(self):
+        self.nodes: list[tuple] = []
+        self.depth: list[int] = []
+        self._ids: dict[tuple, int] = {}
+        self._substituted: dict[tuple[int, int, int], int] = {}
+        self.nil = self.intern(_NIL)
+
+    def intern(self, node: tuple) -> int:
+        got = self._ids.get(node)
+        if got is None:
+            match node:
+                case ("idx", k):
+                    depth = k + 1
+                case ("pre", _, body):
+                    depth = self.depth[body]
+                case ("+", left, right):
+                    depth = max(self.depth[left], self.depth[right])
+                case ("mu", body):
+                    depth = max(self.depth[body] - 1, 0)
+                case _:
+                    depth = 0
+            got = self._ids[node] = len(self.nodes)
+            self.nodes.append(node)
+            self.depth.append(depth)
+        return got
+
+    def convert(self, term) -> int:
+        """Intern a closed Test; one walk with its own stack and one scope
+        dict, whose shadowed entry each binder saves and restores."""
+        scope: dict[str, int] = {}  # variable -> binders around its binder
+        binders = 0  # binders around the current node
+        free = set()
+        built = []
+        stack = [term]
+        while stack:
+            match stack.pop():
+                case Prefix(action, body):
+                    stack.append(("pre", action))
+                    stack.append(body)
+                case Sum(left, right):
+                    stack.append(("+",))
+                    stack.append(right)
+                    stack.append(left)
+                case Mu(var, body):
+                    stack.append(("mu", var, scope.get(var)))
+                    scope[var] = binders
+                    binders += 1
+                    stack.append(body)
+                case Var(name):
+                    bound = scope.get(name)
+                    if bound is None:
+                        free.add(name)  # reported once the walk is done
+                        built.append(self.nil)
+                    else:
+                        built.append(self.intern(("idx", binders - 1 - bound)))
+                case Nil():
+                    built.append(self.nil)
+                case Success():
+                    built.append(self.intern(_SUCCESS))
+                case ("pre", action):
+                    built[-1] = self.intern(("pre", action, built[-1]))
+                case ("+",):
+                    right = built.pop()
+                    built[-1] = self.intern(("+", built[-1], right))
+                case ("mu", var, shadowed):
+                    binders -= 1
+                    if shadowed is None:
+                        del scope[var]
+                    else:
+                        scope[var] = shadowed
+                    built[-1] = self.intern(("mu", built[-1]))
+                case other:
+                    raise TestError(f"not a test term: {other!r}")
+        if free:
+            raise TestError(f"open test term; free: {', '.join(sorted(free))}")
+        return built[0]
+
+    def subst(self, node: int, k: int, closed: int) -> int:
+        """The id of node with the closed term closed in place of index k.
+        node has no free index above k, so no index needs shifting, and a
+        subterm whose free depth is at most k is returned as it is."""
+        nodes, depth, memo = self.nodes, self.depth, self._substituted
+        built = []
+        stack = [(node, k)]
+        while stack:
+            item = stack.pop()
+            if len(item) == 2:
+                node, k = item
+                if depth[node] <= k:
+                    built.append(node)
+                    continue
+                got = memo.get((node, k, closed))
+                if got is not None:
+                    built.append(got)
+                    continue
+                shape = nodes[node]
+                tag = shape[0]
+                if tag == "idx":  # free depth above k: the index is k
+                    built.append(closed)
+                    continue
+                stack.append((node, k, shape))
+                if tag == "+":
+                    stack.append((shape[2], k))
+                    stack.append((shape[1], k))
+                elif tag == "pre":
+                    stack.append((shape[2], k))
+                else:
+                    stack.append((shape[1], k + 1))
+            else:
+                node, k, shape = item
+                tag = shape[0]
+                if tag == "+":
+                    right = built.pop()
+                    out = self.intern(("+", built[-1], right))
+                elif tag == "pre":
+                    out = self.intern(("pre", shape[1], built[-1]))
+                else:
+                    out = self.intern(("mu", built[-1]))
+                built[-1] = memo[(node, k, closed)] = out
+        return built[0]
+
+    def moves(self, state: int) -> list[tuple[Action, int]]:
+        """The moves of a closed state as _steps orders them: one walk with
+        its own stack over the summands, left first."""
+        nodes = self.nodes
+        out = []
+        stack = [state]
+        while stack:
+            node = stack.pop()
+            shape = nodes[node]
+            tag = shape[0]
+            if tag == "pre":
+                out.append((shape[1], shape[2]))
+            elif tag == "+":
+                stack.append(shape[2])
+                stack.append(shape[1])
+            elif tag == "mu":
+                out.append((TAU, self.subst(shape[1], 0, node)))
+            elif tag == "w":
+                out.append((OMEGA, self.nil))
+        return out
+
+
+def _named(nodes: list[tuple], root: int) -> Test:
+    """The canonical Test of an interned closed term: binders named B0, B1,
+    ... in preorder, as canonical names them.  One walk with its own stack
+    and one scope list of the binder names."""
+    prefix = Test.bound_prefix
+    scope: list[str] = []  # binder names, innermost last
+    count = 0
+    built = []
+    stack = [root]
     while stack:
-        node, env, depth = stack.pop()
-        match node:
-            case Prefix(action, body):
-                out.append(action)
-                stack.append((body, env, depth))
-            case Sum(left, right):
-                out.append(_SUM)
-                stack.append((right, env, depth))
-                stack.append((left, env, depth))
-            case Mu(var, body):
-                out.append(_MU)
-                stack.append((body, {**env, var: depth}, depth + 1))
-            case Var(name):
-                out.append(depth - 1 - env[name])
-            case Nil():
-                out.append(_NIL)
-            case Success():
-                out.append(_SUCCESS)
-    return tuple(out)
+        item = stack.pop()
+        if item >= 0:
+            shape = nodes[item]
+            tag = shape[0]
+            if tag == "idx":
+                built.append(Var(scope[-1 - shape[1]]))
+            elif tag == "0":
+                built.append(Nil())
+            elif tag == "w":
+                built.append(Success())
+            else:
+                stack.append(~item)  # rebuilt once its children are
+                if tag == "+":
+                    stack.append(shape[2])
+                    stack.append(shape[1])
+                elif tag == "pre":
+                    stack.append(shape[2])
+                else:
+                    scope.append(f"{prefix}{count}")
+                    count += 1
+                    stack.append(shape[1])
+        else:
+            shape = nodes[~item]
+            tag = shape[0]
+            if tag == "+":
+                right = built.pop()
+                built[-1] = Sum(built[-1], right)
+            elif tag == "pre":
+                built[-1] = Prefix(shape[1], built[-1])
+            else:
+                built[-1] = Mu(scope.pop(), built[-1])
+    return built[0]
+
+
+class _Terms(Mapping):
+    """Read-only map from state name to canonical Test, built on first read
+    of a name and kept for later reads."""
+
+    def __init__(self, nodes: list[tuple], ids: dict[str, int]):
+        self._nodes = nodes
+        self._ids = ids
+        self._built: dict[str, Test] = {}
+
+    def __getitem__(self, name: str) -> Test:
+        got = self._built.get(name)
+        if got is None:
+            got = self._built[name] = _named(self._nodes, self._ids[name])
+        return got
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
 
 
 _SAMPLE_CHARS = 60  # printed length of a frontier term in the cap message
@@ -173,51 +369,45 @@ def explore(term, max_states: int = 100_000):
     """Breadth-first exploration of the reachable test terms up to
     alpha-equivalence.
 
-    Returns (lts, root_name, terms) where terms maps each state name to the
-    canonical term it stands for.  States are named t0, t1, ... in
-    discovery order.  max_states must be at least 1.  The alpha key of a
-    successor decides whether it is a new state; only a new state is
-    renamed by canonical.
+    Returns (lts, root_name, terms).  States are named t0, t1, ... in
+    discovery order, and terms is a read-only mapping from each state name
+    to the canonical term it stands for; a term is built when its name is
+    first read.  max_states must be at least 1.  The root is converted once
+    to interned de Bruijn ids, and states are stepped and told apart on
+    those ids.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
-    fv = free_vars(term)
-    if fv:
-        raise TestError(f"open test term; free: {', '.join(sorted(fv))}")
-    root = canonical(term)
-    names: dict[tuple, str] = {_alpha_key(root): "t0"}
-    terms: dict[str, Test] = {"t0": root}
-    queue = [root]
+    table = _Table()
+    queue = [table.convert(term)]
+    index = {queue[0]: 0}
+    names = ["t0"]
     transitions = []
     at = 0
     while at < len(queue):
-        current = queue[at]
-        source = f"t{at}"
+        source = names[at]
+        moves = table.moves(queue[at])
         at += 1
-        # every term reachable from a closed root is closed, and Lts drops
-        # repeated triples, so the checks of test_step are not needed here
-        for action, target in _steps(current):
-            key = _alpha_key(target)
-            name = names.get(key)
-            if name is None:
-                target = canonical(target)
-                if len(names) >= max_states:
-                    sample = ", ".join(_clip(t) for t in [target] + queue[at : at + 2])
+        for action, target in moves:
+            i = index.get(target)
+            if i is None:
+                if len(queue) >= max_states:
+                    sample = ", ".join(
+                        _clip(_named(table.nodes, t)) for t in [target] + queue[at : at + 2]
+                    )
                     raise CapExceeded(
                         f"more than {max_states} reachable test terms; "
                         f"frontier starts: {sample}"
                     )
-                name = f"t{len(names)}"
-                names[key] = name
-                terms[name] = target
+                i = index[target] = len(queue)
                 queue.append(target)
-            transitions.append((source, action, name))
-    lts = Lts(states=list(terms), transitions=transitions, name="test")
-    return lts, "t0", terms
+                names.append(f"t{i}")
+            transitions.append((source, action, names[i]))
+    lts = Lts(states=names, transitions=transitions, name="test")
+    return lts, "t0", _Terms(table.nodes, dict(zip(names, queue)))
 
 
 def reachable_lts(term, max_states: int = 100_000) -> tuple[Lts, str]:
     """The finite LTS generated by a closed test term, and its root state."""
     lts, root, _ = explore(term, max_states)
     return lts, root
-

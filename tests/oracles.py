@@ -9,6 +9,7 @@ proper.  Slow is fine; these run on small inputs only.
 from itertools import chain, combinations
 
 from rechml import formulas as fm
+from rechml import testterms as tm
 from rechml.lts import OMEGA, TAU
 
 
@@ -200,6 +201,25 @@ def must_oracle(proc, tlts, p, troot):
             break
         good = nxt
     return (p, troot) in good
+
+
+def explore_oracle(term):
+    """States, transitions and terms of the test LTS by breadth-first search
+    over the public test_step targets, each state identified by its
+    canonical term, which is hashed and compared structurally."""
+    root = fm.canonical(term)
+    found = {root: 0}
+    order = [root]
+    transitions = []
+    for i, current in enumerate(order):  # order grows while it is read
+        for action, target in tm.test_step(current):
+            target = fm.canonical(target)
+            if target not in found:
+                found[target] = len(order)
+                order.append(target)
+            transitions.append((f"t{i}", action, f"t{found[target]}"))
+    states = [f"t{i}" for i in range(len(order))]
+    return states, list(dict.fromkeys(transitions)), dict(zip(states, order))
 
 
 def powerset(iterable):

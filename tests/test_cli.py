@@ -211,3 +211,19 @@ def test_limits_exit_cleanly(tmp_path):
     done = run_cli("compile-test", "--mode", "must", "--test", path["dense.lts"], "--show-system")
     assert done.returncode == 3
     assert len(done.stdout.splitlines()) == 8
+
+
+def test_nested_binders_hit_the_cap(tmp_path):
+    # every walk keeps one scope for all binders; a scope copied at each of
+    # the 10000 binders took gigabytes.  On Python 3.10 the recursion limit
+    # of the parser may give the exit 3 instead of the cap.
+    loop = tmp_path / "loop.lts"
+    loop.write_text("lts loop\ninit p0\np0 a p0\n")
+    nested = tmp_path / "nested"
+    nested.write_text("".join(f"mu X{i}. a." for i in range(10_000)) + "(w.0 + X0)\n")
+    done = run_cli("must", str(loop), "p0", str(nested), "--max-test-states", "3")
+    assert done.returncode == 3, done.stderr[-500:]
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ")
+    assert len(done.stderr) < 400

@@ -2,10 +2,13 @@ import hashlib
 
 import pytest
 
+from rechml import formulas as fm
 from rechml import testterms as tm
 from rechml.generators import TrialConfig, generate_test, spawn_rng
 from rechml.lts import OMEGA, TAU, visible
 from rechml.textio import format_test, parse_test
+
+import oracles
 
 A = visible("a")
 B = visible("b")
@@ -28,9 +31,33 @@ def test_step_rules_frozen():
     assert steps == [(TAU, tm.Prefix(A, loop))]
 
 
+def test_step_walks_a_sum_once(monkeypatch):
+    # one walk collects the moves of every summand, so a sum of n summands
+    # costs O(n); concatenating per Sum node cost O(n^2)
+    entered = []
+    steps = tm._steps
+
+    def counted(term):
+        entered.append(term)
+        return steps(term)
+
+    monkeypatch.setattr(tm, "_steps", counted)
+    actions = [visible(f"a{i}") for i in range(200)]
+    t = tm.Prefix(actions[0], tm.Success())
+    for a in actions[1:]:
+        t = tm.Sum(t, tm.Prefix(a, tm.Success()))
+    assert tm.test_step(t) == [(a, tm.Success()) for a in actions]
+    assert len(entered) == 1
+
+
 def test_step_requires_closed():
     with pytest.raises(tm.TestError):
         tm.test_step(tm.Var("X"))
+
+
+def test_explore_requires_closed():
+    with pytest.raises(tm.TestError, match="free: X, Z$"):
+        tm.explore(parse_test("a.X + mu Y. (Z + Y + X)"))
 
 
 def test_duplicate_moves_collapse():
@@ -60,7 +87,7 @@ def test_canonical_alpha_equivalence():
 
 
 def test_explore_compares_no_terms(monkeypatch):
-    # states are told apart by a flat alpha key; hashing or comparing a
+    # states are told apart by interned int ids; hashing or comparing a
     # deep term recurses through C, which Python 3.12 refuses at about
     # 500 levels
     def refuse(*_):
@@ -72,6 +99,63 @@ def test_explore_compares_no_terms(monkeypatch):
     # unfolding revisits both loops under new binder names
     lts, _, _ = tm.explore(parse_test("mu X. a.mu Y. (b.Y + a.X + w.0)"))
     assert len(lts.states) == 5
+
+
+# binders that shadow one another, reuse a name after an unfolding or are
+# named like the canonical names B0, B1, ...
+CAPTURE_PRONE = [
+    "mu X. mu X. (a.X + b.mu X. (X + tau.X))",
+    "mu X. mu X. mu X. (a.X + w.0)",
+    "mu B0. mu B1. (a.B0 + b.B1 + tau.mu B1. (B0 + c.B1))",
+    "mu B1. a.mu B0. (b.B1 + c.B0 + w.0)",
+    "mu X. a.mu Y. (b.Y + a.X + w.0)",
+    "mu X. (a.mu Y. mu Z. (X + Y + b.Z) + tau.mu X. (c.X + w.0))",
+    "mu X. mu Y. (a.X + b.Y + tau.(mu X. c.X + Y))",
+    "mu X. (X + a.mu Y. (Y + b.X))",
+]
+
+
+def test_explore_matches_oracle():
+    cfg = TrialConfig(max_test_depth=7)
+    terms = [generate_test(cfg, spawn_rng(23, "explore-oracle", i)) for i in range(500)]
+    terms += [parse_test(text) for text in CAPTURE_PRONE]
+    for t in terms:
+        lts, root, names = tm.explore(t)
+        states, transitions, expected = oracles.explore_oracle(t)
+        assert root == "t0"
+        assert list(lts.states) == states, format_test(t)
+        assert list(lts.transitions) == transitions, format_test(t)
+        assert dict(names) == expected, format_test(t)
+
+
+def test_explore_builds_terms_on_read(monkeypatch):
+    t = parse_test("mu X. a.mu Y. (b.Y + a.X + w.0)")
+    _, _, expected = oracles.explore_oracle(t)
+
+    def refuse(*_):
+        raise AssertionError("explore renamed or substituted a term")
+
+    for module in (tm, fm):
+        monkeypatch.setattr(module, "canonical", refuse)
+        monkeypatch.setattr(module, "substitute", refuse)
+    built = []
+    for cls in (tm.Prefix, tm.Mu):
+        def counted(self, *args, _init=cls.__init__):
+            built.append(self)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    lts, _, terms = tm.explore(t)
+    assert len(lts.states) == 5
+    assert built == []
+    assert len(terms) == 5 and list(terms) == list(lts.states)
+    first = terms["t1"]
+    assert built
+    assert first == expected["t1"]
+    assert terms["t1"] is first
+    assert dict(terms) == expected
+    with pytest.raises(TypeError):
+        terms["t9"] = first
 
 
 def test_explore_loop_is_two_states():
