@@ -11,6 +11,10 @@ it must pass when every maximal computation visits a success configuration.
 The must set is the least fixpoint of "successful now, or at least one move
 and all moves lead into the set", and the may set that of "successful now,
 or some move leads into the set"; one backward worklist computes both.
+
+The product runs on ints: configuration (ip, it) is the key ip * n + it
+over the n test states, and each side's strong moves come from
+Lts.successors as lists of state indices.  Names are attached at the end.
 """
 
 from collections import deque
@@ -42,56 +46,39 @@ class ExperimentGraph:
 
 def _compose(proc: Lts, test: Lts, roots, t: str) -> ExperimentGraph:
     """Breadth-first product seeded with (i, t) for each process state
-    index i in roots, in that order."""
+    index i in roots, in that order.  Targets are listed as process taus,
+    test taus, then shared actions by name, each once; witness and
+    counterexample paths follow this order."""
     if proc.has_omega:
         raise LtsError("process side of an experiment cannot use omega")
-    it = test.state_index(t)
-
+    n = len(test.states)
+    start = test.state_index(t)
     roots = list(roots)
-    configs = [(ip, it) for ip in roots]
-    index: dict[tuple[int, int], int] = {pair: k for k, pair in enumerate(configs)}
+    shared = sorted(set(proc.alphabet) & set(test.alphabet))
+    synced = [(proc.successors(visible(a)), test.successors(visible(a))) for a in shared]
+    proc_tau, test_tau = proc.successors(TAU), test.successors(TAU)
+
+    keys = [ip * n + start for ip in roots]
+    index = {key: k for k, key in enumerate(keys)}
     edges: list[list[int]] = []
-    queue = deque(configs)
-    shared = [visible(a) for a in sorted(set(proc.alphabet) & set(test.alphabet))]
-
-    def config_id(pair):
-        got = index.get(pair)
-        if got is None:
-            got = len(configs)
-            index[pair] = got
-            configs.append(pair)
-            queue.append(pair)
-        return got
-
-    while queue:
-        cp, ct = queue.popleft()
-        out: list[int] = []
-        seen: set[int] = set()
-
-        def push(pair):
-            cid = config_id(pair)
-            if cid not in seen:
-                seen.add(cid)
-                out.append(cid)
-
-        for j in proc.iter_mask(proc.strong_mask(TAU, cp)):
-            push((j, ct))
-        for j in test.iter_mask(test.strong_mask(TAU, ct)):
-            push((cp, j))
-        for action in shared:
-            pmask = proc.strong_mask(action, cp)
-            if not pmask:
-                continue
-            tmask = test.strong_mask(action, ct)
-            if not tmask:
-                continue
-            for jp in proc.iter_mask(pmask):
-                for jt in test.iter_mask(tmask):
-                    push((jp, jt))
+    for key in keys:  # the key list is the queue: it grows while walked
+        ip, it = divmod(key, n)
+        targets = [jp * n + it for jp in proc_tau[ip]]
+        targets += [ip * n + jt for jt in test_tau[it]]
+        for proc_next, test_next in synced:
+            if proc_next[ip]:
+                targets += [jp * n + jt for jp in proc_next[ip] for jt in test_next[it]]
+        out = []
+        for target in dict.fromkeys(targets):
+            got = index.get(target)
+            if got is None:
+                got = index[target] = len(keys)
+                keys.append(target)
+            out.append(got)
         edges.append(out)
 
-    success = [bool(test.omega_mask & (1 << ct)) for _, ct in configs]
-    named = [(proc.states[i], test.states[j]) for i, j in configs]
+    success = [bool(test.omega_mask >> (key % n) & 1) for key in keys]
+    named = [(proc.states[key // n], test.states[key % n]) for key in keys]
     return ExperimentGraph(proc, test, named, edges, success, roots)
 
 

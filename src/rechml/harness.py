@@ -119,6 +119,9 @@ class _Harness:
         self.cfg = cfg
         self.mutate = mutate
         self.fixture = fixture_lts(cfg)
+        # the Bekic check reads the same systems in every trial
+        self.bekic_pool = [generate_lts(cfg, spawn_rng(cfg.seed, "bekic_pool", member))
+                           for member in range(20)]
         self.report = TrialReport(cfg, mutate)
         self._divergent = 0
 
@@ -224,9 +227,7 @@ class _Harness:
     def check_bekic(self, trial, rng, stats):
         sim = generate_sim_system(self.cfg, rng)
         eliminated = bekic_eliminate(sim)
-        for member in range(20):
-            pool_rng = spawn_rng(self.cfg.seed, "bekic_pool", member)
-            lts = generate_lts(self.cfg, pool_rng)
+        for lts in self.bekic_pool:
             vector = interpret_simultaneous_vector(lts, sim, stats=stats)
             single = interpret(lts, eliminated, stats=stats)
             if single != vector[sim.index]:

@@ -166,11 +166,14 @@ class Lts:
             mask &= mask - 1
             yield i
 
-    # -- mask-level queries (used by the interpreter) ---------------------
+    # -- state-set queries: masks for the interpreter, index lists for the
+    #    experiment product, which steps one state at a time ---------------
 
-    def strong_mask(self, act: Action, i: int) -> int:
-        row = self._strong.get(act)
-        return row[i] if row else 0
+    def successors(self, act: Action) -> list[list[int]]:
+        """Strong act-successor indices of every state, each list
+        ascending; all empty for an action with no transitions anywhere."""
+        row = self._strong.get(act) or [0] * len(self.states)
+        return [list(self.iter_mask(mask)) for mask in row]
 
     def weak_row(self, act: Action) -> list[int]:
         """Weak derivative masks for every state; all zeroes for an action

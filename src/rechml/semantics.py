@@ -33,7 +33,6 @@ from .formulas import (
     Tt,
     Var,
     free_var_map,
-    sim_free_vars,
 )
 from .lts import TAU, Lts, visible
 
@@ -175,12 +174,14 @@ def interpret_simultaneous_vector(
     """Least solution vector of a simultaneous fixpoint, by Kleene iteration
     from the all-empty vector."""
     base = _normalize_env(lts, env)
-    missing = sim_free_vars(sim) - set(base)
-    if missing:
-        raise FormulaError(f"unbound variable {sorted(missing)[0]}")
     fmap: dict[int, frozenset[str]] = {}
+    missing = set()
     for body in sim.bodies:
         fmap.update(free_var_map(body))
+        missing |= fmap[id(body)]
+    missing -= {*sim.variables, *base}
+    if missing:
+        raise FormulaError(f"unbound variable {sorted(missing)[0]}")
     ev = _Evaluator(lts, fmap, stats)
     vector = [0] * len(sim.variables)
     iterations = 0

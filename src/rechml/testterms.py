@@ -123,17 +123,19 @@ def _steps(term):
 
 def test_step(term) -> list[tuple[Action, Test]]:
     """Outgoing moves of a closed test term, duplicates removed, in the
-    deterministic order left summand before right."""
+    deterministic order left summand before right.  Duplicates are told
+    apart by printed target, since printing round-trips; hashing a deep
+    target recurses through C, which Python 3.12 refuses at about 500
+    levels."""
+    from .textio import format_test
+
     fv = free_vars(term)
     if fv:
         raise TestError(f"open test term; free: {', '.join(sorted(fv))}")
-    seen = set()
-    out = []
-    for move in _steps(term):
-        if move not in seen:
-            seen.add(move)
-            out.append(move)
-    return out
+    moves = {}
+    for action, target in _steps(term):
+        moves.setdefault((action, format_test(target)), (action, target))
+    return list(moves.values())
 
 
 # Interned de Bruijn nodes: ("0",), ("w",), ("pre", action, id),

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rechml import testterms as tm
@@ -182,3 +184,34 @@ def test_single_root_state_masks():
             bit = 1 << proc.state_index(state)
             assert may_states(graph) == (bit if may_satisfy(graph) else 0), state
             assert must_states(graph) == (bit if must_satisfy(graph) else 0), state
+
+
+def _product_cases():
+    """About 300 seeded process/test pairs: processes over one to three
+    letters against tests over three, so the shared alphabet varies, plus
+    a test whose root has a tau self-loop."""
+    test_cfg = TrialConfig(max_test_depth=6)
+    for i in range(300):
+        rng = spawn_rng(29, "product", i)
+        proc = generate_lts(TrialConfig(alphabet_size=1 + i % 3), rng)
+        yield (proc, *reachable_lts(generate_test(test_cfg, rng)))
+    spin = Lts(states=["t0", "t1", "t2"],
+               transitions=[("t0", TAU, "t0"), ("t0", A, "t1"), ("t0", B, "t2"),
+                            ("t1", OMEGA, "t1"), ("t2", TAU, "t0")])
+    yield proc_fixture(), spin, "t0"
+
+
+# sha256 of the configurations, edges, success flags and roots of
+# compose_all and parallel_compose over _product_cases.  Witness and
+# counterexample paths follow the edge order, so a change to the order in
+# which configurations are found or listed shows up here.
+PRODUCT_DIGEST = "f2ee9fa8aa5de4a1f37e4123eb4f0e0c322f0b42e67820616708dbfd0b1360bd"
+
+
+def test_product_output_frozen():
+    h = hashlib.sha256()
+    for proc, tlts, troot in _product_cases():
+        last = proc.states[-1]
+        for graph in (compose_all(proc, tlts, troot), parallel_compose(proc, tlts, last, troot)):
+            h.update(repr((graph.configs, graph.edges, graph.success, graph.roots)).encode())
+    assert h.hexdigest() == PRODUCT_DIGEST

@@ -50,6 +50,27 @@ def test_step_walks_a_sum_once(monkeypatch):
     assert len(entered) == 1
 
 
+def test_step_compares_no_terms(monkeypatch):
+    # duplicate moves are told apart by printed target: hashing a deep
+    # target recurses through C, which Python 3.12 refuses at about 500
+    # levels
+    loop, copy = (parse_test("mu X. (a.X + b.w.0)") for _ in range(2))
+    chain = tm.Success()
+    for _ in range(600):
+        chain = tm.Prefix(A, chain)
+
+    def refuse(*_):
+        raise AssertionError("test_step hashed or compared a test term")
+
+    for cls in (tm.Nil, tm.Success, tm.Prefix, tm.Var, tm.Sum, tm.Mu):
+        monkeypatch.setattr(cls, "__hash__", refuse)
+        monkeypatch.setattr(cls, "__eq__", refuse)
+    # the copy is equal to the loop but another object
+    steps = tm.test_step(tm.Sum(tm.Sum(tm.Prefix(A, loop), tm.Prefix(B, chain)), tm.Prefix(A, copy)))
+    assert [a for a, _ in steps] == [A, B]
+    assert steps[0][1] is loop and steps[1][1] is chain
+
+
 def test_step_requires_closed():
     with pytest.raises(tm.TestError):
         tm.test_step(tm.Var("X"))
