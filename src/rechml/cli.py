@@ -59,8 +59,9 @@ def _load_lts_file(path: str):
 
 def _load_test_side(value: str, cap: int):
     """A test argument is either an .lts file (its init is the root) or a
-    test term, literal or in a file."""
-    if os.path.isfile(value) and value.endswith(".lts"):
+    test term, literal or in a file.  No test term ends in .lts (the token
+    lts must be followed by .), so a missing .lts file is reported as one."""
+    if value.endswith(".lts"):
         lts, init = _load_lts_file(value)
         if init is None:
             raise ParseError(f"{value}: test system needs an init line")

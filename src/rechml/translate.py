@@ -102,11 +102,12 @@ def formula_to_may_test(formula: Formula) -> Test:
 
 def _state_variables(lts: Lts, terms=None) -> dict[str, str]:
     """One formula variable per test state, named from a digest of the
-    canonical term (or the state name for external systems) plus the state
-    name itself as a readable suffix."""
+    printed canonical term (or the state name for external systems) plus
+    the state name itself as a readable suffix.  The term is printed from
+    explore's interned table; no Test is built."""
     out = {}
     for state in lts.states:
-        basis = str(terms[state]) if terms else state
+        basis = terms.text(state) if terms else state
         digest = hashlib.sha1(basis.encode()).hexdigest()[:6]
         out[state] = f"X_{digest}_{state}"
     return out
@@ -158,6 +159,10 @@ def test_lts_to_must_system(lts: Lts, root: str, terms=None) -> SimFormula:
     Per state: success now gives tt; no moves gives ff; a stable state
     gives boxes over its visible moves plus acceptance of their actions;
     an unstable state gives boxes over all its tau and visible moves.
+
+    terms is the mapping that explore returned with lts; each variable is
+    named from its state's canonical term.  Pass None for a system read
+    from a file, whose variables are named from the state names.
     """
     return _system(lts, root, terms, _must_moves)
 
@@ -165,7 +170,8 @@ def test_lts_to_must_system(lts: Lts, root: str, terms=None) -> SimFormula:
 def test_lts_to_may_system(lts: Lts, root: str, terms=None) -> SimFormula:
     """The simultaneous system of may equations for a test system: success
     gives tt, deadlock gives ff, anything else the disjunction of diamonds
-    over all moves."""
+    over all moves.  terms is as for test_lts_to_must_system: the mapping
+    that explore returned with lts, or None."""
     return _system(lts, root, terms, _may_moves)
 
 

@@ -107,6 +107,17 @@ def test_input_errors_exit_two(proc_file, tmp_path):
     assert run_cli("check", str(bad), "p0", "tt").returncode == 2
 
 
+def test_missing_test_lts_file_exits_two(proc_file, tmp_path):
+    # no test term ends in .lts, so the argument names a file that is not there
+    missing = str(tmp_path / "missing.lts")
+    for argv in (("compile-test", "--mode", "must", "--test", missing),
+                 ("must", proc_file, "p0", missing),
+                 ("may", proc_file, "p0", missing)):
+        done = run_cli(*argv)
+        assert done.returncode == 2, argv
+        assert done.stderr == f"error: no such file: {missing}\n", argv
+
+
 def test_verify_rejects_out_of_range_config():
     done = run_cli("verify", "--max-sim-vars", "0")
     assert done.returncode == 2

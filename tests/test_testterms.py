@@ -147,6 +147,8 @@ def test_explore_matches_oracle():
         assert list(lts.states) == states, format_test(t)
         assert list(lts.transitions) == transitions, format_test(t)
         assert dict(names) == expected, format_test(t)
+        for s in states:
+            assert names.text(s) == format_test(expected[s]), format_test(t)
 
 
 def test_explore_builds_terms_on_read(monkeypatch):
@@ -211,8 +213,23 @@ def test_explore_alignment():
 
 def test_explore_cap():
     t = tm.Prefix(A, tm.Prefix(A, tm.Prefix(A, tm.Nil())))
-    with pytest.raises(tm.CapExceeded):
+    with pytest.raises(tm.CapExceeded) as err:
         tm.explore(t, max_states=2)
+    assert str(err.value) == "more than 2 reachable test terms; frontier starts: a.0"
+    # the frontier terms are printed in canonical form and clipped
+    loops = parse_test("mu X. (a.mu Y. mu Z. (X + Y + b.Z) + tau.mu X. (c.X + w.0))")
+    with pytest.raises(tm.CapExceeded) as err:
+        tm.explore(loops, max_states=4)
+    assert str(err.value) == (
+        "more than 4 reachable test terms; frontier starts: "
+        "(mu B0. a.mu B1. mu B2. B0 + B1 + b.B2 + tau.mu B3. c.B3 + w..."
+    )
+    with pytest.raises(tm.CapExceeded) as err:
+        tm.explore(parse_test("mu X. (a.mu Y. (b.Y + a.X) + b.c.X + c.w.0 + tau.X)"), max_states=5)
+    assert str(err.value) == (
+        "more than 5 reachable test terms; frontier starts: "
+        "w.0, c.mu B0. a.mu B1. b.B1 + a.B0 + b.c.B0 + c.w.0 + tau.B0"
+    )
 
 
 # sha256 of explore's states, transitions and formatted terms over the

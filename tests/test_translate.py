@@ -4,12 +4,13 @@ import pytest
 
 from rechml import formulas as fm
 from rechml import testterms as tm
+from rechml import textio
 from rechml.formulas import FormulaError, bekic_eliminate
 from rechml.generators import TrialConfig, generate_formula, generate_test, spawn_rng
 from rechml.lts import TAU, visible
 from rechml.semantics import interpret_states
 from rechml.testterms import reachable_lts
-from rechml.textio import format_formula, format_test
+from rechml.textio import format_formula, format_test, parse_test
 from rechml.translate import formula_to_may_test, formula_to_must_test
 from rechml.translate import test_lts_to_may_system as lts_to_may_system
 from rechml.translate import test_lts_to_must_system as lts_to_must_system
@@ -148,6 +149,33 @@ def test_round_trip_may_semantics():
         back = to_may_formula(formula_to_may_test(phi))
         assert fm.is_mayhml(back)
         assert interpret_states(lts, phi) == interpret_states(lts, back)
+
+
+def test_state_names_build_no_terms(monkeypatch):
+    # variable names are printed from explore's interned table: building
+    # and printing the canonical Test of every state cost more than the
+    # rest of the translation
+    lts, root, terms = tm.explore(parse_test("mu X. (a.mu Y. (b.Y + a.X) + b.c.X + c.w.0 + tau.X)"))
+    built = []
+    for cls in (tm.Prefix, tm.Mu):
+        def counted(self, *args, _init=cls.__init__):
+            built.append(self)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    def refuse(*_):
+        raise AssertionError("a state name was printed from a built term")
+
+    monkeypatch.setattr(textio, "format_test", refuse)
+    systems = [build(lts, root, terms) for build in (lts_to_must_system, lts_to_may_system)]
+    assert built == []
+    monkeypatch.undo()
+    expected = tuple(
+        f"X_{hashlib.sha1(format_test(terms[s]).encode()).hexdigest()[:6]}_{s}" for s in lts.states
+    )
+    assert len(expected) == 7
+    assert all(sim.variables == expected for sim in systems)
 
 
 TRANSLATE_DIGEST = "10bd8678eedf949029fa1ff4b76253f6af85687d9b8888d2d7cb71fc69e9ea86"
