@@ -13,9 +13,12 @@ rechml.testterms, which re-exports them.  They look only at the shape of a
 node (variable, binder or other) and reach other nodes through the
 family's children() and map_children(f).
 
-Large formulas produced by substitution share subterm objects, so the
-traversals below memoize on object identity to stay linear in the size of
-the shared graph rather than the unfolded tree.
+Every node carries its free variables in the slot free, built with the
+node from its children's sets, so no walk recomputes them.  Large
+formulas produced by substitution share subterm objects, so the only
+identity memos left, those of substitution itself, tree_size,
+nesting_depth, _offender and approximant, keep those walks linear in the
+size of the shared graph rather than the unfolded tree.
 """
 
 from dataclasses import dataclass
@@ -27,13 +30,34 @@ class FormulaError(Exception):
     """Raised for open formulas, fragment violations and bad indices."""
 
 
+_CLOSED = frozenset()
+
+
 class Term:
     """Base of a term language with binders.  A family names the prefix of
     its canonical bound names in bound_prefix and defines children() and
     map_children(f), the latter rebuilding a node with f applied to each
-    child."""
+    child.  free holds the node's free variables, set in __post_init__; it
+    is a slot, not a field, so equality, hashing and repr ignore it and
+    vars() holds only the fields."""
 
-    __slots__ = ()
+    __slots__ = ("free",)
+
+    def __post_init__(self):
+        if isinstance(self, Variable):
+            free = frozenset((self.name,))
+        elif isinstance(self, Binder):
+            free = self.body.free
+            if self.var in free:
+                free = free - {self.var}
+        else:
+            # the children are the fields that hold terms; vars() is
+            # quicker to read than children()
+            free = _CLOSED
+            for child in vars(self).values():
+                if isinstance(child, Term) and child.free:
+                    free = free | child.free if free else child.free
+        object.__setattr__(self, "free", free)
 
 
 class Variable:
@@ -107,6 +131,7 @@ class Acc(Formula):
 
     def __post_init__(self):
         object.__setattr__(self, "actions", frozenset(self.actions))
+        object.__setattr__(self, "free", _CLOSED)
         for a in self.actions:
             if not isinstance(a, str) or not a or a in ("tau", "omega"):
                 raise FormulaError(f"bad action name in Acc: {a!r}")
@@ -132,6 +157,7 @@ class Dia(Formula):
     def __post_init__(self):
         if self.action.kind == "omega":
             raise FormulaError("omega cannot appear in a modality")
+        object.__setattr__(self, "free", self.body.free)
 
 
 @dataclass(frozen=True)
@@ -142,6 +168,7 @@ class Box(Formula):
     def __post_init__(self):
         if self.action.kind == "omega":
             raise FormulaError("omega cannot appear in a modality")
+        object.__setattr__(self, "free", self.body.free)
 
 
 @dataclass(frozen=True)
@@ -180,36 +207,8 @@ class SimFormula:
             raise FormulaError(f"projection index {self.index} out of range")
 
 
-def free_var_map(term) -> dict[int, frozenset[str]]:
-    """Free variables of every subterm, keyed by object identity.
-
-    Valid only while the term object is alive; callers use it to make
-    traversals over shared structure linear.
-    """
-    memo: dict[int, frozenset[str]] = {}
-
-    def walk(node):
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        match node:
-            case Variable(name=name):
-                out = frozenset((name,))
-            case Binder(var=x, body=b):
-                out = walk(b) - {x}
-            case _:
-                out = frozenset()
-                for child in node.children():
-                    out |= walk(child)
-        memo[id(node)] = out
-        return out
-
-    walk(term)
-    return memo
-
-
 def free_vars(term) -> frozenset[str]:
-    return free_var_map(term)[id(term)]
+    return term.free
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -223,18 +222,10 @@ def fresh_name(base: str, avoid) -> str:
 
 
 def _substitute_many(term, mapping: dict[str, Term]) -> Term:
-    fmap = free_var_map(term)
     memo: dict[tuple, Term] = {}
 
-    def node_free(node):
-        fv = fmap.get(id(node))
-        if fv is None:
-            fv = free_vars(node)
-            fmap[id(node)] = fv
-        return fv
-
     def sub(node, mapping):
-        fv = node_free(node)
+        fv = node.free
         live = {v: r for v, r in mapping.items() if v in fv}
         if not live:
             return node
@@ -249,7 +240,7 @@ def _substitute_many(term, mapping: dict[str, Term]) -> Term:
                 # x is bound here, so it is never among the live variables
                 incoming = frozenset()
                 for r in live.values():
-                    incoming |= node_free(r)
+                    incoming |= r.free
                 if x in incoming:
                     x2 = fresh_name(x, fv | incoming | {x})
                     live[x] = node.var_class(x2)
@@ -327,7 +318,7 @@ _MUST_NODES = (Tt, Ff, Var, Acc, Box, And, Min)
 
 
 def _require_closed(formula, what):
-    fv = free_vars(formula)
+    fv = formula.free
     if fv:
         names = ", ".join(sorted(fv))
         raise FormulaError(f"{what} expects a closed formula; free: {names}")
@@ -442,7 +433,7 @@ def approximant(formula, k: int) -> Formula:
 def sim_free_vars(sim: SimFormula) -> frozenset[str]:
     out = frozenset()
     for body in sim.bodies:
-        out |= free_vars(body)
+        out |= body.free
     return out - set(sim.variables)
 
 
@@ -465,5 +456,5 @@ def bekic_eliminate(sim: SimFormula) -> Formula:
     while len(variables) > 1:
         x = variables.pop()
         closed = Min(x, bodies.pop())
-        bodies = [substitute(b, x, closed) for b in bodies]
+        bodies = [substitute(b, x, closed) if x in b.free else b for b in bodies]
     return Min(variables[0], bodies[0])

@@ -32,7 +32,6 @@ from .formulas import (
     SimFormula,
     Tt,
     Var,
-    free_var_map,
 )
 from .lts import TAU, Lts, visible
 
@@ -53,9 +52,8 @@ class EvalStats:
 
 
 class _Evaluator:
-    def __init__(self, lts: Lts, fmap, stats):
+    def __init__(self, lts: Lts, stats):
         self.lts = lts
-        self.fmap = fmap
         self.stats = stats
         self.converging = lts.full_mask & ~lts.divergent_mask
         self.closed_cache: dict[int, int] = {}
@@ -63,7 +61,7 @@ class _Evaluator:
         self.resume: dict[int, tuple[tuple[int, ...], int]] = {}
 
     def eval(self, node, env) -> int:
-        fv = self.fmap[id(node)]
+        fv = node.free
         if not fv:
             got = self.closed_cache.get(id(node))
             if got is not None:
@@ -127,15 +125,22 @@ class _Evaluator:
             small, big = (psig, sig) if least else (sig, psig)
             if all(b | s == b for s, b in zip(small, big)):
                 current = pval
-        inner = dict(env)
+        # bind the variable in env itself, restoring the shadowed entry on
+        # the way out, so that nested binders share one environment
+        var = node.var
+        shadowed = env.get(var)
         iterations = 0
         while True:
             iterations += 1
-            inner[node.var] = current
-            nxt = self.eval(node.body, inner)
+            env[var] = current
+            nxt = self.eval(node.body, env)
             if nxt == current:
                 break
             current = nxt
+        if shadowed is None:
+            del env[var]
+        else:
+            env[var] = shadowed
         if self.stats is not None:
             self.stats.record(iterations)
         self.resume[id(node)] = (sig, current)
@@ -156,8 +161,7 @@ def interpret(lts: Lts, formula: Formula, env=None, stats: EvalStats | None = No
     env maps free variables to masks (or iterables of state names); every
     free variable of the formula must be bound by it.
     """
-    fmap = free_var_map(formula)
-    return _Evaluator(lts, fmap, stats).eval(formula, _normalize_env(lts, env))
+    return _Evaluator(lts, stats).eval(formula, _normalize_env(lts, env))
 
 
 def interpret_states(lts: Lts, formula: Formula, env=None) -> frozenset[str]:
@@ -174,15 +178,13 @@ def interpret_simultaneous_vector(
     """Least solution vector of a simultaneous fixpoint, by Kleene iteration
     from the all-empty vector."""
     base = _normalize_env(lts, env)
-    fmap: dict[int, frozenset[str]] = {}
     missing = set()
     for body in sim.bodies:
-        fmap.update(free_var_map(body))
-        missing |= fmap[id(body)]
+        missing |= body.free
     missing -= {*sim.variables, *base}
     if missing:
         raise FormulaError(f"unbound variable {sorted(missing)[0]}")
-    ev = _Evaluator(lts, fmap, stats)
+    ev = _Evaluator(lts, stats)
     vector = [0] * len(sim.variables)
     iterations = 0
     while True:

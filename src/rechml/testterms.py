@@ -79,6 +79,7 @@ class Prefix(Test):
     def __post_init__(self):
         if self.action.kind == "omega":
             raise TestError("omega prefixes only nil; use Success")
+        object.__setattr__(self, "free", self.body.free)
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,11 @@ def _steps(term):
     return out
 
 
+def _require_closed(term):
+    if term.free:
+        raise TestError(f"open test term; free: {', '.join(sorted(term.free))}")
+
+
 def test_step(term) -> list[tuple[Action, Test]]:
     """Outgoing moves of a closed test term, duplicates removed, in the
     deterministic order left summand before right.  Duplicates are told
@@ -130,9 +136,7 @@ def test_step(term) -> list[tuple[Action, Test]]:
     levels."""
     from .textio import format_test
 
-    fv = free_vars(term)
-    if fv:
-        raise TestError(f"open test term; free: {', '.join(sorted(fv))}")
+    _require_closed(term)
     moves = {}
     for action, target in _steps(term):
         moves.setdefault((action, format_test(target)), (action, target))
@@ -180,9 +184,9 @@ class _Table:
     def convert(self, term) -> int:
         """Intern a closed Test; one walk with its own stack and one scope
         dict, whose shadowed entry each binder saves and restores."""
+        _require_closed(term)
         scope: dict[str, int] = {}  # variable -> binders around its binder
         binders = 0  # binders around the current node
-        free = set()
         built = []
         stack = [term]
         while stack:
@@ -200,12 +204,7 @@ class _Table:
                     binders += 1
                     stack.append(body)
                 case Var(name):
-                    bound = scope.get(name)
-                    if bound is None:
-                        free.add(name)  # reported once the walk is done
-                        built.append(self.nil)
-                    else:
-                        built.append(self.intern(("idx", binders - 1 - bound)))
+                    built.append(self.intern(("idx", binders - 1 - scope[name])))
                 case Nil():
                     built.append(self.nil)
                 case Success():
@@ -224,8 +223,6 @@ class _Table:
                     built[-1] = self.intern(("mu", built[-1]))
                 case other:
                     raise TestError(f"not a test term: {other!r}")
-        if free:
-            raise TestError(f"open test term; free: {', '.join(sorted(free))}")
         return built[0]
 
     def subst(self, node: int, k: int, closed: int) -> int:

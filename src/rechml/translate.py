@@ -31,7 +31,7 @@ def _fold(join, parts: list, empty):
 
 
 def _require_fragment(formula, fragment: str, who: str):
-    if fm.free_vars(formula):
+    if formula.free:
         raise FormulaError(f"{who} expects a closed formula")
     bad = fm.fragment_offender(formula, fragment)
     if bad is not None:
@@ -42,7 +42,6 @@ def formula_to_must_test(formula: Formula) -> Test:
     """Compile a closed must formula to a test characterizing it under
     must-passing."""
     _require_fragment(formula, "must", "formula_to_must_test")
-    fmap = fm.free_var_map(formula)
 
     def conv(node) -> Test:
         match node:
@@ -66,7 +65,7 @@ def formula_to_must_test(formula: Formula) -> Test:
                     return tm.Success()
                 return tm.Sum(tm.Prefix(TAU, lt), tm.Prefix(TAU, rt))
             case fm.Min(var, body):
-                if not fmap[id(body)]:
+                if not body.free:
                     return conv(body)
                 return tm.Mu(var, conv(body))
             case _:

@@ -17,7 +17,7 @@ p2 tau p2
 def run_cli(*argv, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "rechml", *argv],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, timeout=120,
     )
 
 

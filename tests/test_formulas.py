@@ -3,6 +3,7 @@ import weakref
 import pytest
 
 from rechml import formulas as fm
+from rechml import testterms as tm
 from rechml.generators import TrialConfig, generate_formula, spawn_rng
 from rechml.lts import TAU, OMEGA, visible
 
@@ -28,6 +29,27 @@ def test_free_vars():
     phi = fm.Min("X", fm.And(fm.Var("X"), fm.Box(A, fm.Var("Y"))))
     assert fm.free_vars(phi) == frozenset({"Y"})
     assert fm.free_vars(fm.Tt()) == frozenset()
+
+
+def test_free_set_built_with_node():
+    # built bottom-up with each node, so a chain deeper than any recursion
+    # limit still answers
+    boxes = fm.Var("Y")
+    prefixes = tm.Var("X")
+    for _ in range(100_000):
+        boxes = fm.Box(A, boxes)
+        prefixes = tm.Prefix(A, prefixes)
+    assert fm.free_vars(boxes) == frozenset({"Y"})
+    assert fm.free_vars(prefixes) == frozenset({"X"})
+    assert fm.free_vars(fm.Min("Y", boxes)) == frozenset()
+    assert fm.free_vars(tm.Mu("X", prefixes)) == frozenset()
+    assert fm.Min("X", fm.Or(fm.Var("X"), fm.Var("Z"))).free == frozenset({"Z"})
+    # the set is a slot: fields, equality, hashing and repr are unchanged
+    assert vars(fm.Box(A, fm.Tt())) == {"action": A, "body": fm.Tt()}
+    assert vars(fm.Var("X")) == {"name": "X"}
+    assert fm.Var("X") == fm.Var("X")
+    assert hash(fm.Var("X")) == hash(fm.Var("X"))
+    assert repr(fm.Var("X")) == "Var(name='X')"
 
 
 def test_substitute_plain():
@@ -180,6 +202,29 @@ def test_bekic_projection_moves_to_front():
     assert fm.free_vars(out) == frozenset()
     assert isinstance(out, fm.Min)
     assert out.var == "Y"
+
+
+def test_bekic_substitutes_where_free(monkeypatch):
+    # Z_i = [a]Z_{i+1}: each eliminated variable is free in one body only,
+    # so it is substituted there and nowhere else
+    calls = [0]
+    original = fm.substitute
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(fm, "substitute", counted)
+    n = 300
+    names = tuple(f"Z{i}" for i in range(n))
+    bodies = tuple(fm.Box(A, fm.Var(z)) for z in names[1:]) + (fm.Tt(),)
+    out = fm.bekic_eliminate(fm.SimFormula(names, bodies, 0))
+    assert calls[0] <= n
+    node = out
+    for z in names[:-1]:
+        assert node.var == z and isinstance(node.body, fm.Box)
+        node = node.body.body
+    assert node == fm.Min(names[-1], fm.Tt())
 
 
 def test_fresh_name_probes_suffixes():

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from rechml import formulas as fm
@@ -115,6 +118,46 @@ def test_unbound_variable_raises():
     lts = fork_fixture()
     with pytest.raises(fm.FormulaError):
         interpret(lts, fm.Var("X"))
+
+
+# Interprets min X0. [a](X0 /\ min X1. [a](X1 /\ ...)) with n binders and
+# prints the denotation and the growth of peak RSS in kB.  The process is
+# fresh, so that its peak is this interpretation's alone, and the walk runs
+# in a thread with a stack of its own, since Python 3.10 spends C stack on
+# every call (four per binder).
+_NESTED_BINDERS = """
+import resource, sys, threading
+from rechml import formulas as fm
+from rechml.lts import TAU, Lts, visible
+from rechml.semantics import interpret
+
+n = int(sys.argv[1])
+a = visible("a")
+phi = fm.Tt()
+for i in reversed(range(n)):
+    phi = fm.Min(f"X{i}", fm.Box(a, fm.And(fm.Var(f"X{i}"), phi)))
+lts = Lts(states=["p", "q", "d"], transitions=[("p", a, "q"), ("d", TAU, "d")],
+          alphabet=["a"])
+sys.setrecursionlimit(5 * n + 1000)
+threading.stack_size(256 << 20)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+got = []
+worker = threading.Thread(target=lambda: got.append(interpret(lts, phi)))
+worker.start()
+worker.join()
+print(got[0], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_nested_binders_share_one_environment():
+    # a copied environment per binder would hold about n*n/2 entries:
+    # over 100 MB at 3000 binders
+    done = subprocess.run([sys.executable, "-c", _NESTED_BINDERS, "3000"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    mask, grown_kb = map(int, done.stdout.split())
+    assert mask == 0b011
+    assert grown_kb < 16 << 10, grown_kb
 
 
 def test_stats_are_recorded():
