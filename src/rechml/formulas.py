@@ -3,11 +3,10 @@ shared with test terms.
 
 Formula nodes are frozen dataclasses compared structurally.  Functions here
 are purely syntactic: free variables, capture-avoiding substitution,
-canonical renaming of bound variables, fragment membership, finite
-approximants and elimination of simultaneous fixpoints.  Interpretation
-over an Lts lives in rechml.semantics.
+fragment membership, finite approximants and elimination of simultaneous
+fixpoints.  Interpretation over an Lts lives in rechml.semantics.
 
-The first three work on any term language built from the marker bases
+The first two work on any term language built from the marker bases
 Term, Variable and Binder: formulas here and the test terms of
 rechml.testterms, which re-exports them.  They look only at the shape of a
 node (variable, binder or other) and reach other nodes through the
@@ -259,37 +258,6 @@ def substitute(term, var: str, replacement) -> Term:
     var.  Bound variables are renamed (with a numeric suffix) only when a
     free variable of the replacement would otherwise be captured."""
     return _substitute_many(term, {var: replacement})
-
-
-def canonical(term) -> Term:
-    """Rename bound variables to P0, P1, ... in traversal order, where P is
-    the family's bound_prefix; two terms are alpha-equivalent exactly when
-    their canonical forms are structurally equal.  One scope dict serves
-    the whole walk: each binder saves the entry it shadows and restores it
-    on the way out."""
-    prefix = term.bound_prefix
-    counter = [0]
-    env: dict[str, str] = {}
-
-    def walk(node):
-        match node:
-            case Variable(name=name):
-                return type(node)(env.get(name, name))
-            case Binder(var=x, body=b):
-                name = f"{prefix}{counter[0]}"
-                counter[0] += 1
-                shadowed = env.get(x)
-                env[x] = name
-                body = walk(b)
-                if shadowed is None:
-                    del env[x]
-                else:
-                    env[x] = shadowed
-                return type(node)(name, body)
-            case _:
-                return node.map_children(walk)
-
-    return walk(term)
 
 
 def _offender(formula, allowed):

@@ -3,10 +3,15 @@
 States are interned to dense integer indices at construction time and sets
 of states are manipulated as integer bit masks keyed by that order.  Every
 derived relation comes from two mask primitives, the image of a mask under
-a row of successor masks and its reachability closure.  Tau closure and
-divergence are computed at construction; the weak row of a visible action
-is built on first use and cached.  The cache only memoises a function of
-the transitions, so an Lts is still observably immutable and safe to share.
+a row of masks and its reachability closure.  Construction keeps the strong
+successor rows of each action and finds divergence by peeling: a state
+converges once all its tau successors have, counted down per state, so no
+tau closure is built.  The predecessor rows of tau are transposed from
+its successor rows at construction, those of a visible action when pre
+first needs them; pre is a backward search over them, and the weak
+derivatives of a single state are a forward search over the successor
+rows.  That cache only memoises a function of the transitions, so an Lts
+is still observably immutable and safe to share.
 """
 
 from dataclasses import dataclass
@@ -69,11 +74,23 @@ def _image(rows: list[int], mask: int) -> int:
     return out
 
 
-def _reach(rows: list[int], mask: int) -> int:
+def _transpose(rows: list[int]) -> list[int]:
+    """The predecessor masks of every state, from its successor masks."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return out
+
+
+def _reach(rows: list[int], mask: int, stop: int = 0) -> int:
     """The states reachable from mask in zero or more row steps; each
-    reached state is expanded once."""
+    reached state is expanded once.  The search ends early, with only part
+    of the answer, once it has reached a state in stop."""
     seen = frontier = mask
-    while frontier:
+    while frontier and not frontier & stop:
         frontier = _image(rows, frontier) & ~seen
         seen |= frontier
     return seen
@@ -132,16 +149,25 @@ class Lts:
         for src, act, dst in triples:
             row = self._strong.setdefault(act, [0] * n)
             row[index[src]] |= 1 << index[dst]
-
-        tau = self._strong.get(TAU, [0] * n)
-        self._closure = [_reach(tau, 1 << i) for i in range(n)]
-        # A state lies on a tau cycle iff it tau-reaches itself in one or
-        # more steps (a tau self-loop is the one-state case); a state
-        # diverges iff its closure meets such a state.
-        cyclic = sum(1 << i for i in range(n) if _image(self._closure, tau[i]) >> i & 1)
-        self._divergent = sum(1 << i for i, c in enumerate(self._closure) if c & cyclic)
+        self._tau = self._strong.get(TAU) or [0] * n
+        self._back_tau = _transpose(self._tau)
+        # visible action name -> its transposed rows, built by pre
+        self._back: dict[str, list[int]] = {}
         self._omega_mask = sum(1 << i for i, r in enumerate(self._strong.get(OMEGA, ())) if r)
-        self._weak: dict[Action, list[int]] = {TAU: self._closure}
+
+        # Peel convergent states: a state converges once all its tau
+        # successors have (a tau self-loop is never peeled).
+        left = [row.bit_count() for row in self._tau]
+        peeled = [i for i, k in enumerate(left) if not k]
+        converging = 0
+        while peeled:
+            j = peeled.pop()
+            converging |= 1 << j
+            for i in self.iter_mask(self._back_tau[j]):
+                left[i] -= 1
+                if not left[i]:
+                    peeled.append(i)
+        self._divergent = self.full_mask & ~converging
 
     # -- interning helpers ------------------------------------------------
 
@@ -175,27 +201,37 @@ class Lts:
         row = self._strong.get(act) or [0] * len(self.states)
         return [list(self.iter_mask(mask)) for mask in row]
 
-    def weak_row(self, act: Action) -> list[int]:
-        """Weak derivative masks for every state; all zeroes for an action
-        with no transitions anywhere."""
+    def pre(self, act: Action, mask: int) -> int:
+        """States with some weak act-derivative in the mask, by a backward
+        search: the tau-predecessor closure of the mask, then for a visible
+        action its act-predecessors and their tau-predecessor closure.  The
+        predecessor rows of a visible action are transposed from its
+        successor rows on first use."""
+        if act.kind == "tau":
+            return _reach(self._back_tau, mask)
         if act.kind == "omega":
             raise LtsError("omega has no weak derivatives")
-        row = self._weak.get(act)
-        if row is None:
-            strong = self._strong.get(act)
-            if strong is None:
-                return [0] * len(self.states)
-            after = [_image(self._closure, r) for r in strong]
-            row = self._weak[act] = [_image(after, c) for c in self._closure]
-        return row
+        back = self._back.get(act.name)
+        if back is None:
+            back = self._back[act.name] = _transpose(self._strong.get(act) or [0] * len(self.states))
+        return _reach(self._back_tau, _image(back, _reach(self._back_tau, mask)))
 
-    def pre(self, act: Action, mask: int) -> int:
-        """States with some weak act-derivative in the mask."""
-        out = 0
-        for i, targets in enumerate(self.weak_row(act)):
-            if targets & mask:
-                out |= 1 << i
-        return out
+    def _post(self, act: Action, i: int, stop: int = 0) -> int:
+        """Weak act-derivatives of state i, by a forward search: its tau
+        closure, then for a visible action one act step and the tau closure
+        of that.  The last closure ends early once it meets stop."""
+        if act.kind == "omega":
+            raise LtsError("omega has no weak derivatives")
+        if act.kind == "tau":
+            return _reach(self._tau, 1 << i, stop)
+        strong = self._strong.get(act)
+        if strong is None:
+            return 0
+        return _reach(self._tau, _image(strong, _reach(self._tau, 1 << i)), stop)
+
+    def reaches(self, act: Action, i: int, mask: int) -> bool:
+        """Whether state i has some weak act-derivative in the mask."""
+        return bool(self._post(act, i, mask) & mask)
 
     @property
     def divergent_mask(self) -> int:
@@ -215,7 +251,7 @@ class Lts:
 
     def weak_tau_closure(self, state: str) -> frozenset[str]:
         """States reachable by zero or more tau steps."""
-        return frozenset(self.names_of(self._closure[self.state_index(state)]))
+        return frozenset(self.names_of(self._post(TAU, self.state_index(state))))
 
     def weak_derivatives(self, state: str, act: Action) -> frozenset[str]:
         """Weak derivatives: tau closure for tau, closure-step-closure for a
@@ -223,7 +259,7 @@ class Lts:
         i = self.state_index(state)
         if act.kind == "visible" and act.name not in self.alphabet:
             raise LtsError(f"unknown action {act.name!r}")
-        return frozenset(self.names_of(self.weak_row(act)[i]))
+        return frozenset(self.names_of(self._post(act, i)))
 
     def converges(self, state: str) -> bool:
         """True when no infinite tau run starts at the state."""

@@ -59,6 +59,8 @@ class _Evaluator:
         self.closed_cache: dict[int, int] = {}
         # binder id -> (env signature over its free vars, fixpoint found)
         self.resume: dict[int, tuple[tuple[int, ...], int]] = {}
+        # open Dia or Box id -> (last mask passed to pre, its pre-image)
+        self.last_pre: dict[int, tuple[int, int]] = {}
 
     def eval(self, node, env) -> int:
         fv = node.free
@@ -86,16 +88,44 @@ class _Evaluator:
             case And(l, r):
                 out = self.eval(l, env) & self.eval(r, env)
             case Dia(act, body):
-                out = lts.pre(act, self.eval(body, env))
-            case Box(act, body):
                 p = self.eval(body, env)
-                out = self.converging & ~lts.pre(act, lts.full_mask & ~p)
+                out = self._pre(node, act, p) if fv else lts.pre(act, p)
+            case Box(act, body):
+                q = lts.full_mask & ~self.eval(body, env)
+                out = self.converging & ~(self._pre(node, act, q) if fv else lts.pre(act, q))
             case Min(_, _) | Max(_, _):
                 out = self._fixpoint(node, env, fv)
             case _:
                 raise FormulaError(f"cannot interpret {node!r}")
         if not fv:
             self.closed_cache[id(node)] = out
+        return out
+
+    def _pre(self, node, act, mask) -> int:
+        """lts.pre(act, mask) for an open modality, updated from the node's
+        previous input and output by the difference between the inputs."""
+        lts = self.lts
+        last = self.last_pre.get(id(node))
+        if last is None:
+            out = lts.pre(act, mask)
+        else:
+            old, out = last
+            if mask == old:
+                return out
+            gone = old & ~mask
+            if not gone:
+                # pre distributes over union
+                out |= lts.pre(act, mask & ~old)
+            elif not mask & ~old and gone.bit_count() < mask.bit_count():
+                # only predecessors of the removed states can have lost
+                # their last weak derivative in the mask; a forward search
+                # from one of them soon meets a mask that kept most states
+                for i in lts.iter_mask(out & lts.pre(act, gone)):
+                    if not lts.reaches(act, i, mask):
+                        out &= ~(1 << i)
+            else:
+                out = lts.pre(act, mask)
+        self.last_pre[id(node)] = (mask, out)
         return out
 
     def _acc(self, actions) -> int:

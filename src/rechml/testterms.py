@@ -6,11 +6,10 @@ way omega enters a test.  The step relation follows the usual rules: a
 prefix fires its action, a sum commits to one side, and recursion unfolds
 in a single tau step.
 
-Free variables, substitution and canonical renaming are the shared binder
-operations of rechml.formulas (bound names B0, B1, ...), re-exported here.
-Exploration does not use them: it converts the root once to de Bruijn
-nodes interned to ints (de Bruijn 1972), steps and substitutes on those
-ids, and tells states apart by id.  The named canonical term of a state is
+Free variables and substitution are the shared binder operations of
+rechml.formulas, re-exported here.  Exploration does not use them: it
+converts the root once to de Bruijn nodes interned to ints (de Bruijn
+1972), steps and substitutes on those ids, and tells states apart by id.  The named canonical term of a state is
 built only when a caller reads it; its printed text, which names equation
 variables, is printed straight from the ids.
 """
@@ -18,7 +17,7 @@ variables, is printed straight from the ids.
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .formulas import Binder, Term, Variable, canonical, free_vars, substitute
+from .formulas import Binder, Term, Variable, free_vars, substitute
 from .lts import OMEGA, TAU, Action, Lts
 
 
@@ -293,8 +292,8 @@ class _Table:
 
 def _named(nodes: list[tuple], root: int) -> Test:
     """The canonical Test of an interned closed term: binders named B0, B1,
-    ... in preorder, as canonical names them.  One walk with its own stack
-    and one scope list of the binder names."""
+    ... in preorder.  One walk with its own stack and one scope list of
+    the binder names."""
     prefix = Test.bound_prefix
     scope: list[str] = []  # binder names, innermost last
     count = 0

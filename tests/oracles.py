@@ -6,9 +6,11 @@ the warm-restart evaluator and the worklist solvers of the package
 proper.  Slow is fine; these run on small inputs only.
 """
 
+from functools import cache
 from itertools import chain, combinations
 
 from rechml import formulas as fm
+from rechml.formulas import Binder, Variable
 from rechml import testterms as tm
 from rechml.lts import OMEGA, TAU
 
@@ -65,9 +67,12 @@ def converges(lts, state):
 
 def sat_states(lts, formula, env=None):
     """Naive recursive evaluator over sets of state names.  Fixpoints by
-    plain Kleene iteration, recomputed from scratch at every level."""
+    plain Kleene iteration, recomputed from scratch at every level.  Weak
+    derivatives and convergence are memoised per state for the call."""
     env = dict(env or {})
     states = set(lts.states)
+    weak = cache(lambda s, a: weak_derivatives(lts, s, a))
+    convergent = cache(lambda s: converges(lts, s))
 
     def ev(node, rho):
         match node:
@@ -83,15 +88,14 @@ def sat_states(lts, formula, env=None):
                 return ev(left, rho) & ev(right, rho)
             case fm.Dia(action, body):
                 target = ev(body, rho)
-                return {s for s in states
-                        if weak_derivatives(lts, s, action) & target}
+                return {s for s in states if weak(s, action) & target}
             case fm.Box(action, body):
                 target = ev(body, rho)
-                return {s for s in states if converges(lts, s)
-                        and weak_derivatives(lts, s, action) <= target}
+                return {s for s in states if convergent(s)
+                        and weak(s, action) <= target}
             case fm.Acc(actions):
-                return {s for s in states if converges(lts, s) and all(
-                    any(weak_derivatives(lts, r, lts_visible(a)) for a in actions)
+                return {s for s in states if convergent(s) and all(
+                    any(weak(r, lts_visible(a)) for a in actions)
                     for r in tau_closure(lts, s))}
             case fm.Min(var, body):
                 current = set()
@@ -203,17 +207,48 @@ def must_oracle(proc, tlts, p, troot):
     return (p, troot) in good
 
 
+def canonical(term):
+    """Rename bound variables to P0, P1, ... in traversal order, where P is
+    the family's bound_prefix; two terms are alpha-equivalent exactly when
+    their canonical forms are structurally equal.  One scope dict serves
+    the whole walk: each binder saves the entry it shadows and restores it
+    on the way out."""
+    prefix = term.bound_prefix
+    counter = [0]
+    env: dict[str, str] = {}
+
+    def walk(node):
+        match node:
+            case Variable(name=name):
+                return type(node)(env.get(name, name))
+            case Binder(var=x, body=b):
+                name = f"{prefix}{counter[0]}"
+                counter[0] += 1
+                shadowed = env.get(x)
+                env[x] = name
+                body = walk(b)
+                if shadowed is None:
+                    del env[x]
+                else:
+                    env[x] = shadowed
+                return type(node)(name, body)
+            case _:
+                return node.map_children(walk)
+
+    return walk(term)
+
+
 def explore_oracle(term):
     """States, transitions and terms of the test LTS by breadth-first search
     over the public test_step targets, each state identified by its
     canonical term, which is hashed and compared structurally."""
-    root = fm.canonical(term)
+    root = canonical(term)
     found = {root: 0}
     order = [root]
     transitions = []
     for i, current in enumerate(order):  # order grows while it is read
         for action, target in tm.test_step(current):
-            target = fm.canonical(target)
+            target = canonical(target)
             if target not in found:
                 found[target] = len(order)
                 order.append(target)

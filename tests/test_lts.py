@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -78,11 +80,15 @@ def test_divergence_frozen():
     assert lts.converges("s1")
 
 
-def test_weak_row_rejects_omega_and_unknown_actions():
+def test_weak_queries_reject_omega_and_unknown_actions():
     lts = chain_with_loop()
     with pytest.raises(LtsError):
-        lts.weak_row(OMEGA)
-    assert lts.weak_row(visible("zz")) == [0, 0, 0, 0]
+        lts.pre(OMEGA, lts.full_mask)
+    with pytest.raises(LtsError):
+        lts.weak_derivatives("s0", OMEGA)
+    # an action with no transitions anywhere has no predecessors, but
+    # naming one outside the alphabet is an error
+    assert lts.pre(visible("zz"), lts.full_mask) == 0
     with pytest.raises(LtsError):
         lts.weak_derivatives("s0", visible("zz"))
 
@@ -130,3 +136,69 @@ def test_long_tau_chains_match_oracle():
             act = visible(letter)
             assert set(lts.weak_derivatives(state, act)) == \
                 oracles.weak_derivatives(lts, state, act)
+
+
+def tau_heavy(rng, n):
+    """Tau self-loops, tau cycles nested inside larger ones, long tau
+    chains that end in them or in a deadlock, and some visible moves."""
+    names = [f"s{i}" for i in range(n)]
+    edges = []
+    for _ in range(rng.randint(0, 3)):
+        edges.append((rng.choice(names), TAU, rng.choice(names)))
+        s = rng.choice(names)
+        edges.append((s, TAU, s))
+    for _ in range(rng.randint(1, 3)):
+        chain = rng.sample(names, rng.randint(2, n))
+        edges += [(x, TAU, y) for x, y in zip(chain, chain[1:])]
+        if rng.random() < 0.5:
+            # close it into a cycle through a random earlier state
+            edges.append((chain[-1], TAU, rng.choice(chain[:-1])))
+    for _ in range(n):
+        edges.append((rng.choice(names), visible(rng.choice("ab")), rng.choice(names)))
+    return Lts(names, edges, alphabet="ab")
+
+
+@pytest.mark.parametrize("trial", range(30))
+def test_peeled_divergence_and_backward_pre_match_oracle(trial):
+    rng = random.Random(trial)
+    lts = tau_heavy(rng, rng.randint(2, 40))
+    for state in lts.states:
+        assert lts.converges(state) == (not oracles.diverges(lts, state)), state
+    for _ in range(4):
+        mask = sum(1 << i for i in range(len(lts.states)) if rng.random() < 0.2)
+        target = set(lts.names_of(mask))
+        for act in (TAU, visible("a"), visible("b")):
+            expected = {s for s in lts.states if oracles.weak_derivatives(lts, s, act) & target}
+            assert set(lts.names_of(lts.pre(act, mask))) == expected
+            for i, state in enumerate(lts.states):
+                assert lts.reaches(act, i, mask) == (state in expected)
+
+
+# Builds a 4000-state tau chain whose last state offers a back to the first,
+# answers pre and divergence, closes the chain into a tau cycle and answers
+# divergence again; prints the seconds taken.
+_TAU_CHAIN = """
+import sys, time
+from rechml.lts import TAU, Lts, visible
+
+n = int(sys.argv[1])
+a = visible("a")
+chain = [(f"p{i}", TAU, f"p{i + 1}") for i in range(n - 1)]
+start = time.perf_counter()
+lts = Lts(transitions=chain + [(f"p{n - 1}", a, "p0")])
+last = 1 << lts.state_index(f"p{n - 1}")
+assert lts.pre(TAU, last) == lts.full_mask
+assert lts.pre(a, 1 << lts.state_index("p0")) == lts.full_mask
+assert lts.divergent_mask == 0
+looped = Lts(transitions=chain + [(f"p{n - 1}", TAU, f"p{n // 2}")])
+assert looped.divergent_mask == looped.full_mask
+print(time.perf_counter() - start)
+"""
+
+
+def test_long_tau_chain_builds_without_closures():
+    # a tau closure per state made this about 14 s
+    done = subprocess.run([sys.executable, "-c", _TAU_CHAIN, "4000"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 5, done.stdout

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -6,8 +7,10 @@ import pytest
 from rechml import formulas as fm
 from rechml.generators import TrialConfig, generate_formula, generate_lts, spawn_rng
 from rechml.lts import TAU, Lts, visible
+from rechml.textio import format_formula, parse_formula
 from rechml.semantics import (
     EvalStats,
+    _Evaluator,
     interpret,
     interpret_simultaneous,
     interpret_simultaneous_vector,
@@ -207,3 +210,195 @@ def test_single_fixpoints_match_tarski(trial):
     greatest = interpret_states(lts, fm.Max("X", body))
     assert least == oracles.tarski_least(lts, "X", body)
     assert greatest == oracles.tarski_greatest(lts, "X", body)
+
+
+# -- large systems: the ring and tangle shapes of the cli benchmark --------
+
+C = visible("c")
+LETTERS = (A, B, C)
+
+
+def ring(rng, n):
+    """An a-ring of 9n/10 states with one b move, sparse tau shortcuts and
+    c-exits into an a-path of n/10 states that ends in deadlock, declared
+    in shuffled order.  A least fixpoint that looks for the b move takes
+    about n iterations."""
+    trap = max(2, n // 10)
+    size = n - trap
+    r = [f"r{i}" for i in range(size)]
+    d = [f"d{i}" for i in range(trap)]
+    edges = [(r[i], A, r[(i + 1) % size]) for i in range(size)]
+    goal = rng.randrange(size)
+    edges.append((r[goal], B, r[(goal + 1) % size]))
+    for i in rng.sample(range(size), max(1, size // 30)):
+        edges.append((r[i], TAU, r[(i + 1) % size]))
+    for i in rng.sample(range(size), max(1, size // 10)):
+        edges.append((r[i], C, d[0]))
+    edges.extend((d[i], A, d[i + 1]) for i in range(trap - 1))
+    states = r + d
+    rng.shuffle(states)
+    return Lts(states, edges, alphabet="abc")
+
+
+def tangle(rng, n, cycle):
+    """Blocks of `cycle` states in pairs: a tau path feeding a tau cycle
+    (divergent) or a tau path (convergent), plus two random visible moves
+    per state, declared in shuffled order."""
+    names = [f"s{i}" for i in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = []
+    blocks = [perm[i:i + cycle] for i in range(0, n, cycle)]
+    for k, block in enumerate(blocks):
+        edges += [(x, TAU, y) for x, y in zip(block, block[1:])]
+        if k % 2 == 0 and k + 1 < len(blocks):
+            edges.append((block[-1], TAU, blocks[k + 1][0]))
+        elif k % 4 == 1 and len(block) > 1:
+            edges.append((block[-1], TAU, block[0]))
+    for i in range(n):
+        for _ in range(2):
+            edges.append((i, rng.choice(LETTERS), rng.randrange(n)))
+    states = list(names)
+    rng.shuffle(states)
+    return Lts(states, [(names[s], act, names[t]) for s, act, t in edges], alphabet="abc")
+
+
+# min nested in max and max nested in min, over both modalities, Acc and
+# tau; the Kleene iterates of each inner binder grow or shrink by a few
+# states at a time on a ring
+ALTERNATING = [
+    r"max Y. min X. (<b>Y \/ <a>X)",
+    r"min X. max Y. (<b>tt \/ (<a>X /\ [c]Y /\ <a>Y))",
+    r"max Y. ([tau]Y /\ min X. (<a>X \/ (Acc{b} /\ <b>Y)))",
+    r"min X. (<c>tt \/ max Y. (<a>(X \/ Y) /\ [b]Y))",
+    r"max Y. min X. (([a]X /\ <a>tt) \/ <b>Y \/ <tau>(Acc{c} /\ Y))",
+    r"min X. max Y. (<b>tt \/ <tau>X \/ ([c]ff /\ <a>Y /\ [a](Y \/ X)))",
+]
+
+
+@pytest.mark.parametrize("shape,n", [("ring", 50), ("ring", 200), ("tangle", 60), ("tangle", 200)])
+def test_alternating_fixpoints_match_oracle_on_large_systems(shape, n):
+    rng = random.Random(n)
+    lts = ring(rng, n) if shape == "ring" else tangle(rng, n, 12)
+    for text in ALTERNATING:
+        phi = parse_formula(text)
+        assert interpret_states(lts, phi) == oracles.sat_states(lts, phi), text
+    cfg = TrialConfig(max_formula_depth=4)
+    for trial in range(12):
+        phi = generate_formula(cfg, spawn_rng(n, f"large-{shape}", trial), "full")
+        assert interpret_states(lts, phi) == oracles.sat_states(lts, phi), format_formula(phi)
+
+
+def _replay(lts, node, masks):
+    """Evaluates node under X = each mask in turn with one evaluator, so
+    that each Dia or Box is updated from its previous input; checks every
+    result against a fresh evaluation and the oracle, and returns the
+    masks passed to lts.pre and the states passed to lts.reaches."""
+    pre_masks, rechecked = [], []
+    pre, reaches = lts.pre, lts.reaches
+    lts.pre = lambda act, mask: pre_masks.append(mask) or pre(act, mask)
+    lts.reaches = lambda act, i, mask: rechecked.append(i) or reaches(act, i, mask)
+    ev = _Evaluator(lts, None)
+    try:
+        got = [ev.eval(node, {"X": mask}) for mask in masks]
+    finally:
+        del lts.pre, lts.reaches
+    for mask, out in zip(masks, got):
+        assert out == interpret(lts, node, {"X": mask})
+        env = {"X": set(lts.names_of(mask))}
+        assert set(lts.names_of(out)) == oracles.sat_states(lts, node, env)
+    return pre_masks, rechecked
+
+
+def _chain(rng, lts, density, steps, grow):
+    """A random mask of the given density, then steps masks that each add
+    (grow) or drop one to three states of the one before."""
+    masks = [sum(1 << i for i in range(len(lts.states)) if rng.random() < density)]
+    for _ in range(steps):
+        mask = masks[-1]
+        pool = [i for i in range(len(lts.states)) if bool(mask >> i & 1) != grow]
+        for i in rng.sample(pool, min(len(pool), rng.randint(1, 3))):
+            mask ^= 1 << i
+        masks.append(mask)
+    return masks
+
+
+def _added(masks):
+    return [new & ~old for old, new in zip(masks, masks[1:])]
+
+
+def _dropped(masks):
+    return [old & ~new for old, new in zip(masks, masks[1:])]
+
+
+# One case per direction in which the input of a modality can move between
+# two evaluations, on a tau-heavy system.  A Box takes the pre-image of the
+# complement of its body, so it moves the other way.
+
+@pytest.mark.parametrize("act", [A, TAU])
+def test_delta_dia_growing(act):
+    rng = random.Random(6)
+    lts = tangle(rng, 120, 8)
+    masks = _chain(rng, lts, 0.1, 12, grow=True)
+    pre_masks, rechecked = _replay(lts, fm.Dia(act, fm.Var("X")), masks)
+    assert pre_masks == masks[:1] + _added(masks) and not rechecked
+
+
+@pytest.mark.parametrize("act", [A, TAU])
+def test_delta_dia_shrinking(act):
+    rng = random.Random(6)
+    lts = tangle(rng, 120, 8)
+    masks = _chain(rng, lts, 0.9, 12, grow=False)
+    lowest = masks[-1] & -masks[-1]
+    pre_masks, rechecked = _replay(lts, fm.Dia(act, fm.Var("X")), masks + [lowest])
+    # a few dropped states: recheck their predecessors one at a time;
+    # most of the mask dropped: the pre-image of what is left
+    assert pre_masks == masks[:1] + _dropped(masks) + [lowest] and rechecked
+
+
+@pytest.mark.parametrize("act", [A, TAU])
+def test_delta_box_growing(act):
+    rng = random.Random(6)
+    lts = tangle(rng, 120, 8)
+    masks = _chain(rng, lts, 0.1, 12, grow=True)
+    pre_masks, rechecked = _replay(lts, fm.Box(act, fm.Var("X")), masks)
+    assert pre_masks == [lts.full_mask & ~masks[0]] + _added(masks) and rechecked
+
+
+@pytest.mark.parametrize("act", [A, TAU])
+def test_delta_box_shrinking(act):
+    rng = random.Random(6)
+    lts = tangle(rng, 120, 8)
+    masks = _chain(rng, lts, 0.9, 12, grow=False)
+    pre_masks, rechecked = _replay(lts, fm.Box(act, fm.Var("X")), masks)
+    assert pre_masks == [lts.full_mask & ~masks[0]] + _dropped(masks) and not rechecked
+
+
+@pytest.mark.parametrize("act", [A, TAU])
+def test_delta_incomparable_inputs(act):
+    rng = random.Random(6)
+    lts = tangle(rng, 120, 8)
+    masks = [_chain(rng, lts, 0.5, 0, True)[0] for _ in range(8)]
+    assert all(a & ~b and b & ~a for a, b in zip(masks, masks[1:]))
+    pre_masks, rechecked = _replay(lts, fm.Dia(act, fm.Var("X")), masks)
+    assert pre_masks == masks and not rechecked
+    pre_masks, rechecked = _replay(lts, fm.Box(act, fm.Var("X")), masks)
+    assert pre_masks == [lts.full_mask & ~m for m in masks] and not rechecked
+
+
+# (fixpoint_iterations, evaluations) of the ring formulas of the cli
+# benchmark on a 480-state ring, as the full pre-image recomputation
+# counted them; the delta updates must compute the same iterates
+RING_WORK = {
+    r"min X. (<b>tt \/ <a>X)": (419, 1260),
+    r"max Y. min X. (<b>Y \/ <a>X)": (840, 4193),
+    r"min X. (<b>tt \/ ([a]X /\ <a>tt))": (433, 1737),
+}
+
+
+def test_ring_work_counts_frozen():
+    lts = ring(random.Random(480), 480)
+    for text, counts in RING_WORK.items():
+        stats = EvalStats()
+        interpret(lts, parse_formula(text), stats=stats)
+        assert (stats.fixpoint_iterations, stats.evaluations) == counts, text
