@@ -14,6 +14,20 @@ only grown (the usual case when fixpoints are nested to one side), the
 previous fixpoint is a sound starting point below the new one.  When the
 environments are not comparable the iteration falls back to a cold start,
 so the optimization never changes the computed set.
+
+Both modalities come down to one weak pre-image, Lts.pre (a box takes it
+of the complement of its body).  Between Kleene iterates the input of a
+modality under a binder changes by a few states, so each open modality
+keeps its last input and pre-image and is updated from the difference,
+as in semi-naive evaluation: pre distributes over union, so a grown
+input adds the pre-image of the added states; when the input dropped
+fewer states than it kept, only the weak predecessors of the dropped
+states can have left the pre-image, and each is rechecked by a forward
+search that stops at the first weak derivative still in the input.  Any
+other input is recomputed in full.  Every update yields exactly the
+pre-image of the new input, so the iterates and their counts are those
+of plain Kleene iteration.  Closed subformulas are evaluated once and
+need no update.
 """
 
 from dataclasses import dataclass
@@ -33,7 +47,7 @@ from .formulas import (
     Tt,
     Var,
 )
-from .lts import TAU, Lts, visible
+from .lts import TAU, Lts, LtsError, visible
 
 
 @dataclass
@@ -181,7 +195,12 @@ def _normalize_env(lts, env) -> dict[str, int]:
     out = {}
     if env:
         for var, value in env.items():
-            out[var] = value if isinstance(value, int) else lts.mask_of(value)
+            if not isinstance(value, int):
+                value = lts.mask_of(value)
+            elif value < 0 or value & ~lts.full_mask:
+                # pre would index a row that does not exist
+                raise LtsError(f"mask for {var} names states outside the system")
+            out[var] = value
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from rechml import formulas as fm
 from rechml.generators import TrialConfig, generate_formula, generate_lts, spawn_rng
-from rechml.lts import TAU, Lts, visible
+from rechml.lts import TAU, Lts, LtsError, visible
 from rechml.textio import format_formula, parse_formula
 from rechml.semantics import (
     EvalStats,
@@ -117,6 +117,13 @@ def test_environment_accepts_names_or_masks():
     assert names(lts, by_names) == {"fork", "pa", "divfork"}
 
 
+def test_environment_rejects_masks_outside_the_system():
+    lts = fork_fixture()
+    for mask in (1 << len(lts.states), -1):
+        with pytest.raises(LtsError):
+            interpret(lts, fm.Dia(A, fm.Var("X")), {"X": mask})
+
+
 def test_unbound_variable_raises():
     lts = fork_fixture()
     with pytest.raises(fm.FormulaError):
@@ -131,7 +138,7 @@ def test_unbound_variable_raises():
 _NESTED_BINDERS = """
 import resource, sys, threading
 from rechml import formulas as fm
-from rechml.lts import TAU, Lts, visible
+from rechml.lts import TAU, Lts, LtsError, visible
 from rechml.semantics import interpret
 
 n = int(sys.argv[1])
