@@ -2,12 +2,11 @@
 testing and translations in both directions."""
 
 from .experiments import (
+    Experiment,
     ExperimentGraph,
     compose_all,
     may_satisfy,
     may_states,
-    may_witness,
-    must_counterexample,
     must_satisfy,
     must_states,
     must_unfold_law,
@@ -73,8 +72,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Acc", "Action", "And", "Box", "CapExceeded", "Dia", "EvalStats",
-    "ExperimentGraph", "Ff", "FormulaError", "Lts", "LtsError", "Max",
-    "Min", "Mu", "Nil", "OMEGA", "Or", "ParseError", "Prefix",
+    "Experiment", "ExperimentGraph", "Ff", "FormulaError", "Lts",
+    "LtsError", "Max", "Min", "Mu", "Nil", "OMEGA", "Or", "ParseError", "Prefix",
     "SimFormula", "Success", "Sum", "TAU", "TVar", "TestError",
     "TrialConfig", "TrialReport", "Tt", "Var", "approximant",
     "bekic_eliminate", "compose_all", "explore", "format_formula", "format_lts",
@@ -82,8 +81,7 @@ __all__ = [
     "free_vars", "generate_formula", "generate_lts", "generate_test",
     "interpret", "interpret_simultaneous", "interpret_states",
     "is_mayhml", "is_musthml", "is_tt_grammar", "may_satisfy",
-    "may_states", "may_witness", "must_counterexample", "must_satisfy",
-    "must_states",
+    "may_states", "must_satisfy", "must_states",
     "must_unfold_law", "parallel_compose", "parse_formula", "parse_lts",
     "parse_test", "reachable_lts", "report_json", "report_text",
     "satisfies", "spawn_rng", "substitute", "test_lts_to_may_system",

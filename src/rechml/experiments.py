@@ -10,15 +10,27 @@ A process may pass the test when some success configuration is reachable;
 it must pass when every maximal computation visits a success configuration.
 The must set is the least fixpoint of "successful now, or at least one move
 and all moves lead into the set", and the may set that of "successful now,
-or some move leads into the set"; one backward worklist computes both.
+or some move leads into the set".
 
 The product runs on ints: configuration (ip, it) is the key ip * n + it
-over the n test states, and each side's strong moves come from
-Lts.successors as lists of state indices.  Names are attached at the end.
+over the n test states, and each side's strong moves come from the
+successor masks of Lts.strong_row, read only for the configurations that
+are expanded.  Names are attached at the end.
+There are two routes over it:
+
+- Local, for one process state (Experiment, which the CLI uses): moves
+  are built only as far as the answers need.  May and the witness stop at
+  the first success configuration in breadth-first order; must stops at
+  the first non-success deadlock or cycle found depth first.
+- All roots (compose_all, and parallel_compose for one root): the whole
+  reachable graph is built, and one backward worklist over it solves may
+  and must for every configuration at once.  The harness uses this route,
+  and the tests compare the two.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .lts import TAU, Lts, LtsError, visible
 from .testterms import Mu, Test, TestError, reachable_lts
@@ -43,33 +55,67 @@ class ExperimentGraph:
     def __len__(self):
         return len(self.configs)
 
+    @cached_property
+    def passing(self) -> tuple[list[bool], list[bool]]:
+        """Per configuration, whether it may pass and whether it must
+        pass; solved once, on first read."""
+        return _passing(self)
 
-def _compose(proc: Lts, test: Lts, roots, t: str) -> ExperimentGraph:
-    """Breadth-first product seeded with (i, t) for each process state
-    index i in roots, in that order.  Targets are listed as process taus,
-    test taus, then shared actions by name, each once; witness and
-    counterexample paths follow this order."""
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _product(proc: Lts, test: Lts):
+    """The moves of the product of proc and test on int keys: returns
+    (n, moves) where configuration (ip, it) is the key ip * n + it and
+    moves(key) lists its target keys as process taus, test taus, then
+    shared actions by name, each once.  Witness and counterexample paths
+    follow this order.  Each side's successor index lists are built per
+    state, when a configuration first needs them."""
     if proc.has_omega:
         raise LtsError("process side of an experiment cannot use omega")
     n = len(test.states)
+    acts = [TAU] + [visible(a) for a in sorted(set(proc.alphabet) & set(test.alphabet))]
+    proc_rows, test_rows = [proc.strong_row(a) for a in acts], [test.strong_row(a) for a in acts]
+    proc_steps = [None] * len(proc.states)
+    test_steps = [None] * n
+
+    def moves(key):
+        ip, it = divmod(key, n)
+        ps, ts = proc_steps[ip], test_steps[it]
+        if ps is None:
+            ps = proc_steps[ip] = [_bits(row[ip]) for row in proc_rows]
+        if ts is None:
+            ts = test_steps[it] = [_bits(row[it]) for row in test_rows]
+        targets = [jp * n + it for jp in ps[0]]
+        targets += [ip * n + jt for jt in ts[0]]
+        for k in range(1, len(acts)):
+            if ps[k] and ts[k]:
+                targets += [jp * n + jt for jp in ps[k] for jt in ts[k]]
+        return list(dict.fromkeys(targets))
+
+    return n, moves
+
+
+def _compose(proc: Lts, test: Lts, roots, t: str) -> ExperimentGraph:
+    """Breadth-first product seeded with (i, t) for each process state
+    index i in roots, in that order; edges follow the order of _product."""
+    n, moves = _product(proc, test)
     start = test.state_index(t)
     roots = list(roots)
-    shared = sorted(set(proc.alphabet) & set(test.alphabet))
-    synced = [(proc.successors(visible(a)), test.successors(visible(a))) for a in shared]
-    proc_tau, test_tau = proc.successors(TAU), test.successors(TAU)
-
     keys = [ip * n + start for ip in roots]
     index = {key: k for k, key in enumerate(keys)}
     edges: list[list[int]] = []
     for key in keys:  # the key list is the queue: it grows while walked
-        ip, it = divmod(key, n)
-        targets = [jp * n + it for jp in proc_tau[ip]]
-        targets += [ip * n + jt for jt in test_tau[it]]
-        for proc_next, test_next in synced:
-            if proc_next[ip]:
-                targets += [jp * n + jt for jp in proc_next[ip] for jt in test_next[it]]
         out = []
-        for target in dict.fromkeys(targets):
+        for target in moves(key):
             got = index.get(target)
             if got is None:
                 got = index[target] = len(keys)
@@ -99,32 +145,34 @@ def compose_all(proc: Lts, test: Lts, t: str) -> ExperimentGraph:
     return _compose(proc, test, range(len(proc.states)), t)
 
 
-def _passing(graph: ExperimentGraph, every: bool) -> list[bool]:
-    """Configurations that pass, as the least set holding the success
-    configurations and closed backwards: a configuration joins once some
-    move (may) or, with at least one move, every move (must) leads into
-    the set.  Solved with a worklist of remaining-move counters."""
+def _passing(graph: ExperimentGraph) -> tuple[list[bool], list[bool]]:
+    """The configurations that may pass and those that must pass.  Each is
+    the least set holding the success configurations and closed
+    backwards: a configuration joins once some move (may) or, with at
+    least one move, every move (must) leads into the set.  One list of
+    predecessors serves both worklists of remaining-move counters."""
     n = len(graph.configs)
     preds: list[list[int]] = [[] for _ in range(n)]
-    remaining = [0] * n
     for src, targets in enumerate(graph.edges):
-        remaining[src] = len(targets) if every else 1
         for dst in targets:
             preds[dst].append(src)
-    inside = list(graph.success)
-    queue = deque(c for c in range(n) if inside[c])
-    while queue:
-        c = queue.popleft()
-        for p in preds[c]:
-            remaining[p] -= 1
-            if not inside[p] and remaining[p] == 0:
-                inside[p] = True
-                queue.append(p)
-    return inside
+
+    def close(remaining):
+        inside = list(graph.success)
+        queue = deque(c for c in range(n) if inside[c])
+        while queue:
+            c = queue.popleft()
+            for p in preds[c]:
+                remaining[p] -= 1
+                if not inside[p] and remaining[p] == 0:
+                    inside[p] = True
+                    queue.append(p)
+        return inside
+
+    return close([1] * n), close([len(targets) for targets in graph.edges])
 
 
-def _root_mask(graph: ExperimentGraph, every: bool) -> int:
-    inside = _passing(graph, every)
+def _root_mask(graph: ExperimentGraph, inside: list[bool]) -> int:
     mask = 0
     for k, ip in enumerate(graph.roots):
         if inside[k]:
@@ -134,78 +182,170 @@ def _root_mask(graph: ExperimentGraph, every: bool) -> int:
 
 def may_satisfy(graph: ExperimentGraph) -> bool:
     """Some computation from the root reaches a success configuration."""
-    return _passing(graph, False)[0]
+    return graph.passing[0][0]
 
 
 def must_satisfy(graph: ExperimentGraph) -> bool:
     """Every maximal computation from the root visits a success
     configuration."""
-    return _passing(graph, True)[0]
+    return graph.passing[1][0]
 
 
 def may_states(graph: ExperimentGraph) -> int:
     """Mask of the root process states that may pass."""
-    return _root_mask(graph, False)
+    return _root_mask(graph, graph.passing[0])
 
 
 def must_states(graph: ExperimentGraph) -> int:
     """Mask of the root process states that must pass."""
-    return _root_mask(graph, True)
+    return _root_mask(graph, graph.passing[1])
 
 
-def may_witness(graph: ExperimentGraph):
-    """A successful computation as a list of configurations, or None."""
-    parent = {0: None}
-    queue = deque((0,))
-    goal = None
-    while queue:
-        c = queue.popleft()
-        if graph.success[c]:
-            goal = c
-            break
-        for d in graph.edges[c]:
-            if d not in parent:
-                parent[d] = c
-                queue.append(d)
-    if goal is None:
-        return None
-    path = []
-    at = goal
-    while at is not None:
-        path.append(graph.configs[at])
-        at = parent[at]
-    path.reverse()
-    return path
+class _Moves(dict):
+    """The moves of each configuration key, built on first lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        got = self[key] = self.build(key)
+        return got
 
 
-def must_counterexample(graph: ExperimentGraph):
-    """An unsuccessful maximal computation when the root must-fails.
+class Experiment:
+    """Process state p against test state t, solved locally (Liu and
+    Smolka 1998): a configuration's moves are built the first time an
+    answer needs them and kept, so are the must verdicts settled so far,
+    and the four answers share both memos.  Keys and move order are those
+    of _product, so the answers equal those read from parallel_compose.
 
-    Returns (path, loop_index) where path is a list of configurations and
-    loop_index is the position the final configuration loops back to, or
-    None when the path ends in a deadlocked configuration.  Returns None
-    when the root must-passes.
+    The process must not mention omega; the test may.
     """
-    inside = _passing(graph, True)
-    if inside[0]:
-        return None
-    path_ids = [0]
-    position = {0: 0}
-    at = 0
-    while True:
-        nxt = None
-        for d in graph.edges[at]:
-            if not inside[d]:
-                nxt = d
+
+    def __init__(self, proc: Lts, test: Lts, p: str, t: str):
+        self.proc, self.test = proc, test
+        ip = proc.state_index(p)
+        self._n, build = _product(proc, test)
+        self._root = ip * self._n + test.state_index(t)
+        self._moves = _Moves(build)
+        self._failing: dict[int, bool] = {}
+        self._search: tuple | None = None
+
+    @property
+    def built(self) -> int:
+        """Configurations whose moves have been built so far."""
+        return len(self._moves)
+
+    def _names(self, keys):
+        n, proc, test = self._n, self.proc.states, self.test.states
+        return [(proc[key // n], test[key % n]) for key in keys]
+
+    def _first_success(self):
+        """Breadth-first from the root in move order, stopping at the first
+        success configuration: (that configuration or None, the parent of
+        every configuration found)."""
+        if self._search is None:
+            moves, omega, n = self._moves, self.test.omega_mask, self._n
+            parent = {self._root: None}
+            order = [self._root]
+            goal = None
+            for key in order:  # the queue: it grows while walked
+                if omega >> key % n & 1:
+                    goal = key
+                    break
+                for d in moves[key]:
+                    if d not in parent:
+                        parent[d] = key
+                        order.append(d)
+            self._search = goal, parent
+        return self._search
+
+    def may(self) -> bool:
+        """Some computation from the root reaches a success configuration."""
+        return self._first_success()[0] is not None
+
+    def witness(self):
+        """A successful computation as a list of configurations, or None:
+        the path to the first success configuration in breadth-first move
+        order."""
+        goal, parent = self._first_success()
+        if goal is None:
+            return None
+        path = []
+        while goal is not None:
+            path.append(goal)
+            goal = parent[goal]
+        return self._names(reversed(path))
+
+    def _fails(self, key: int) -> bool:
+        """Whether some maximal computation from the configuration never
+        reaches success.  A depth-first search over the non-success
+        configurations stops at the first deadlock or the first move back
+        into its stack or into a configuration known to fail; then every
+        configuration on the stack fails.  A configuration whose search
+        ends without that passes: it moves, and every move passes."""
+        status, moves, omega, n = self._failing, self._moves, self.test.omega_mask, self._n
+        known = status.get(key)
+        if known is not None:
+            return known
+        if omega >> key % n & 1:
+            return False
+        stack: list[int] = []
+        todo = []
+        on_stack = set()
+        c = key
+        while True:  # c is a non-success configuration not settled yet
+            stack.append(c)
+            if not moves[c]:
                 break
-        if nxt is None:
-            return [graph.configs[i] for i in path_ids], None
-        if nxt in position:
-            path_ids.append(nxt)
-            return [graph.configs[i] for i in path_ids], position[nxt]
-        position[nxt] = len(path_ids)
-        path_ids.append(nxt)
-        at = nxt
+            on_stack.add(c)
+            todo.append(iter(moves[c]))
+            c = None
+            while c is None:
+                for d in todo[-1]:
+                    if not (omega >> d % n & 1 or status.get(d) is False):
+                        c = d
+                        break
+                else:  # every move passes
+                    done = stack.pop()
+                    todo.pop()
+                    on_stack.remove(done)
+                    status[done] = False
+                    if not stack:
+                        return False
+            if c in on_stack or status.get(c):
+                break
+        for c in stack:
+            status[c] = True
+        return True
+
+    def must(self) -> bool:
+        """Every maximal computation from the root visits a success
+        configuration."""
+        return not self._fails(self._root)
+
+    def counterexample(self):
+        """An unsuccessful maximal computation when the root must-fails.
+
+        Returns (path, loop_index) where path is a list of configurations
+        and loop_index is the position the final configuration loops back
+        to, or None when the path ends in a deadlocked configuration.  Each
+        step takes the first move, in move order, into a failing
+        configuration.  Returns None when the root must-passes.
+        """
+        if not self._fails(self._root):
+            return None
+        path = [self._root]
+        position = {self._root: 0}
+        while True:
+            nxt = next((d for d in self._moves[path[-1]] if self._fails(d)), None)
+            if nxt is None:
+                return self._names(path), None
+            path.append(nxt)
+            if nxt in position:
+                return self._names(path), position[nxt]
+            position[nxt] = len(path) - 1
 
 
 @dataclass

@@ -15,6 +15,7 @@ is still observably immutable and safe to share.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 
 class LtsError(Exception):
@@ -60,7 +61,10 @@ TAU = Action("tau")
 OMEGA = Action("omega")
 
 
+@cache
 def visible(name: str) -> Action:
+    """The visible action called name.  Actions are frozen, so every call
+    with one name returns the same instance, validated once."""
     return Action("visible", name)
 
 
@@ -192,14 +196,13 @@ class Lts:
             mask &= mask - 1
             yield i
 
-    # -- state-set queries: masks for the interpreter, index lists for the
-    #    experiment product, which steps one state at a time ---------------
+    # -- state-set queries ------------------------------------------------
 
-    def successors(self, act: Action) -> list[list[int]]:
-        """Strong act-successor indices of every state, each list
-        ascending; all empty for an action with no transitions anywhere."""
-        row = self._strong.get(act) or [0] * len(self.states)
-        return [list(self.iter_mask(mask)) for mask in row]
+    def strong_row(self, act: Action) -> tuple[int, ...]:
+        """The strong act-successor mask of every state; all 0 for an
+        action with no transitions anywhere."""
+        row = self._strong.get(act)
+        return tuple(row) if row else (0,) * len(self.states)
 
     def pre(self, act: Action, mask: int) -> int:
         """States with some weak act-derivative in the mask, by a backward

@@ -6,6 +6,7 @@ the warm-restart evaluator and the worklist solvers of the package
 proper.  Slow is fine; these run on small inputs only.
 """
 
+from collections import deque
 from functools import cache
 from itertools import chain, combinations
 
@@ -205,6 +206,60 @@ def must_oracle(proc, tlts, p, troot):
             break
         good = nxt
     return (p, troot) in good
+
+
+def may_witness(graph):
+    """Reference walk over a built experiment graph: a successful
+    computation as a list of configurations, or None.  Breadth-first from
+    the root in edge order, stopping at the first success configuration."""
+    parent = {0: None}
+    queue = deque((0,))
+    goal = None
+    while queue:
+        c = queue.popleft()
+        if graph.success[c]:
+            goal = c
+            break
+        for d in graph.edges[c]:
+            if d not in parent:
+                parent[d] = c
+                queue.append(d)
+    if goal is None:
+        return None
+    path = []
+    at = goal
+    while at is not None:
+        path.append(graph.configs[at])
+        at = parent[at]
+    path.reverse()
+    return path
+
+
+def must_counterexample(graph):
+    """Reference walk over a built experiment graph: (path, loop_index)
+    when the root must-fails, else None.  Each step takes the first edge
+    into a configuration outside the graph's must set; loop_index is where
+    the last configuration loops back to, or None at a deadlock."""
+    inside = graph.passing[1]
+    if inside[0]:
+        return None
+    path_ids = [0]
+    position = {0: 0}
+    at = 0
+    while True:
+        nxt = None
+        for d in graph.edges[at]:
+            if not inside[d]:
+                nxt = d
+                break
+        if nxt is None:
+            return [graph.configs[i] for i in path_ids], None
+        if nxt in position:
+            path_ids.append(nxt)
+            return [graph.configs[i] for i in path_ids], position[nxt]
+        position[nxt] = len(path_ids)
+        path_ids.append(nxt)
+        at = nxt
 
 
 def canonical(term):

@@ -1,15 +1,16 @@
 import hashlib
+import random
+import sys
 
 import pytest
 
 from rechml import testterms as tm
 from rechml.experiments import (
+    Experiment,
     UnfoldVerdicts,
     compose_all,
     may_satisfy,
     may_states,
-    may_witness,
-    must_counterexample,
     must_satisfy,
     must_states,
     must_unfold_law,
@@ -20,9 +21,11 @@ from rechml.lts import OMEGA, TAU, Lts, LtsError, visible
 from rechml.testterms import reachable_lts
 
 import oracles
+from oracles import may_witness, must_counterexample
 
 A = visible("a")
 B = visible("b")
+C = visible("c")
 
 
 def proc_fixture():
@@ -215,3 +218,174 @@ def test_product_output_frozen():
         for graph in (compose_all(proc, tlts, troot), parallel_compose(proc, tlts, last, troot)):
             h.update(repr((graph.configs, graph.edges, graph.success, graph.roots)).encode())
     assert h.hexdigest() == PRODUCT_DIGEST
+
+
+# -- local solving of one root -----------------------------------------------
+
+
+def answers(experiment, order):
+    """The four answers of an experiment, asked in the given order."""
+    ask = {"may": experiment.may, "must": experiment.must,
+           "witness": experiment.witness, "counterexample": experiment.counterexample}
+    got = {name: ask[name]() for name in order}
+    return got["may"], got["must"], repr(got["witness"]), repr(got["counterexample"])
+
+
+def count_builds(experiment):
+    """Wrap an experiment's move builder; returns the per-key build counts."""
+    counts = {}
+    build = experiment._moves.build
+
+    def counted(key):
+        counts[key] = counts.get(key, 0) + 1
+        return build(key)
+
+    experiment._moves.build = counted
+    return counts
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_local_answers_match_references(chunk):
+    """2000 seeded small pairs: at every root, may and must equal the
+    oracles and the all-roots solve, and the witness and counterexample
+    print exactly as the reference walks over the whole graph, whichever
+    answer is asked first."""
+    cfg = TrialConfig(max_states=6, max_test_depth=4)
+    for trial in range(200 * chunk, 200 * (chunk + 1)):
+        rng = spawn_rng(31, "local", trial)
+        proc = generate_lts(cfg, rng)
+        tlts, troot = reachable_lts(generate_test(cfg, rng))
+        may_all, must_all = compose_all(proc, tlts, troot).passing
+        for k, state in enumerate(proc.states):
+            graph = parallel_compose(proc, tlts, state, troot)
+            expected = (oracles.may_oracle(proc, tlts, state, troot),
+                        oracles.must_oracle(proc, tlts, state, troot),
+                        repr(may_witness(graph)), repr(must_counterexample(graph)))
+            assert expected[:2] == (may_all[k], must_all[k]), (trial, state)
+            experiment = Experiment(proc, tlts, state, troot)
+            counts = count_builds(experiment)
+            assert answers(experiment, ("may", "must", "witness", "counterexample")) == expected
+            assert set(counts.values()) <= {1}
+            later = Experiment(proc, tlts, state, troot)
+            assert answers(later, ("counterexample", "witness", "must", "may")) == expected
+            assert later.built <= len(graph)
+
+
+def test_root_success_builds_nothing():
+    proc = proc_fixture()
+    tlts, troot = reachable_lts(tm.Sum(tm.Success(), tm.Prefix(A, tm.Nil())))
+    for state in ("dead", "div", "fork"):
+        experiment = Experiment(proc, tlts, state, troot)
+        assert experiment.may() and experiment.must()
+        assert experiment.witness() == [(state, troot)]
+        assert experiment.counterexample() is None
+        assert experiment.built == 0
+
+
+def ring(n, letters="ab", seed=5):
+    """A tau-free process of n states, each with a move on every letter to
+    a seeded random state; nothing deadlocks."""
+    rng = random.Random(seed)
+    return Lts(states=[f"p{i}" for i in range(n)],
+               transitions=[(f"p{i}", visible(a), f"p{rng.randrange(n)}")
+                            for i in range(n) for a in letters])
+
+
+def levels(k, letters="ab"):
+    """An acyclic test LTS: level i moves to level i + 1 on every letter,
+    and level k succeeds."""
+    return Lts(states=[f"l{i}" for i in range(k + 1)],
+               transitions=[(f"l{i}", visible(a), f"l{i + 1}") for i in range(k) for a in letters]
+               + [(f"l{k}", OMEGA, f"l{k}")])
+
+
+def test_may_false_searches_the_whole_product():
+    proc = ring(40)
+    tlts, troot = reachable_lts(tm.Mu("X", tm.Sum(tm.Prefix(A, tm.Var("X")), tm.Prefix(B, tm.Var("X")))))
+    graph = parallel_compose(proc, tlts, "p0", troot)
+    experiment = Experiment(proc, tlts, "p0", troot)
+    assert not experiment.may() and experiment.witness() is None
+    assert experiment.built == len(graph) == 52
+
+
+def test_must_passing_visits_the_whole_non_success_region():
+    proc, tlts = ring(40), levels(6)
+    graph = parallel_compose(proc, tlts, "p0", "l0")
+    experiment = Experiment(proc, tlts, "p0", "l0")
+    assert experiment.must() and experiment.counterexample() is None
+    assert experiment.built == graph.success.count(False)
+    assert experiment.may()  # the first success: no further moves built
+    assert experiment.built == graph.success.count(False)
+
+
+def test_local_counterexample_shapes():
+    t = tm.Prefix(A, tm.Success())
+    tlts, troot = reachable_lts(t)
+    proc = proc_fixture()
+    assert Experiment(proc, tlts, "pb", troot).counterexample() == ([("pb", troot)], None)
+    path, loop = Experiment(proc, tlts, "div", troot).counterexample()
+    assert (path, loop) == ([("div", troot), ("div", troot)], 0)
+    assert Experiment(proc, tlts, "fork", troot).counterexample() is None
+
+
+def test_local_rejects_omega_and_unknown_states():
+    tlts, troot = reachable_lts(tm.Success())
+    bad = Lts(states=["x"], transitions=[("x", OMEGA, "x")])
+    with pytest.raises(LtsError, match="omega"):
+        Experiment(bad, tlts, "x", troot)
+    with pytest.raises(LtsError, match="unknown state"):
+        Experiment(proc_fixture(), tlts, "nowhere", troot)
+    with pytest.raises(LtsError, match="unknown state"):
+        Experiment(proc_fixture(), tlts, "fork", "nowhere")
+
+
+# (configurations built, configurations of the whole product) for the two
+# queries of test_work_counts_frozen.
+FROZEN_BUILT = [(17, 757), (1349, 1633)]
+
+
+def test_work_counts_frozen():
+    """Configurations built for all four answers, against the size of the
+    whole product.  The may-true, must-false query stops at the first
+    success and at the first failing loop; the must-passing one needs
+    every non-success configuration."""
+    proc = ring(300, "abc")
+    loop = tm.Mu("X", tm.Sum(tm.Prefix(A, tm.Var("X")),
+                             tm.Sum(tm.Prefix(B, tm.Var("X")),
+                                    tm.Prefix(C, tm.Prefix(C, tm.Success())))))
+    tlts, troot = reachable_lts(loop)
+    cases = [(tlts, troot, (True, False)), (levels(10, "abc"), "l0", (True, True))]
+    built = []
+    for tlts, troot, verdicts in cases:
+        experiment = Experiment(proc, tlts, "p0", troot)
+        counts = count_builds(experiment)
+        assert answers(experiment, ("may", "must", "witness", "counterexample"))[:2] == verdicts
+        assert set(counts.values()) == {1} and len(counts) == experiment.built
+        built.append((experiment.built, len(parallel_compose(proc, tlts, "p0", troot))))
+    assert built == FROZEN_BUILT
+
+
+def test_deep_chain_is_answered_iteratively():
+    """A 50,000-configuration chain under a recursion limit of 1000: the
+    searches keep their own stacks.  Each test unfolds its binder by a
+    tau step, so every process state meets two test states."""
+    n = 25_000
+    chain = Lts(states=[f"p{i}" for i in range(n)],
+                transitions=[(f"p{i}", A, f"p{i + 1}") for i in range(n - 1)]
+                + [(f"p{n - 1}", B, f"p{n - 1}")])
+    stop = tm.Mu("X", tm.Prefix(A, tm.Var("X")))
+    goal = tm.Mu("X", tm.Sum(tm.Prefix(A, tm.Var("X")), tm.Prefix(B, tm.Success())))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        tlts, troot = reachable_lts(stop)
+        failing = Experiment(chain, tlts, "p0", troot)
+        path, loop = failing.counterexample()
+        assert not failing.may() and not failing.must()
+        assert len(path) == failing.built == 2 * n and loop is None
+        tlts, troot = reachable_lts(goal)
+        passing = Experiment(chain, tlts, "p0", troot)
+        assert passing.must() and passing.counterexample() is None
+        assert len(passing.witness()) == 2 * n + 1
+    finally:
+        sys.setrecursionlimit(old)

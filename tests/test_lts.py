@@ -34,6 +34,15 @@ def test_action_ordering_and_validation():
             visible(reserved)
 
 
+def test_visible_shares_one_instance_per_name():
+    # an Action is frozen, so one validated instance serves every caller
+    assert visible("a") is visible("a")
+    assert visible("a") == Action("visible", "a") and visible("a") is not visible("b")
+    for _ in range(2):  # a rejected name is rejected again, not remembered
+        with pytest.raises(LtsError):
+            visible("w")
+
+
 def test_construction_interns_transition_states():
     lts = Lts(states=["s0"], transitions=[("s0", TAU, "zz")])
     assert lts.states == ("s0", "zz")
