@@ -7,6 +7,8 @@ from .experiments import (
     compose_all,
     may_satisfy,
     may_states,
+    may_witness,
+    must_counterexample,
     must_satisfy,
     must_states,
     must_unfold_law,
@@ -81,7 +83,8 @@ __all__ = [
     "free_vars", "generate_formula", "generate_lts", "generate_test",
     "interpret", "interpret_simultaneous", "interpret_states",
     "is_mayhml", "is_musthml", "is_tt_grammar", "may_satisfy",
-    "may_states", "must_satisfy", "must_states",
+    "may_states", "may_witness", "must_counterexample", "must_satisfy",
+    "must_states",
     "must_unfold_law", "parallel_compose", "parse_formula", "parse_lts",
     "parse_test", "reachable_lts", "report_json", "report_text",
     "satisfies", "spawn_rng", "substitute", "test_lts_to_may_system",

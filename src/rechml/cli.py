@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .experiments import Experiment
+from .experiments import may_satisfy, may_witness, must_counterexample, must_satisfy, parallel_compose
 from .formulas import FormulaError, bekic_eliminate, tree_size
 from .generators import TrialConfig
 from .harness import report_json, report_text, verify_theorems
@@ -92,15 +92,15 @@ def _cmd_testing(args) -> int:
     proc, _ = _load_lts_file(args.lts)
     proc.state_index(args.state)
     test_lts, root, _ = _load_test_side(args.test, args.max_test_states)
-    experiment = Experiment(proc, test_lts, args.state, root)
-    may = experiment.may()
-    must = experiment.must()
+    graph = parallel_compose(proc, test_lts, args.state, root)
+    may = may_satisfy(graph)
+    must = must_satisfy(graph)
     payload = {"command": args.command, "state": args.state,
                "may": may, "must": must}
     lines = [f"may={_bool(may)} must={_bool(must)}"]
     if args.witness:
         if args.command == "may":
-            path = experiment.witness()
+            path = may_witness(graph)
             payload["witness"] = None if path is None else [list(c) for c in path]
             if path is None:
                 lines.append("witness none")
@@ -108,7 +108,7 @@ def _cmd_testing(args) -> int:
                 lines.append("witness")
                 lines.extend(f"({p}|{t})" for p, t in path)
         else:
-            found = experiment.counterexample()
+            found = must_counterexample(graph)
             if found is None:
                 lines.append("counterexample none")
                 payload["counterexample"] = None

@@ -18,14 +18,15 @@ successor masks of Lts.strong_row, read only for the configurations that
 are expanded.  Names are attached at the end.
 There are two routes over it:
 
-- Local, for one process state (Experiment, which the CLI uses): moves
-  are built only as far as the answers need.  May and the witness stop at
-  the first success configuration in breadth-first order; must stops at
-  the first non-success deadlock or cycle found depth first.
-- All roots (compose_all, and parallel_compose for one root): the whole
-  reachable graph is built, and one backward worklist over it solves may
-  and must for every configuration at once.  The harness uses this route,
-  and the tests compare the two.
+- One root (parallel_compose, which the CLI uses): an Experiment builds
+  moves only as far as its answers need.  may_satisfy and may_witness
+  stop at the first success configuration in breadth-first order;
+  must_satisfy and must_counterexample at the first non-success deadlock
+  or cycle found depth first.
+- All roots (compose_all): the whole reachable graph is built, and one
+  backward worklist over it solves may and must for every configuration
+  at once (may_states, must_states).  The harness uses this route, and
+  the tests compare the two.
 """
 
 from collections import deque
@@ -40,7 +41,7 @@ from .testterms import Mu, Test, TestError, reachable_lts
 class ExperimentGraph:
     """Reachable configurations of a process paired with a test.  The
     root configurations come first: configuration k is the root of
-    process state index roots[k] (one root for parallel_compose, every
+    process state index roots[k] (one root for Experiment.graph, every
     state in order for compose_all); edges[i] lists successor indices in
     deterministic order; success[i] marks configurations whose test
     component offers omega."""
@@ -62,16 +63,6 @@ class ExperimentGraph:
         return _passing(self)
 
 
-def _bits(mask: int) -> list[int]:
-    """The indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _product(proc: Lts, test: Lts):
     """The moves of the product of proc and test on int keys: returns
     (n, moves) where configuration (ip, it) is the key ip * n + it and
@@ -91,9 +82,9 @@ def _product(proc: Lts, test: Lts):
         ip, it = divmod(key, n)
         ps, ts = proc_steps[ip], test_steps[it]
         if ps is None:
-            ps = proc_steps[ip] = [_bits(row[ip]) for row in proc_rows]
+            ps = proc_steps[ip] = [list(proc.iter_mask(row[ip])) for row in proc_rows]
         if ts is None:
-            ts = test_steps[it] = [_bits(row[it]) for row in test_rows]
+            ts = test_steps[it] = [list(test.iter_mask(row[it])) for row in test_rows]
         targets = [jp * n + it for jp in ps[0]]
         targets += [ip * n + jt for jt in ts[0]]
         for k in range(1, len(acts)):
@@ -126,15 +117,6 @@ def _compose(proc: Lts, test: Lts, roots, t: str) -> ExperimentGraph:
     success = [bool(test.omega_mask >> (key % n) & 1) for key in keys]
     named = [(proc.states[key // n], test.states[key % n]) for key in keys]
     return ExperimentGraph(proc, test, named, edges, success, roots)
-
-
-def parallel_compose(proc: Lts, test: Lts, p: str, t: str) -> ExperimentGraph:
-    """Experiment graph of process state p against test state t.
-
-    The process must not mention omega; the test may.  Only configurations
-    reachable from (p, t) are materialized.
-    """
-    return _compose(proc, test, (proc.state_index(p),), t)
 
 
 def compose_all(proc: Lts, test: Lts, t: str) -> ExperimentGraph:
@@ -180,27 +162,6 @@ def _root_mask(graph: ExperimentGraph, inside: list[bool]) -> int:
     return mask
 
 
-def may_satisfy(graph: ExperimentGraph) -> bool:
-    """Some computation from the root reaches a success configuration."""
-    return graph.passing[0][0]
-
-
-def must_satisfy(graph: ExperimentGraph) -> bool:
-    """Every maximal computation from the root visits a success
-    configuration."""
-    return graph.passing[1][0]
-
-
-def may_states(graph: ExperimentGraph) -> int:
-    """Mask of the root process states that may pass."""
-    return _root_mask(graph, graph.passing[0])
-
-
-def must_states(graph: ExperimentGraph) -> int:
-    """Mask of the root process states that must pass."""
-    return _root_mask(graph, graph.passing[1])
-
-
 class _Moves(dict):
     """The moves of each configuration key, built on first lookup."""
 
@@ -217,10 +178,13 @@ class Experiment:
     """Process state p against test state t, solved locally (Liu and
     Smolka 1998): a configuration's moves are built the first time an
     answer needs them and kept, so are the must verdicts settled so far,
-    and the four answers share both memos.  Keys and move order are those
-    of _product, so the answers equal those read from parallel_compose.
+    and may_satisfy, must_satisfy, may_witness and must_counterexample
+    share both memos.  Keys and move order are those of _product, so the
+    answers equal those read from the whole graph.
 
-    The process must not mention omega; the test may.
+    The whole reachable graph (configs, edges, success, roots, passing and
+    len, as in ExperimentGraph) is built only when one of them is read, by
+    a breadth-first search of its own that leaves the answers' memo alone.
     """
 
     def __init__(self, proc: Lts, test: Lts, p: str, t: str):
@@ -234,8 +198,24 @@ class Experiment:
 
     @property
     def built(self) -> int:
-        """Configurations whose moves have been built so far."""
+        """Configurations whose moves the answers have built so far."""
         return len(self._moves)
+
+    @cached_property
+    def graph(self) -> ExperimentGraph:
+        """The whole graph reachable from the root, as compose_all builds
+        it for one root."""
+        ip, it = divmod(self._root, self._n)
+        return _compose(self.proc, self.test, (ip,), self.test.states[it])
+
+    def __len__(self):
+        return len(self.graph)
+
+    configs = property(lambda self: self.graph.configs)
+    edges = property(lambda self: self.graph.edges)
+    success = property(lambda self: self.graph.success)
+    roots = property(lambda self: self.graph.roots)
+    passing = property(lambda self: self.graph.passing)
 
     def _names(self, keys):
         n, proc, test = self._n, self.proc.states, self.test.states
@@ -260,23 +240,6 @@ class Experiment:
                         order.append(d)
             self._search = goal, parent
         return self._search
-
-    def may(self) -> bool:
-        """Some computation from the root reaches a success configuration."""
-        return self._first_success()[0] is not None
-
-    def witness(self):
-        """A successful computation as a list of configurations, or None:
-        the path to the first success configuration in breadth-first move
-        order."""
-        goal, parent = self._first_success()
-        if goal is None:
-            return None
-        path = []
-        while goal is not None:
-            path.append(goal)
-            goal = parent[goal]
-        return self._names(reversed(path))
 
     def _fails(self, key: int) -> bool:
         """Whether some maximal computation from the configuration never
@@ -320,32 +283,73 @@ class Experiment:
             status[c] = True
         return True
 
-    def must(self) -> bool:
-        """Every maximal computation from the root visits a success
-        configuration."""
-        return not self._fails(self._root)
 
-    def counterexample(self):
-        """An unsuccessful maximal computation when the root must-fails.
+def parallel_compose(proc: Lts, test: Lts, p: str, t: str) -> Experiment:
+    """The experiment of process state p against test state t.
 
-        Returns (path, loop_index) where path is a list of configurations
-        and loop_index is the position the final configuration loops back
-        to, or None when the path ends in a deadlocked configuration.  Each
-        step takes the first move, in move order, into a failing
-        configuration.  Returns None when the root must-passes.
-        """
-        if not self._fails(self._root):
-            return None
-        path = [self._root]
-        position = {self._root: 0}
-        while True:
-            nxt = next((d for d in self._moves[path[-1]] if self._fails(d)), None)
-            if nxt is None:
-                return self._names(path), None
-            path.append(nxt)
-            if nxt in position:
-                return self._names(path), position[nxt]
-            position[nxt] = len(path) - 1
+    The process must not mention omega; the test may.  Nothing is built
+    until an answer, or the whole graph, is asked for.
+    """
+    return Experiment(proc, test, p, t)
+
+
+def may_satisfy(experiment: Experiment) -> bool:
+    """Some computation from the root reaches a success configuration."""
+    return experiment._first_success()[0] is not None
+
+
+def must_satisfy(experiment: Experiment) -> bool:
+    """Every maximal computation from the root visits a success
+    configuration."""
+    return not experiment._fails(experiment._root)
+
+
+def may_witness(experiment: Experiment):
+    """A successful computation as a list of configurations, or None: the
+    path to the first success configuration in breadth-first move order."""
+    goal, parent = experiment._first_success()
+    if goal is None:
+        return None
+    path = []
+    while goal is not None:
+        path.append(goal)
+        goal = parent[goal]
+    return experiment._names(reversed(path))
+
+
+def must_counterexample(experiment: Experiment):
+    """An unsuccessful maximal computation when the root must-fails.
+
+    Returns (path, loop_index) where path is a list of configurations and
+    loop_index is the position the final configuration loops back to, or
+    None when the path ends in a deadlocked configuration.  Each step
+    takes the first move, in move order, into a failing configuration.
+    Returns None when the root must-passes.
+    """
+    fails, moves, root = experiment._fails, experiment._moves, experiment._root
+    if not fails(root):
+        return None
+    path = [root]
+    position = {root: 0}
+    while True:
+        nxt = next((d for d in moves[path[-1]] if fails(d)), None)
+        if nxt is None:
+            return experiment._names(path), None
+        path.append(nxt)
+        if nxt in position:
+            return experiment._names(path), position[nxt]
+        position[nxt] = len(path) - 1
+
+
+def may_states(graph: ExperimentGraph) -> int:
+    """Mask of the root process states that may pass, read from the whole
+    graph (of compose_all, or of one Experiment)."""
+    return _root_mask(graph, graph.passing[0])
+
+
+def must_states(graph: ExperimentGraph) -> int:
+    """Mask of the root process states that must pass."""
+    return _root_mask(graph, graph.passing[1])
 
 
 @dataclass

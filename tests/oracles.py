@@ -208,7 +208,7 @@ def must_oracle(proc, tlts, p, troot):
     return (p, troot) in good
 
 
-def may_witness(graph):
+def graph_witness(graph):
     """Reference walk over a built experiment graph: a successful
     computation as a list of configurations, or None.  Breadth-first from
     the root in edge order, stopping at the first success configuration."""
@@ -235,7 +235,7 @@ def may_witness(graph):
     return path
 
 
-def must_counterexample(graph):
+def graph_counterexample(graph):
     """Reference walk over a built experiment graph: (path, loop_index)
     when the root must-fails, else None.  Each step takes the first edge
     into a configuration outside the graph's must set; loop_index is where

@@ -6,11 +6,12 @@ import pytest
 
 from rechml import testterms as tm
 from rechml.experiments import (
-    Experiment,
     UnfoldVerdicts,
     compose_all,
     may_satisfy,
     may_states,
+    may_witness,
+    must_counterexample,
     must_satisfy,
     must_states,
     must_unfold_law,
@@ -21,7 +22,7 @@ from rechml.lts import OMEGA, TAU, Lts, LtsError, visible
 from rechml.testterms import reachable_lts
 
 import oracles
-from oracles import may_witness, must_counterexample
+from oracles import graph_counterexample, graph_witness
 
 A = visible("a")
 B = visible("b")
@@ -225,9 +226,9 @@ def test_product_output_frozen():
 
 def answers(experiment, order):
     """The four answers of an experiment, asked in the given order."""
-    ask = {"may": experiment.may, "must": experiment.must,
-           "witness": experiment.witness, "counterexample": experiment.counterexample}
-    got = {name: ask[name]() for name in order}
+    ask = {"may": may_satisfy, "must": must_satisfy,
+           "witness": may_witness, "counterexample": must_counterexample}
+    got = {name: ask[name](experiment) for name in order}
     return got["may"], got["must"], repr(got["witness"]), repr(got["counterexample"])
 
 
@@ -260,13 +261,13 @@ def test_local_answers_match_references(chunk):
             graph = parallel_compose(proc, tlts, state, troot)
             expected = (oracles.may_oracle(proc, tlts, state, troot),
                         oracles.must_oracle(proc, tlts, state, troot),
-                        repr(may_witness(graph)), repr(must_counterexample(graph)))
+                        repr(graph_witness(graph)), repr(graph_counterexample(graph)))
             assert expected[:2] == (may_all[k], must_all[k]), (trial, state)
-            experiment = Experiment(proc, tlts, state, troot)
+            experiment = parallel_compose(proc, tlts, state, troot)
             counts = count_builds(experiment)
             assert answers(experiment, ("may", "must", "witness", "counterexample")) == expected
             assert set(counts.values()) <= {1}
-            later = Experiment(proc, tlts, state, troot)
+            later = parallel_compose(proc, tlts, state, troot)
             assert answers(later, ("counterexample", "witness", "must", "may")) == expected
             assert later.built <= len(graph)
 
@@ -275,12 +276,30 @@ def test_root_success_builds_nothing():
     proc = proc_fixture()
     tlts, troot = reachable_lts(tm.Sum(tm.Success(), tm.Prefix(A, tm.Nil())))
     for state in ("dead", "div", "fork"):
-        experiment = Experiment(proc, tlts, state, troot)
-        assert experiment.may() and experiment.must()
-        assert experiment.witness() == [(state, troot)]
-        assert experiment.counterexample() is None
+        experiment = parallel_compose(proc, tlts, state, troot)
+        assert may_satisfy(experiment) and must_satisfy(experiment)
+        assert may_witness(experiment) == [(state, troot)]
+        assert must_counterexample(experiment) is None
         assert experiment.built == 0
 
+
+
+def test_whole_graph_is_built_apart_from_the_answers():
+    """Reading the whole graph of an experiment builds nothing in the
+    answers' memo: they still build each move list once, and as many."""
+    proc = proc_fixture()
+    tlts, troot = reachable_lts(tm.Sum(tm.Prefix(A, tm.Prefix(B, tm.Success())),
+                                       tm.Prefix(B, tm.Success())))
+    order = ("may", "must", "witness", "counterexample")
+    fresh = parallel_compose(proc, tlts, "fork", troot)
+    expected = answers(fresh, order)
+    experiment = parallel_compose(proc, tlts, "fork", troot)
+    assert len(experiment) == 3 and experiment.roots == [1]
+    assert experiment.configs[0] == ("fork", troot)
+    assert experiment.built == 0
+    counts = count_builds(experiment)
+    assert answers(experiment, order) == expected
+    assert set(counts.values()) == {1} and experiment.built == fresh.built
 
 def ring(n, letters="ab", seed=5):
     """A tau-free process of n states, each with a move on every letter to
@@ -303,18 +322,18 @@ def test_may_false_searches_the_whole_product():
     proc = ring(40)
     tlts, troot = reachable_lts(tm.Mu("X", tm.Sum(tm.Prefix(A, tm.Var("X")), tm.Prefix(B, tm.Var("X")))))
     graph = parallel_compose(proc, tlts, "p0", troot)
-    experiment = Experiment(proc, tlts, "p0", troot)
-    assert not experiment.may() and experiment.witness() is None
+    experiment = parallel_compose(proc, tlts, "p0", troot)
+    assert not may_satisfy(experiment) and may_witness(experiment) is None
     assert experiment.built == len(graph) == 52
 
 
 def test_must_passing_visits_the_whole_non_success_region():
     proc, tlts = ring(40), levels(6)
     graph = parallel_compose(proc, tlts, "p0", "l0")
-    experiment = Experiment(proc, tlts, "p0", "l0")
-    assert experiment.must() and experiment.counterexample() is None
+    experiment = parallel_compose(proc, tlts, "p0", "l0")
+    assert must_satisfy(experiment) and must_counterexample(experiment) is None
     assert experiment.built == graph.success.count(False)
-    assert experiment.may()  # the first success: no further moves built
+    assert may_satisfy(experiment)  # the first success: no further moves built
     assert experiment.built == graph.success.count(False)
 
 
@@ -322,21 +341,21 @@ def test_local_counterexample_shapes():
     t = tm.Prefix(A, tm.Success())
     tlts, troot = reachable_lts(t)
     proc = proc_fixture()
-    assert Experiment(proc, tlts, "pb", troot).counterexample() == ([("pb", troot)], None)
-    path, loop = Experiment(proc, tlts, "div", troot).counterexample()
+    assert must_counterexample(parallel_compose(proc, tlts, "pb", troot)) == ([("pb", troot)], None)
+    path, loop = must_counterexample(parallel_compose(proc, tlts, "div", troot))
     assert (path, loop) == ([("div", troot), ("div", troot)], 0)
-    assert Experiment(proc, tlts, "fork", troot).counterexample() is None
+    assert must_counterexample(parallel_compose(proc, tlts, "fork", troot)) is None
 
 
 def test_local_rejects_omega_and_unknown_states():
     tlts, troot = reachable_lts(tm.Success())
     bad = Lts(states=["x"], transitions=[("x", OMEGA, "x")])
     with pytest.raises(LtsError, match="omega"):
-        Experiment(bad, tlts, "x", troot)
+        parallel_compose(bad, tlts, "x", troot)
     with pytest.raises(LtsError, match="unknown state"):
-        Experiment(proc_fixture(), tlts, "nowhere", troot)
+        parallel_compose(proc_fixture(), tlts, "nowhere", troot)
     with pytest.raises(LtsError, match="unknown state"):
-        Experiment(proc_fixture(), tlts, "fork", "nowhere")
+        parallel_compose(proc_fixture(), tlts, "fork", "nowhere")
 
 
 # (configurations built, configurations of the whole product) for the two
@@ -357,7 +376,7 @@ def test_work_counts_frozen():
     cases = [(tlts, troot, (True, False)), (levels(10, "abc"), "l0", (True, True))]
     built = []
     for tlts, troot, verdicts in cases:
-        experiment = Experiment(proc, tlts, "p0", troot)
+        experiment = parallel_compose(proc, tlts, "p0", troot)
         counts = count_builds(experiment)
         assert answers(experiment, ("may", "must", "witness", "counterexample"))[:2] == verdicts
         assert set(counts.values()) == {1} and len(counts) == experiment.built
@@ -379,13 +398,13 @@ def test_deep_chain_is_answered_iteratively():
     sys.setrecursionlimit(1000)
     try:
         tlts, troot = reachable_lts(stop)
-        failing = Experiment(chain, tlts, "p0", troot)
-        path, loop = failing.counterexample()
-        assert not failing.may() and not failing.must()
+        failing = parallel_compose(chain, tlts, "p0", troot)
+        path, loop = must_counterexample(failing)
+        assert not may_satisfy(failing) and not must_satisfy(failing)
         assert len(path) == failing.built == 2 * n and loop is None
         tlts, troot = reachable_lts(goal)
-        passing = Experiment(chain, tlts, "p0", troot)
-        assert passing.must() and passing.counterexample() is None
-        assert len(passing.witness()) == 2 * n + 1
+        passing = parallel_compose(chain, tlts, "p0", troot)
+        assert must_satisfy(passing) and must_counterexample(passing) is None
+        assert len(may_witness(passing)) == 2 * n + 1
     finally:
         sys.setrecursionlimit(old)
