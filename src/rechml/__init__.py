@@ -3,7 +3,6 @@ testing and translations in both directions."""
 
 from .experiments import (
     Experiment,
-    ExperimentGraph,
     compose_all,
     may_satisfy,
     may_states,
@@ -74,7 +73,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Acc", "Action", "And", "Box", "CapExceeded", "Dia", "EvalStats",
-    "Experiment", "ExperimentGraph", "Ff", "FormulaError", "Lts",
+    "Experiment", "Ff", "FormulaError", "Lts",
     "LtsError", "Max", "Min", "Mu", "Nil", "OMEGA", "Or", "ParseError", "Prefix",
     "SimFormula", "Success", "Sum", "TAU", "TVar", "TestError",
     "TrialConfig", "TrialReport", "Tt", "Var", "approximant",

@@ -16,51 +16,26 @@ The product runs on ints: configuration (ip, it) is the key ip * n + it
 over the n test states, and each side's strong moves come from the
 successor masks of Lts.strong_row, read only for the configurations that
 are expanded.  Names are attached at the end.
-There are two routes over it:
 
-- One root (parallel_compose, which the CLI uses): an Experiment builds
-  moves only as far as its answers need.  may_satisfy and may_witness
-  stop at the first success configuration in breadth-first order;
-  must_satisfy and must_counterexample at the first non-success deadlock
-  or cycle found depth first.
-- All roots (compose_all): the whole reachable graph is built, and one
-  backward worklist over it solves may and must for every configuration
-  at once (may_states, must_states).  The harness uses this route, and
-  the tests compare the two.
+An Experiment keeps one memo of the moves built so far and one
+breadth-first search from its roots, which stops and resumes:
+
+- One root (parallel_compose, which the CLI uses): may_satisfy and
+  may_witness run the search to the first success configuration, and
+  must_satisfy and must_counterexample a depth-first search over the
+  memo that stops at the first non-success deadlock or cycle.
+- Every root (compose_all, which the harness uses): reading the whole
+  graph runs the search to the end, and one backward worklist over it
+  solves may and must for every configuration at once (may_states,
+  must_states).
 """
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .lts import TAU, Lts, LtsError, visible
 from .testterms import Mu, Test, TestError, reachable_lts
-
-
-@dataclass
-class ExperimentGraph:
-    """Reachable configurations of a process paired with a test.  The
-    root configurations come first: configuration k is the root of
-    process state index roots[k] (one root for Experiment.graph, every
-    state in order for compose_all); edges[i] lists successor indices in
-    deterministic order; success[i] marks configurations whose test
-    component offers omega."""
-
-    proc: Lts
-    test: Lts
-    configs: list[tuple[str, str]]
-    edges: list[list[int]]
-    success: list[bool]
-    roots: list[int]
-
-    def __len__(self):
-        return len(self.configs)
-
-    @cached_property
-    def passing(self) -> tuple[list[bool], list[bool]]:
-        """Per configuration, whether it may pass and whether it must
-        pass; solved once, on first read."""
-        return _passing(self)
 
 
 def _product(proc: Lts, test: Lts):
@@ -95,73 +70,6 @@ def _product(proc: Lts, test: Lts):
     return n, moves
 
 
-def _compose(proc: Lts, test: Lts, roots, t: str) -> ExperimentGraph:
-    """Breadth-first product seeded with (i, t) for each process state
-    index i in roots, in that order; edges follow the order of _product."""
-    n, moves = _product(proc, test)
-    start = test.state_index(t)
-    roots = list(roots)
-    keys = [ip * n + start for ip in roots]
-    index = {key: k for k, key in enumerate(keys)}
-    edges: list[list[int]] = []
-    for key in keys:  # the key list is the queue: it grows while walked
-        out = []
-        for target in moves(key):
-            got = index.get(target)
-            if got is None:
-                got = index[target] = len(keys)
-                keys.append(target)
-            out.append(got)
-        edges.append(out)
-
-    success = [bool(test.omega_mask >> (key % n) & 1) for key in keys]
-    named = [(proc.states[key // n], test.states[key % n]) for key in keys]
-    return ExperimentGraph(proc, test, named, edges, success, roots)
-
-
-def compose_all(proc: Lts, test: Lts, t: str) -> ExperimentGraph:
-    """One experiment graph for every process state against test state t:
-    configuration i is (proc.states[i], t).  Whether a configuration
-    passes does not depend on the root it was reached from, so one solve
-    answers every state."""
-    return _compose(proc, test, range(len(proc.states)), t)
-
-
-def _passing(graph: ExperimentGraph) -> tuple[list[bool], list[bool]]:
-    """The configurations that may pass and those that must pass.  Each is
-    the least set holding the success configurations and closed
-    backwards: a configuration joins once some move (may) or, with at
-    least one move, every move (must) leads into the set.  One list of
-    predecessors serves both worklists of remaining-move counters."""
-    n = len(graph.configs)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for src, targets in enumerate(graph.edges):
-        for dst in targets:
-            preds[dst].append(src)
-
-    def close(remaining):
-        inside = list(graph.success)
-        queue = deque(c for c in range(n) if inside[c])
-        while queue:
-            c = queue.popleft()
-            for p in preds[c]:
-                remaining[p] -= 1
-                if not inside[p] and remaining[p] == 0:
-                    inside[p] = True
-                    queue.append(p)
-        return inside
-
-    return close([1] * n), close([len(targets) for targets in graph.edges])
-
-
-def _root_mask(graph: ExperimentGraph, inside: list[bool]) -> int:
-    mask = 0
-    for k, ip in enumerate(graph.roots):
-        if inside[k]:
-            mask |= 1 << ip
-    return mask
-
-
 class _Moves(dict):
     """The moves of each configuration key, built on first lookup."""
 
@@ -175,71 +83,105 @@ class _Moves(dict):
 
 
 class Experiment:
-    """Process state p against test state t, solved locally (Liu and
-    Smolka 1998): a configuration's moves are built the first time an
-    answer needs them and kept, so are the must verdicts settled so far,
-    and may_satisfy, must_satisfy, may_witness and must_counterexample
-    share both memos.  Keys and move order are those of _product, so the
-    answers equal those read from the whole graph.
+    """The process states with indices roots, each against test state t.
 
-    The whole reachable graph (configs, edges, success, roots, passing and
-    len, as in ExperimentGraph) is built only when one of them is read, by
-    a breadth-first search of its own that leaves the answers' memo alone.
+    Configurations are numbered in the order one breadth-first search
+    from the roots finds them, moves in the order of _product: the root
+    of process state roots[k] is configuration k, edges[k] lists the
+    successors of configuration k, and success[k] marks configurations
+    whose test component offers omega.  The search runs only as far as
+    what is read needs: up to the first success configuration for
+    may_satisfy and may_witness, to the end for configs, edges, success,
+    len and passing.  Its move memo also serves the depth-first must
+    search (Liu and Smolka 1998) and is what built counts.
     """
 
-    def __init__(self, proc: Lts, test: Lts, p: str, t: str):
-        self.proc, self.test = proc, test
-        ip = proc.state_index(p)
+    def __init__(self, proc: Lts, test: Lts, roots, t: str):
         self._n, build = _product(proc, test)
-        self._root = ip * self._n + test.state_index(t)
+        start = test.state_index(t)
+        self.proc, self.test, self.roots = proc, test, list(roots)
+        self._keys = [ip * self._n + start for ip in self.roots]  # in search order
+        self._index = {key: k for k, key in enumerate(self._keys)}
+        self._parent: list[int | None] = [None] * len(self._keys)
+        self._edges: list[list[int]] = []  # of the configurations expanded so far
         self._moves = _Moves(build)
         self._failing: dict[int, bool] = {}
-        self._search: tuple | None = None
 
     @property
     def built(self) -> int:
-        """Configurations whose moves the answers have built so far."""
+        """Configurations whose moves have been built so far."""
         return len(self._moves)
 
-    @cached_property
-    def graph(self) -> ExperimentGraph:
-        """The whole graph reachable from the root, as compose_all builds
-        it for one root."""
-        ip, it = divmod(self._root, self._n)
-        return _compose(self.proc, self.test, (ip,), self.test.states[it])
+    def _search(self, stop: bool) -> int | None:
+        """Run the breadth-first search on from where it last stopped,
+        recording each expanded configuration's edges.  With stop, halt
+        before expanding the first success configuration and return its
+        position; otherwise run to the end and return None."""
+        keys, index, parent, edges = self._keys, self._index, self._parent, self._edges
+        memo, build, omega, n = self._moves, self._moves.build, self.test.omega_mask, self._n
+        k = len(edges)
+        for key in islice(keys, k, None):  # the key list is the queue: it grows while walked
+            if stop and omega >> key % n & 1:
+                return k
+            targets = memo.get(key)  # not memo[key]: no method call per configuration
+            if targets is None:
+                targets = memo[key] = build(key)
+            out = []
+            for target in targets:
+                got = index.get(target)
+                if got is None:
+                    got = index[target] = len(keys)
+                    keys.append(target)
+                    parent.append(k)
+                out.append(got)
+            edges.append(out)
+            k += 1
+        return None
 
     def __len__(self):
-        return len(self.graph)
+        self._search(False)
+        return len(self._keys)
 
-    configs = property(lambda self: self.graph.configs)
-    edges = property(lambda self: self.graph.edges)
-    success = property(lambda self: self.graph.success)
-    roots = property(lambda self: self.graph.roots)
-    passing = property(lambda self: self.graph.passing)
+    @property
+    def edges(self) -> list[list[int]]:
+        self._search(False)
+        return self._edges
+
+    @cached_property
+    def success(self) -> list[bool]:
+        self._search(False)
+        omega, n = self.test.omega_mask, self._n
+        return [bool(omega >> key % n & 1) for key in self._keys]
+
+    @cached_property
+    def configs(self) -> list[tuple[str, str]]:
+        self._search(False)
+        return self._names(self._keys)
+
+    @cached_property
+    def passing(self) -> tuple[list[bool], list[bool]]:
+        """Per configuration, whether it may pass and whether it must
+        pass; solved once, on first read."""
+        return _passing(self)
 
     def _names(self, keys):
         n, proc, test = self._n, self.proc.states, self.test.states
         return [(proc[key // n], test[key % n]) for key in keys]
 
-    def _first_success(self):
-        """Breadth-first from the root in move order, stopping at the first
-        success configuration: (that configuration or None, the parent of
-        every configuration found)."""
-        if self._search is None:
-            moves, omega, n = self._moves, self.test.omega_mask, self._n
-            parent = {self._root: None}
-            order = [self._root]
-            goal = None
-            for key in order:  # the queue: it grows while walked
-                if omega >> key % n & 1:
-                    goal = key
-                    break
-                for d in moves[key]:
-                    if d not in parent:
-                        parent[d] = key
-                        order.append(d)
-            self._search = goal, parent
-        return self._search
+    def _root(self) -> int:
+        """The key of the only root: the local answers are about one."""
+        if len(self.roots) != 1:
+            raise LtsError(f"an experiment of {len(self.roots)} roots: the local answers take one; "
+                           "read may_states or must_states")
+        return self._keys[0]
+
+    def _goal(self) -> int | None:
+        """Position of the first success configuration, or None.  An
+        unfinished search has stopped there or not reached it yet."""
+        self._root()
+        if len(self._edges) < len(self._keys):
+            return self._search(True)
+        return next((k for k, ok in enumerate(self.success) if ok), None)
 
     def _fails(self, key: int) -> bool:
         """Whether some maximal computation from the configuration never
@@ -290,30 +232,76 @@ def parallel_compose(proc: Lts, test: Lts, p: str, t: str) -> Experiment:
     The process must not mention omega; the test may.  Nothing is built
     until an answer, or the whole graph, is asked for.
     """
-    return Experiment(proc, test, p, t)
+    return Experiment(proc, test, (proc.state_index(p),), t)
+
+
+def compose_all(proc: Lts, test: Lts, t: str) -> Experiment:
+    """One experiment of every process state against test state t:
+    configuration i is (proc.states[i], t).  Whether a configuration
+    passes does not depend on the root it was reached from, so one solve
+    answers every state."""
+    return Experiment(proc, test, range(len(proc.states)), t)
+
+
+def _passing(experiment: Experiment) -> tuple[list[bool], list[bool]]:
+    """The configurations that may pass and those that must pass.  Each is
+    the least set holding the success configurations and closed
+    backwards: a configuration joins once some move (may) or, with at
+    least one move, every move (must) leads into the set.  One list of
+    predecessors serves both worklists of remaining-move counters."""
+    edges = experiment.edges
+    n = len(edges)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for src, targets in enumerate(edges):
+        for dst in targets:
+            preds[dst].append(src)
+
+    success = experiment.success
+    seeds = [c for c in range(n) if success[c]]
+
+    def close(remaining):
+        inside = list(success)
+        queue = list(seeds)
+        for c in queue:  # the queue grows while walked
+            for p in preds[c]:
+                remaining[p] -= 1
+                if not inside[p] and remaining[p] == 0:
+                    inside[p] = True
+                    queue.append(p)
+        return inside
+
+    return close([1] * n), close([len(targets) for targets in edges])
+
+
+def _root_mask(experiment: Experiment, inside: list[bool]) -> int:
+    mask = 0
+    for k, ip in enumerate(experiment.roots):
+        if inside[k]:
+            mask |= 1 << ip
+    return mask
 
 
 def may_satisfy(experiment: Experiment) -> bool:
     """Some computation from the root reaches a success configuration."""
-    return experiment._first_success()[0] is not None
+    return experiment._goal() is not None
 
 
 def must_satisfy(experiment: Experiment) -> bool:
     """Every maximal computation from the root visits a success
     configuration."""
-    return not experiment._fails(experiment._root)
+    return not experiment._fails(experiment._root())
 
 
 def may_witness(experiment: Experiment):
     """A successful computation as a list of configurations, or None: the
     path to the first success configuration in breadth-first move order."""
-    goal, parent = experiment._first_success()
-    if goal is None:
+    at = experiment._goal()
+    if at is None:
         return None
     path = []
-    while goal is not None:
-        path.append(goal)
-        goal = parent[goal]
+    while at is not None:
+        path.append(experiment._keys[at])
+        at = experiment._parent[at]
     return experiment._names(reversed(path))
 
 
@@ -326,7 +314,8 @@ def must_counterexample(experiment: Experiment):
     takes the first move, in move order, into a failing configuration.
     Returns None when the root must-passes.
     """
-    fails, moves, root = experiment._fails, experiment._moves, experiment._root
+    root = experiment._root()
+    fails, moves = experiment._fails, experiment._moves
     if not fails(root):
         return None
     path = [root]
@@ -341,15 +330,15 @@ def must_counterexample(experiment: Experiment):
         position[nxt] = len(path) - 1
 
 
-def may_states(graph: ExperimentGraph) -> int:
+def may_states(experiment: Experiment) -> int:
     """Mask of the root process states that may pass, read from the whole
-    graph (of compose_all, or of one Experiment)."""
-    return _root_mask(graph, graph.passing[0])
+    graph."""
+    return _root_mask(experiment, experiment.passing[0])
 
 
-def must_states(graph: ExperimentGraph) -> int:
+def must_states(experiment: Experiment) -> int:
     """Mask of the root process states that must pass."""
-    return _root_mask(graph, graph.passing[1])
+    return _root_mask(experiment, experiment.passing[1])
 
 
 @dataclass

@@ -213,12 +213,18 @@ PRODUCT_DIGEST = "f2ee9fa8aa5de4a1f37e4123eb4f0e0c322f0b42e67820616708dbfd0b1360
 
 
 def test_product_output_frozen():
-    h = hashlib.sha256()
-    for proc, tlts, troot in _product_cases():
-        last = proc.states[-1]
-        for graph in (compose_all(proc, tlts, troot), parallel_compose(proc, tlts, last, troot)):
-            h.update(repr((graph.configs, graph.edges, graph.success, graph.roots)).encode())
-    assert h.hexdigest() == PRODUCT_DIGEST
+    """Two passes: the whole graphs read fresh, then read after the
+    single-root experiments' four answers have run their search up to
+    the first success."""
+    for answers_first in (False, True):
+        h = hashlib.sha256()
+        for proc, tlts, troot in _product_cases():
+            last = proc.states[-1]
+            for graph in (compose_all(proc, tlts, troot), parallel_compose(proc, tlts, last, troot)):
+                if answers_first and len(graph.roots) == 1:
+                    answers(graph, ("may", "must", "witness", "counterexample"))
+                h.update(repr((graph.configs, graph.edges, graph.success, graph.roots)).encode())
+        assert h.hexdigest() == PRODUCT_DIGEST, answers_first
 
 
 # -- local solving of one root -----------------------------------------------
@@ -284,22 +290,35 @@ def test_root_success_builds_nothing():
 
 
 
-def test_whole_graph_is_built_apart_from_the_answers():
-    """Reading the whole graph of an experiment builds nothing in the
-    answers' memo: they still build each move list once, and as many."""
+def test_answers_continue_the_whole_graph_search():
+    """Reading the whole graph first fills the one move memo: the four
+    answers then build no move list again, and equal a fresh
+    experiment's."""
     proc = proc_fixture()
     tlts, troot = reachable_lts(tm.Sum(tm.Prefix(A, tm.Prefix(B, tm.Success())),
                                        tm.Prefix(B, tm.Success())))
     order = ("may", "must", "witness", "counterexample")
-    fresh = parallel_compose(proc, tlts, "fork", troot)
-    expected = answers(fresh, order)
-    experiment = parallel_compose(proc, tlts, "fork", troot)
-    assert len(experiment) == 3 and experiment.roots == [1]
-    assert experiment.configs[0] == ("fork", troot)
-    assert experiment.built == 0
-    counts = count_builds(experiment)
-    assert answers(experiment, order) == expected
-    assert set(counts.values()) == {1} and experiment.built == fresh.built
+    for state in proc.states:
+        expected = answers(parallel_compose(proc, tlts, state, troot), order)
+        experiment = parallel_compose(proc, tlts, state, troot)
+        counts = count_builds(experiment)
+        assert experiment.configs[0] == (state, troot)
+        assert experiment.roots == [proc.state_index(state)]
+        assert experiment.built == len(experiment) == len(counts)
+        assert answers(experiment, order) == expected
+        assert set(counts.values()) == {1} and experiment.built == len(experiment)
+
+
+def test_local_answers_refuse_several_roots():
+    proc = proc_fixture()
+    tlts, troot = reachable_lts(tm.Prefix(A, tm.Success()))
+    every = compose_all(proc, tlts, troot)
+    for answer in (may_satisfy, must_satisfy, may_witness, must_counterexample):
+        with pytest.raises(LtsError, match="roots: the local answers take one"):
+            answer(every)
+    assert every.built == 0
+    assert must_states(every) == proc.mask_of(["fork", "pa"])
+
 
 def ring(n, letters="ab", seed=5):
     """A tau-free process of n states, each with a move on every letter to
