@@ -13,6 +13,7 @@ recursion limit once, to a depth the running Python survives.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -186,6 +187,9 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 3
 
 
+# Built once per process: parse_args leaves the parser as it found it, and
+# building it costs far more than a parse.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rechml",

@@ -70,15 +70,18 @@ def generate_lts(cfg: TrialConfig, rng: random.Random, name: str = "g") -> Lts:
     n = rng.randint(1, cfg.max_states)
     states = [f"s{i}" for i in range(n)]
     letters = cfg.alphabet()
-    transitions = []
+    # action slot 0 is tau, slot k the k-th letter
+    slot = {a: k for k, a in enumerate(letters, 1)}
+    triples = []
     for i in range(n):
         for _ in range(rng.randint(0, 3)):
-            action = TAU if rng.random() < cfg.tau_density else visible(rng.choice(letters))
-            transitions.append((states[i], action, states[rng.randrange(n)]))
+            k = 0 if rng.random() < cfg.tau_density else slot[rng.choice(letters)]
+            triples.append((i, k, rng.randrange(n)))
     if rng.random() < cfg.divergence_bias:
-        looper = states[rng.randrange(n)]
-        transitions.append((looper, TAU, looper))
-    return Lts(states=states, transitions=transitions, alphabet=letters, name=name)
+        looper = rng.randrange(n)
+        triples.append((looper, 0, looper))
+    actions = [TAU] + [visible(a) for a in letters]
+    return Lts._from_triples(states, dict(zip(states, range(n))), actions, triples, letters, name)
 
 
 def _action(cfg, rng):

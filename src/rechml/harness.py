@@ -311,9 +311,8 @@ class _Harness:
 
     def check_divergence_collapse(self, trial, rng, stats):
         base = generate_lts(self.cfg, rng)
-        looper = base.states[rng.randrange(len(base.states))]
-        lts = Lts(base.states, list(base.transitions) + [(looper, TAU, looper)],
-                  alphabet=base.alphabet, name=base.name)
+        looper = rng.randrange(len(base.states))
+        lts = base._with(looper, TAU, looper)
         formula = generate_formula(self.cfg, rng, "must")
         sat = interpret(lts, formula, stats=stats)
         if sat & lts.divergent_mask and sat != lts.full_mask:
@@ -327,9 +326,8 @@ class _Harness:
             body = fm.And(fm.Var("X0"), body)
         formula = fm.Min("X0", body)
         base = generate_lts(self.cfg, rng)
-        looper = base.states[rng.randrange(len(base.states))]
-        lts = Lts(base.states, list(base.transitions) + [(looper, TAU, looper)],
-                  alphabet=base.alphabet, name=base.name)
+        looper = rng.randrange(len(base.states))
+        lts = base._with(looper, TAU, looper)
         if interpret(lts, formula, stats=stats) == lts.full_mask:
             return {"lts": format_lts(lts), "formula": format_formula(formula)}
         return None

@@ -1,21 +1,22 @@
 """Finite labelled transition systems.
 
-States are interned to dense integer indices at construction time and sets
-of states are manipulated as integer bit masks keyed by that order.  Every
-derived relation comes from two mask primitives, the image of a mask under
-a row of masks and its reachability closure.  Construction keeps the strong
-successor rows of each action and finds divergence by peeling: a state
+States are interned to dense integer indices and sets of states are
+manipulated as integer bit masks keyed by that order.  Every Lts comes
+from one build step fed by interned states and (i, k, j) index triples
+over a table of distinct actions; the public constructor interns its
+arguments into them.  The step keeps the strong successor rows of each
+action, deduped on the row bits, and finds divergence by peeling: a state
 converges once all its tau successors have, counted down per state, so no
-tau closure is built.  The predecessor rows of tau are transposed from
-its successor rows at construction, those of a visible action when pre
-first needs them; pre is a backward search over them, and the weak
-derivatives of a single state are a forward search over the successor
-rows.  That cache only memoises a function of the transitions, so an Lts
-is still observably immutable and safe to share.
+tau closure is built.  The named transitions and outgoing lists are built
+from the triples on first read, the predecessor rows of a visible action
+when pre first needs them.  pre is a backward search over predecessor
+rows, and the weak derivatives of one state a forward search over the
+successor rows.  Those caches only memoise functions of the transitions,
+so an Lts is still observably immutable and safe to share.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 
 class LtsError(Exception):
@@ -112,47 +113,67 @@ class Lts:
     """
 
     def __init__(self, states=(), transitions=(), alphabet=(), name="lts"):
-        self.name = name
         order: list[str] = []
         index: dict[str, int] = {}
 
         def intern(state):
             if not isinstance(state, str) or not state:
                 raise LtsError(f"bad state name {state!r}")
-            if state not in index:
-                index[state] = len(order)
+            i = index.get(state)
+            if i is None:
+                i = index[state] = len(order)
                 order.append(state)
-            return index[state]
+            return i
 
         for s in states:
             intern(s)
-        triples: list[tuple[str, Action, str]] = []
-        self._outgoing: dict[str, list[tuple[str, Action, str]]] = {}
-        seen = set()
+        slots: dict[Action, int] = {}
+        triples = []
         for src, act, dst in transitions:
             if not isinstance(act, Action):
                 raise LtsError(f"bad action {act!r}")
-            intern(src)
-            intern(dst)
-            triple = (src, act, dst)
-            if triple not in seen:
-                seen.add(triple)
-                triples.append(triple)
-                self._outgoing.setdefault(src, []).append(triple)
+            triples.append((intern(src), slots.setdefault(act, len(slots)), intern(dst)))
+        self._build(order, index, list(slots), triples, alphabet, name)
 
-        self.states: tuple[str, ...] = tuple(order)
+    @classmethod
+    def _from_triples(cls, states, index, actions, triples, alphabet=(), name="lts"):
+        """The build step: index maps each of the states to its position,
+        and (i, k, j) is a move of states[i] by actions[k] to states[j]."""
+        lts = cls.__new__(cls)
+        lts._build(states, index, actions, triples, alphabet, name)
+        return lts
+
+    def _with(self, i: int, act: Action, j: int) -> "Lts":
+        """This system plus a move of state i by act to state j."""
+        actions = self._actions if act in self._actions else self._actions + [act]
+        triples = self._triples + [(i, actions.index(act), j)]
+        return Lts._from_triples(self.states, self._index, actions, triples, self.alphabet, self.name)
+
+    def _build(self, states, index, actions, triples, alphabet, name):
+        self.name = name
+        self.states: tuple[str, ...] = tuple(states)
         self._index = index
-        self.transitions: tuple[tuple[str, Action, str], ...] = tuple(triples)
-        names = {a.name for _, a, _ in triples if a.kind == "visible"}
+        n = len(states)
+        rows: list[list[int] | None] = [None] * len(actions)
+        kept = []
+        for t in triples:
+            i, k, j = t
+            row = rows[k]
+            if row is None:
+                row = rows[k] = [0] * n
+            bit = 1 << j
+            if not row[i] & bit:
+                row[i] |= bit
+                kept.append(t)
+        self._actions = actions
+        self._triples = kept
+        self._strong: dict[Action, list[int]] = {
+            actions[k]: row for k, row in enumerate(rows) if row is not None}
+        names = {a.name for a in self._strong if a.kind == "visible"}
         names.update(alphabet)
         self.alphabet: tuple[str, ...] = tuple(sorted(names))
 
-        n = len(order)
         self.full_mask: int = (1 << n) - 1
-        self._strong: dict[Action, list[int]] = {}
-        for src, act, dst in triples:
-            row = self._strong.setdefault(act, [0] * n)
-            row[index[src]] |= 1 << index[dst]
         self._tau = self._strong.get(TAU) or [0] * n
         self._back_tau = _transpose(self._tau)
         # visible action name -> its transposed rows, built by pre
@@ -172,6 +193,19 @@ class Lts:
                 if not left[i]:
                     peeled.append(i)
         self._divergent = self.full_mask & ~converging
+
+    @cached_property
+    def transitions(self) -> tuple[tuple[str, Action, str], ...]:
+        """(source, Action, target) triples, deduped, in construction order."""
+        states, actions = self.states, self._actions
+        return tuple((states[i], actions[k], states[j]) for i, k, j in self._triples)
+
+    @cached_property
+    def _outgoing(self) -> dict[str, list[tuple[str, Action, str]]]:
+        out: dict[str, list[tuple[str, Action, str]]] = {}
+        for triple in self.transitions:
+            out.setdefault(triple[0], []).append(triple)
+        return out
 
     # -- interning helpers ------------------------------------------------
 
@@ -274,4 +308,4 @@ class Lts:
 
     def __repr__(self):
         return (f"Lts({self.name!r}, {len(self.states)} states, "
-                f"{len(self.transitions)} transitions)")
+                f"{len(self._triples)} transitions)")

@@ -459,10 +459,11 @@ def explore(term, max_states: int = 100_000):
     queue = [table.convert(term)]
     index = {queue[0]: 0}
     names = ["t0"]
-    transitions = []
+    slots: dict[Action, int] = {}
+    triples = []
     at = 0
     while at < len(queue):
-        source = names[at]
+        source = at
         moves = table.moves(queue[at])
         at += 1
         for action, target in moves:
@@ -480,8 +481,8 @@ def explore(term, max_states: int = 100_000):
                 i = index[target] = len(queue)
                 queue.append(target)
                 names.append(f"t{i}")
-            transitions.append((source, action, names[i]))
-    lts = Lts(states=names, transitions=transitions, name="test")
+            triples.append((source, slots.setdefault(action, len(slots)), i))
+    lts = Lts._from_triples(names, dict(zip(names, range(len(names)))), list(slots), triples, name="test")
     return lts, "t0", _Terms(table.nodes, table.depth, dict(zip(names, queue)))
 
 

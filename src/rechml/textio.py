@@ -273,29 +273,53 @@ def format_test(term) -> str:
 # -- transition systems -------------------------------------------------------
 
 
+def _visible_at(word: str, lineno: int, what: str) -> Action:
+    if not _VISIBLE.match(word):
+        raise ParseError(f"line {lineno}: bad {what} {word!r}")
+    try:
+        return visible(word)
+    except LtsError as err:
+        raise ParseError(f"line {lineno}: {err}") from None
+
+
 def parse_lts(text: str) -> tuple[Lts, str | None]:
     """Parse the line format; returns the system and its init state (None
-    when the file has no init line)."""
+    when the file has no init line).  One pass interns each state name and
+    each label to an index when first seen, checking it only then, and
+    hands the index triples to the Lts build step."""
     name = "lts"
     init = None
     order: list[str] = []
-    seen: set[str] = set()
-    transitions = []
+    index: dict[str, int] = {}
+    slots: dict[str, int] = {}
+    actions: list[Action] = []
+    triples = []
     alphabet: list[str] = []
 
     def intern(state, where):
-        if not _STATE_NAME.match(state):
-            raise ParseError(f"line {where}: bad state name {state!r}")
-        if state not in seen:
-            seen.add(state)
+        i = index.get(state)
+        if i is None:
+            if not _STATE_NAME.match(state):
+                raise ParseError(f"line {where}: bad state name {state!r}")
+            i = index[state] = len(order)
             order.append(state)
+        return i
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if tokens[0] == "lts" and len(tokens) == 2:
+        if len(tokens) == 3 and tokens[0] != "alphabet":
+            src, label, dst = tokens
+            i = intern(src, lineno)
+            j = intern(dst, lineno)
+            k = slots.get(label)
+            if k is None:
+                k = slots[label] = len(actions)
+                actions.append(TAU if label == "tau" else OMEGA if label == "omega"
+                               else _visible_at(label, lineno, "label"))
+            triples.append((i, k, j))
+        elif tokens[0] == "lts" and len(tokens) == 2:
             name = tokens[1]
         elif tokens[0] == "init" and len(tokens) == 2:
             intern(tokens[1], lineno)
@@ -303,34 +327,10 @@ def parse_lts(text: str) -> tuple[Lts, str | None]:
         elif tokens[0] == "state" and len(tokens) == 2:
             intern(tokens[1], lineno)
         elif tokens[0] == "alphabet":
-            for letter in tokens[1:]:
-                if not _VISIBLE.match(letter):
-                    raise ParseError(f"line {lineno}: bad letter {letter!r}")
-                try:
-                    visible(letter)
-                except LtsError as err:
-                    raise ParseError(f"line {lineno}: {err}") from None
-                alphabet.append(letter)
-        elif len(tokens) == 3:
-            src, label, dst = tokens
-            intern(src, lineno)
-            intern(dst, lineno)
-            if label == "tau":
-                action = TAU
-            elif label == "omega":
-                action = OMEGA
-            else:
-                if not _VISIBLE.match(label):
-                    raise ParseError(f"line {lineno}: bad label {label!r}")
-                try:
-                    action = visible(label)
-                except LtsError as err:
-                    raise ParseError(f"line {lineno}: {err}") from None
-            transitions.append((src, action, dst))
+            alphabet += [_visible_at(letter, lineno, "letter").name for letter in tokens[1:]]
         else:
             raise ParseError(f"line {lineno}: cannot parse {raw.strip()!r}")
-    return Lts(states=order, transitions=transitions, alphabet=alphabet,
-               name=name), init
+    return Lts._from_triples(order, index, actions, triples, alphabet, name), init
 
 
 def format_lts(lts: Lts, init: str | None = None) -> str:

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from rechml import cli
+
 PROC = """\
 lts demo
 init p0
@@ -238,3 +240,31 @@ def test_nested_binders_hit_the_cap(tmp_path):
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("error: ")
     assert len(done.stderr) < 400
+
+
+def _main(argv, capsys):
+    """(exit code, stdout) of one in-process call of cli.main."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as done:  # argparse rejects malformed argv this way
+        code = done.code
+    return code, capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_answers_as_a_fresh_one(proc_file, capsys):
+    sequence = [
+        ["check", proc_file, "p0", "<a>tt"],
+        ["check", proc_file],  # malformed: argparse exits 2
+        ["must", proc_file, "p0", "b.w.0", "--witness"],
+        ["verify", "--seed", "5", "--trials", "3", "--property-trials", "1"],
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(_main(argv, capsys))
+    assert [code for code, _ in fresh] == [0, 2, 1, 0]
+    cli._build_parser.cache_clear()
+    assert [_main(argv, capsys) for argv in sequence] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    for argv in (["--help"], ["must", "--help"]):
+        assert _main(argv, capsys) == (0, run_cli(*argv).stdout)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from rechml import cli
 from rechml.generators import TrialConfig, generate_lts, spawn_rng
 from rechml.lts import OMEGA, TAU, Action, Lts, LtsError, visible
 
@@ -211,3 +212,56 @@ def test_long_tau_chain_builds_without_closures():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) < 5, done.stdout
+
+
+def test_testing_query_leaves_transitions_unbuilt(tmp_path, monkeypatch):
+    # the named transitions and outgoing lists are built on first read,
+    # and a may query never reads them on the process
+    built = []
+
+    def parse_and_keep(text):
+        out = real(text)
+        built.append(out[0])
+        return out
+
+    real = cli.parse_lts
+    monkeypatch.setattr(cli, "parse_lts", parse_and_keep)
+    proc = tmp_path / "proc.lts"
+    proc.write_text("lts p\ninit p0\np0 a p1\np1 b p0\np1 tau p2\n")
+    assert cli.main(["may", str(proc), "p0", "a.b.w.0", "--witness"]) == 0
+    (lts,) = built
+    assert "transitions" not in vars(lts) and "_outgoing" not in vars(lts)
+    assert lts.outgoing("p1") == [("p1", visible("b"), "p0"), ("p1", TAU, "p2")]
+    assert "transitions" in vars(lts)
+
+
+# Builds an n-state a-chain through parse_lts and then through Lts(...);
+# prints the seconds each build took.
+_A_CHAIN = """
+import sys, time
+from rechml.lts import Lts, visible
+from rechml.textio import parse_lts
+
+n = int(sys.argv[1])
+text = "".join(f"p{i} a p{i + 1}\\n" for i in range(n - 1))
+start = time.perf_counter()
+lts, _ = parse_lts(text)
+parsed = time.perf_counter() - start
+assert len(lts.states) == n and lts.divergent_mask == 0
+del lts
+a = visible("a")
+chain = [(f"p{i}", a, f"p{i + 1}") for i in range(n - 1)]
+start = time.perf_counter()
+lts = Lts(transitions=chain)
+assert len(lts.states) == n and lts.divergent_mask == 0
+print(parsed, time.perf_counter() - start)
+"""
+
+
+def test_long_chain_builds_in_linear_time():
+    # a row of n zeros allocated per transition made this about 30 s
+    done = subprocess.run([sys.executable, "-c", _A_CHAIN, "100000"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    parsed, public = map(float, done.stdout.split())
+    assert parsed < 10 and public < 10, done.stdout

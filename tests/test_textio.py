@@ -3,7 +3,7 @@ import pytest
 from rechml import formulas as fm
 from rechml import testterms as tm
 from rechml.generators import TrialConfig, generate_formula, generate_lts, generate_test, spawn_rng
-from rechml.lts import TAU, Lts, visible
+from rechml.lts import OMEGA, TAU, Lts, visible
 from rechml.textio import (
     ParseError,
     format_formula,
@@ -176,3 +176,48 @@ def test_lts_round_trip_random(trial):
     assert again.states == lts.states
     assert set(again.transitions) == set(lts.transitions)
     assert again.alphabet == lts.alphabet
+
+
+def test_parse_lts_line_shapes():
+    # a three-token alphabet line declares letters; state and init lines
+    # of three tokens are transitions from states called state and init
+    lts, init = parse_lts("alphabet a b\n")
+    assert (lts.states, lts.transitions, lts.alphabet, init) == ((), (), ("a", "b"), None)
+    lts, init = parse_lts("state x y\ninit x y\n")
+    assert lts.states == ("state", "y", "init") and init is None
+    assert lts.transitions == (("state", visible("x"), "y"), ("init", visible("x"), "y"))
+
+
+def test_bad_state_name_is_reported_where_it_first_appears():
+    with pytest.raises(ParseError, match=r"^line 2: bad state name '9x'$"):
+        parse_lts("s0 a s1\ns1 a 9x\n9x a s0\n")
+    with pytest.raises(ParseError, match=r"^line 1: bad state name 'x-'$"):
+        parse_lts("state x-\nx- a s0\n")
+
+
+def test_duplicate_transition_keeps_its_first_place():
+    lts, _ = parse_lts("p a q\nq tau p\np a q\nq b p\nq tau p\n")
+    assert lts.transitions == (("p", A, "q"), ("q", TAU, "p"), ("q", B, "p"))
+    assert lts.outgoing("q") == [("q", TAU, "p"), ("q", B, "p")]
+
+
+def test_parsed_and_generated_systems_match_the_public_constructor():
+    # parse_lts and generate_lts feed index triples to the build step; the
+    # public constructor interns named triples (here each given twice)
+    cfg = TrialConfig()
+    for trial in range(500):
+        lts = generate_lts(cfg, spawn_rng(53, "parse_parity", trial))
+        text = format_lts(lts)
+        parsed, _ = parse_lts(text)
+        public = Lts(lts.states, list(lts.transitions) * 2, lts.alphabet, lts.name)
+        acts = [TAU, OMEGA] + [visible(a) for a in public.alphabet]
+        for built in (parsed, lts):
+            assert built.states == public.states, text
+            assert built.transitions == public.transitions, text
+            assert built.alphabet == public.alphabet, text
+            assert built.divergent_mask == public.divergent_mask, text
+            for s in public.states:
+                assert built.outgoing(s) == public.outgoing(s), text
+            for act in acts:
+                assert built.strong_row(act) == public.strong_row(act), text
+        assert format_lts(parsed) == text
