@@ -17,7 +17,9 @@ node from its children's sets, so no walk recomputes them.  Large
 formulas produced by substitution share subterm objects, so the only
 identity memos left, those of substitution itself, tree_size,
 nesting_depth, _offender and approximant, keep those walks linear in the
-size of the shared graph rather than the unfolded tree.
+size of the shared graph rather than the unfolded tree.  The printer,
+rechml.textio.format_formula, keeps one more: the text of each node with
+several parents, so it builds that text once.
 """
 
 from dataclasses import dataclass

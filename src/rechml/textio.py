@@ -164,36 +164,71 @@ def parse_formula(text: str):
     return out
 
 
+def _shared_nodes(formula) -> set[int]:
+    """The ids of the nodes that have more than one parent in the graph of
+    subformula objects, found by one walk over its distinct nodes."""
+    seen = {id(formula)}
+    shared = set()
+    stack = [formula]
+    while stack:
+        for child in stack.pop().children():
+            if id(child) in seen:
+                shared.add(id(child))
+            else:
+                seen.add(id(child))
+                stack.append(child)
+    return shared
+
+
 def format_formula(formula) -> str:
     # precedence levels: 0 disjunction, 1 conjunction, 2 modalities, 3 atoms.
     # A binder's body runs to the end of the enclosing expression, so a
     # binder prints bare only in tail position.
+    # Elimination shares subformula objects, so the printed tree can be far
+    # larger than the graph.  The text of a shared node is built once per
+    # (level, tail) and reused; the root keeps every node alive, so the ids
+    # are stable.  Unshared nodes are not kept: each would hold its whole
+    # subtree's text, quadratic in the depth.
+    shared = _shared_nodes(formula)
+    memo: dict[tuple[int, int, bool], str] = {}
+
     def go(node, level, tail):
+        key = (id(node), level, tail) if id(node) in shared else None
+        if key is not None:
+            text = memo.get(key)
+            if text is not None:
+                return text
         match node:
             case fm.Tt():
-                return "tt"
+                text = "tt"
             case fm.Ff():
-                return "ff"
+                text = "ff"
             case fm.Var(name):
-                return name
+                text = name
             case fm.Acc(actions):
-                return "Acc{" + ",".join(sorted(actions)) + "}"
+                text = "Acc{" + ",".join(sorted(actions)) + "}"
             case fm.Or(l, r):
                 text = f"{go(l, 0, False)} \\/ {go(r, 1, tail)}"
-                return f"({text})" if level > 0 else text
+                if level > 0:
+                    text = f"({text})"
             case fm.And(l, r):
                 text = f"{go(l, 1, False)} /\\ {go(r, 2, tail)}"
-                return f"({text})" if level > 1 else text
+                if level > 1:
+                    text = f"({text})"
             case fm.Dia(a, b):
-                return f"<{a}>{go(b, 2, tail)}"
+                text = f"<{a}>{go(b, 2, tail)}"
             case fm.Box(a, b):
-                return f"[{a}]{go(b, 2, tail)}"
+                text = f"[{a}]{go(b, 2, tail)}"
             case fm.Min(x, b) | fm.Max(x, b):
                 word = "min" if isinstance(node, fm.Min) else "max"
                 text = f"{word} {x}. {go(b, 0, True)}"
-                return text if tail else f"({text})"
+                if not tail:
+                    text = f"({text})"
             case _:
                 raise ValueError(f"cannot format {node!r}")
+        if key is not None:
+            memo[key] = text
+        return text
 
     return go(formula, 0, True)
 

@@ -152,6 +152,21 @@ def test_deep_nesting_exits_three(proc_file, tmp_path):
     assert done.stdout == ""
 
 
+def test_nesting_depth_of_the_readme_table(tmp_path):
+    # nested boxes as deep as the README's limits table says each version
+    # answers: parsed, evaluated and printed back one frame per level
+    depth = 60_000 if sys.version_info >= (3, 11) else 8_000
+    loop = tmp_path / "loop.lts"
+    loop.write_text("lts loop\ninit p0\np0 a p0\n")
+    deep = tmp_path / "deep.hml"
+    text = "[a]" * depth + "tt"
+    deep.write_text(text + "\n")
+    done = run_cli("check", str(loop), "p0", str(deep), "--format", "json")
+    assert done.returncode == 0, done.stderr[-500:]
+    payload = json.loads(done.stdout)
+    assert payload["formula"] == text and payload["verdict"] is True
+
+
 def test_verify_small_and_deterministic():
     args = ("verify", "--seed", "42", "--trials", "12",
             "--property-trials", "4")

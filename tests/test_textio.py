@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import pytest
 
 from rechml import formulas as fm
@@ -81,6 +84,55 @@ def test_formula_round_trip_random(trial):
     cfg = TrialConfig(max_formula_depth=5)
     phi = generate_formula(cfg, spawn_rng(41, "fmt_formula", trial), "full")
     assert parse_formula(format_formula(phi)) == phi
+
+
+def _in_every_position(make):
+    # make() gives the subformula; it occurs left of \/, under <a> and
+    # [b], left and right of /\, in a binder's body, and in tail position
+    return fm.Or(
+        fm.Or(make(), fm.And(fm.Dia(A, make()), make())),
+        fm.Max("Y", fm.And(make(), fm.And(fm.Box(B, make()), make()))),
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fm.Min("X", fm.Or(fm.Dia(A, fm.Var("X")), fm.Tt())),
+    lambda: fm.Or(fm.Tt(), fm.Box(A, fm.Ff())),
+    lambda: fm.And(fm.Acc({"a"}), fm.Min("Z", fm.Box(TAU, fm.Var("Z")))),
+])
+def test_shared_subformula_prints_as_its_unshared_copy(make):
+    # the text of a shared node depends on where it stands: a binder is
+    # parenthesized except in tail position, a disjunction except at the
+    # top level, so one text per node object would be wrong
+    node = make()
+    shared = _in_every_position(lambda: node)
+    unshared = _in_every_position(make)
+    printed = format_formula(shared)
+    assert printed == format_formula(unshared)
+    assert parse_formula(printed) == unshared
+    if isinstance(node, fm.Min):
+        assert printed.count("(min X. ") == 5 and printed.endswith("/\\ min X. <a>X \\/ tt)")
+
+
+def test_printing_a_deep_unshared_formula_keeps_memory_linear():
+    # min X0. [a](X0 /\ min X1. [a](X1 /\ ...)), 6000 levels deep, no node
+    # shared: keeping the text of every node would hold each subtree's
+    # text, about 150 MB here
+    phi = fm.Tt()
+    for i in reversed(range(2000)):
+        x = f"X{i}"
+        phi = fm.Min(x, fm.Box(A, fm.And(fm.Var(x), phi)))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    tracemalloc.start()
+    try:
+        text = format_formula(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sys.setrecursionlimit(old)
+    assert text.startswith("min X0. [a](X0 /\\ min X1. [a](X1 /\\ ")
+    assert peak < 16 * 2**20, peak
 
 
 # -- tests -------------------------------------------------------------------

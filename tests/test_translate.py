@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -7,7 +8,7 @@ from rechml import testterms as tm
 from rechml import textio
 from rechml.formulas import FormulaError, bekic_eliminate
 from rechml.generators import TrialConfig, generate_formula, generate_test, spawn_rng
-from rechml.lts import TAU, visible
+from rechml.lts import OMEGA, TAU, Lts, visible
 from rechml.semantics import interpret_states
 from rechml.testterms import reachable_lts
 from rechml.textio import format_formula, format_test, parse_test
@@ -199,6 +200,39 @@ def test_translation_output_frozen():
                 bodies = [format_formula(b) for b in sim.bodies]
                 h.update(repr((sim.variables, bodies, sim.index)).encode())
     assert h.hexdigest() == TRANSLATE_DIGEST
+
+
+ELIMINATED_DIGEST = "434e259cec1e50c84f8f780a28062e0f62f2cc14c8cd8a20f1ca8887445cb221"
+
+
+def _complete_test_lts(rng, n):
+    # a move between every ordered pair of n distinct states, plus visible
+    # moves from two of them into a success sink; only the labels are random
+    names = [f"q{i}" for i in range(n)] + ["ok"]
+    moves = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                moves.append((names[i], rng.choice((A, B, TAU)), names[j]))
+        if i in (n // 2, n - 1):
+            moves.append((names[i], rng.choice((A, B)), "ok"))
+    moves.append(("ok", OMEGA, "ok"))
+    return Lts(names, moves)
+
+
+def test_eliminated_formula_output_frozen():
+    # the printed single formula after elimination, whose subformulas are
+    # shared objects, for seeded test terms and complete 5-state test LTSs
+    cfg = TrialConfig(max_test_depth=5)
+    sources = [tm.explore(generate_test(cfg, spawn_rng(47, "eliminate", trial)))
+               for trial in range(150)]
+    sources += [(_complete_test_lts(random.Random(seed), 5), "q0", None) for seed in range(3)]
+    h = hashlib.sha256()
+    for lts, root, terms in sources:
+        for build in (lts_to_must_system, lts_to_may_system):
+            text = format_formula(bekic_eliminate(build(lts, root, terms)))
+            h.update(f"{len(text)}:{text}".encode())
+    assert h.hexdigest() == ELIMINATED_DIGEST
 
 
 def test_must_compiler_walks_once(monkeypatch):
