@@ -10,7 +10,6 @@ from .experiments import (
     must_counterexample,
     must_satisfy,
     must_states,
-    must_unfold_law,
     parallel_compose,
 )
 from .formulas import (
@@ -48,9 +47,7 @@ from .testterms import (
     TestError,
     explore,
     reachable_lts,
-    test_step,
 )
-from .testterms import Var as TVar
 from .textio import (
     ParseError,
     format_formula,
@@ -75,7 +72,7 @@ __all__ = [
     "Acc", "Action", "And", "Box", "CapExceeded", "Dia", "EvalStats",
     "Experiment", "Ff", "FormulaError", "Lts",
     "LtsError", "Max", "Min", "Mu", "Nil", "OMEGA", "Or", "ParseError", "Prefix",
-    "SimFormula", "Success", "Sum", "TAU", "TVar", "TestError",
+    "SimFormula", "Success", "Sum", "TAU", "TestError",
     "TrialConfig", "TrialReport", "Tt", "Var", "approximant",
     "bekic_eliminate", "compose_all", "explore", "format_formula", "format_lts",
     "format_test", "formula_to_may_test", "formula_to_must_test",
@@ -83,10 +80,9 @@ __all__ = [
     "interpret", "interpret_simultaneous", "interpret_states",
     "is_mayhml", "is_musthml", "is_tt_grammar", "may_satisfy",
     "may_states", "may_witness", "must_counterexample", "must_satisfy",
-    "must_states",
-    "must_unfold_law", "parallel_compose", "parse_formula", "parse_lts",
+    "must_states", "parallel_compose", "parse_formula", "parse_lts",
     "parse_test", "reachable_lts", "report_json", "report_text",
     "satisfies", "spawn_rng", "substitute", "test_lts_to_may_system",
-    "test_lts_to_must_system", "test_step", "test_to_may_formula",
+    "test_lts_to_must_system", "test_to_may_formula",
     "test_to_must_formula", "verify_theorems", "visible",
 ]

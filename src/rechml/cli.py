@@ -4,8 +4,9 @@ Verbs: check (formula satisfaction), may/must (test verdicts), two
 compile verbs for the four translations, and verify (the randomized
 harness).  Exit codes: 0 for success or a true verdict, 1 for a false
 verdict, 2 for input errors, 3 for harness failures and blown internal
-limits: the test-state cap, the recursion limit, and the printed size of
-an eliminated formula.  Every error is one "error:" line on stderr.
+limits: the test-state cap, the recursion limit, the printed size of an
+eliminated formula, and memory (a MemoryError in any verb).  Every error
+is one "error:" line on stderr.
 
 The walks over terms and formulas are recursive, so main sets the
 recursion limit once, to a depth the running Python survives.
@@ -263,6 +264,9 @@ def main(argv=None) -> int:
         return 3
     except RecursionError:
         print("error: input nested too deeply (recursion limit reached)", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except (ParseError, LtsError, FormulaError, TestError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

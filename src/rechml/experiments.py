@@ -17,25 +17,29 @@ over the n test states, and each side's strong moves come from the
 successor masks of Lts.strong_row, read only for the configurations that
 are expanded.  Names are attached at the end.
 
-An Experiment keeps one memo of the moves built so far and one
-breadth-first search from its roots, which stops and resumes:
+An Experiment keeps one memo of the moves built so far, shared by two
+searches that stop and resume:
 
-- One root (parallel_compose, which the CLI uses): may_satisfy and
-  may_witness run the search to the first success configuration, and
-  must_satisfy and must_counterexample a depth-first search over the
-  memo that stops at the first non-success deadlock or cycle.
-- Every root (compose_all, which the harness uses): reading the whole
-  graph runs the search to the end, and one backward worklist over it
-  solves may and must for every configuration at once (may_states,
-  must_states).
+- a breadth-first search from its roots, which may_satisfy and
+  may_witness run to the first success configuration and which reading
+  the whole graph (configs, edges, success, len) runs to the end;
+- a depth-first search for must over the non-success configurations
+  (Liu and Smolka 1998), which stops at the first non-success deadlock
+  or cycle and keeps what it settles.
+
+One root (parallel_compose, which the CLI uses) is answered by
+may_satisfy, may_witness, must_satisfy and must_counterexample.  Every
+root (compose_all, which the harness uses) is answered by must_states,
+one depth-first search per root over the shared memo, so each
+configuration is settled once and no breadth-first search runs, and by
+may_states, a backward search from the success configurations of the
+whole graph.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
 from .lts import TAU, Lts, LtsError, visible
-from .testterms import Mu, Test, TestError, reachable_lts
 
 
 def _product(proc: Lts, test: Lts):
@@ -50,16 +54,16 @@ def _product(proc: Lts, test: Lts):
     n = len(test.states)
     acts = [TAU] + [visible(a) for a in sorted(set(proc.alphabet) & set(test.alphabet))]
     proc_rows, test_rows = [proc.strong_row(a) for a in acts], [test.strong_row(a) for a in acts]
-    proc_steps = [None] * len(proc.states)
-    test_steps = [None] * n
+    proc_succ = [None] * len(proc.states)
+    test_succ = [None] * n
 
     def moves(key):
         ip, it = divmod(key, n)
-        ps, ts = proc_steps[ip], test_steps[it]
+        ps, ts = proc_succ[ip], test_succ[it]
         if ps is None:
-            ps = proc_steps[ip] = [list(proc.iter_mask(row[ip])) for row in proc_rows]
+            ps = proc_succ[ip] = [list(proc.iter_mask(row[ip])) for row in proc_rows]
         if ts is None:
-            ts = test_steps[it] = [list(test.iter_mask(row[it])) for row in test_rows]
+            ts = test_succ[it] = [list(test.iter_mask(row[it])) for row in test_rows]
         targets = [jp * n + it for jp in ps[0]]
         targets += [ip * n + jt for jt in ts[0]]
         for k in range(1, len(acts)):
@@ -91,9 +95,9 @@ class Experiment:
     successors of configuration k, and success[k] marks configurations
     whose test component offers omega.  The search runs only as far as
     what is read needs: up to the first success configuration for
-    may_satisfy and may_witness, to the end for configs, edges, success,
-    len and passing.  Its move memo also serves the depth-first must
-    search (Liu and Smolka 1998) and is what built counts.
+    may_satisfy and may_witness, to the end for configs, edges, success
+    and len.  Its move memo also serves the depth-first must search (Liu
+    and Smolka 1998) and is what built counts.
     """
 
     def __init__(self, proc: Lts, test: Lts, roots, t: str):
@@ -157,12 +161,6 @@ class Experiment:
     def configs(self) -> list[tuple[str, str]]:
         self._search(False)
         return self._names(self._keys)
-
-    @cached_property
-    def passing(self) -> tuple[list[bool], list[bool]]:
-        """Per configuration, whether it may pass and whether it must
-        pass; solved once, on first read."""
-        return _passing(self)
 
     def _names(self, keys):
         n, proc, test = self._n, self.proc.states, self.test.states
@@ -238,39 +236,9 @@ def parallel_compose(proc: Lts, test: Lts, p: str, t: str) -> Experiment:
 def compose_all(proc: Lts, test: Lts, t: str) -> Experiment:
     """One experiment of every process state against test state t:
     configuration i is (proc.states[i], t).  Whether a configuration
-    passes does not depend on the root it was reached from, so one solve
-    answers every state."""
+    passes does not depend on the root it was reached from, so what one
+    root's answer settles serves every other root."""
     return Experiment(proc, test, range(len(proc.states)), t)
-
-
-def _passing(experiment: Experiment) -> tuple[list[bool], list[bool]]:
-    """The configurations that may pass and those that must pass.  Each is
-    the least set holding the success configurations and closed
-    backwards: a configuration joins once some move (may) or, with at
-    least one move, every move (must) leads into the set.  One list of
-    predecessors serves both worklists of remaining-move counters."""
-    edges = experiment.edges
-    n = len(edges)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for src, targets in enumerate(edges):
-        for dst in targets:
-            preds[dst].append(src)
-
-    success = experiment.success
-    seeds = [c for c in range(n) if success[c]]
-
-    def close(remaining):
-        inside = list(success)
-        queue = list(seeds)
-        for c in queue:  # the queue grows while walked
-            for p in preds[c]:
-                remaining[p] -= 1
-                if not inside[p] and remaining[p] == 0:
-                    inside[p] = True
-                    queue.append(p)
-        return inside
-
-    return close([1] * n), close([len(targets) for targets in edges])
 
 
 def _root_mask(experiment: Experiment, inside: list[bool]) -> int:
@@ -331,45 +299,26 @@ def must_counterexample(experiment: Experiment):
 
 
 def may_states(experiment: Experiment) -> int:
-    """Mask of the root process states that may pass, read from the whole
+    """Mask of the root process states that may pass: a backward search
+    from the success configurations over the predecessors of the whole
     graph."""
-    return _root_mask(experiment, experiment.passing[0])
+    edges, inside = experiment.edges, list(experiment.success)
+    preds: list[list[int]] = [[] for _ in edges]
+    for src, targets in enumerate(edges):
+        for dst in targets:
+            preds[dst].append(src)
+    queue = [c for c, ok in enumerate(inside) if ok]
+    for c in queue:  # the queue grows while walked
+        for p in preds[c]:
+            if not inside[p]:
+                inside[p] = True
+                queue.append(p)
+    return _root_mask(experiment, inside)
 
 
 def must_states(experiment: Experiment) -> int:
-    """Mask of the root process states that must pass."""
-    return _root_mask(experiment, experiment.passing[1])
-
-
-@dataclass
-class UnfoldVerdicts:
-    """Must verdicts for a recursive test and its one-step unfolding, as
-    masks over the process states, with the converging states."""
-
-    recursive: int
-    unfolded: int
-    converging: int
-
-    @property
-    def violations(self) -> int:
-        """States breaking either direction of the unfolding law: must for
-        mu X.t implies must for the unfolding unconditionally, and the
-        converse holds at converging states."""
-        forward = self.recursive & ~self.unfolded
-        converse = self.converging & self.unfolded & ~self.recursive
-        return forward | converse
-
-
-def must_unfold_law(proc: Lts, test: Test) -> UnfoldVerdicts:
-    """Check both directions of the recursion unfolding law for must at
-    every process state."""
-    from .testterms import substitute
-
-    if not isinstance(test, Mu):
-        raise TestError("must_unfold_law expects a recursive test mu X.t")
-    unfolded = substitute(test.body, test.var, test)
-    rec_lts, rec_root = reachable_lts(test)
-    unf_lts, unf_root = reachable_lts(unfolded)
-    rec = must_states(compose_all(proc, rec_lts, rec_root))
-    unf = must_states(compose_all(proc, unf_lts, unf_root))
-    return UnfoldVerdicts(rec, unf, proc.full_mask & ~proc.divergent_mask)
+    """Mask of the root process states that must pass: the depth-first
+    search of must_satisfy from each root in turn, over one move memo and
+    one record of the configurations it has settled."""
+    fails, roots = experiment._fails, experiment._keys[: len(experiment.roots)]
+    return _root_mask(experiment, [not fails(key) for key in roots])

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from . import formulas as fm
 from . import testterms as tm
-from .experiments import compose_all, may_states, must_states, must_unfold_law
+from .experiments import compose_all, may_states, must_states
 from .formulas import bekic_eliminate
 from .generators import TrialConfig, generate_formula, generate_lts, generate_sim_system, generate_test, spawn_rng
 from .lts import TAU, Lts, visible
@@ -284,6 +284,17 @@ class _Harness:
         unfolded = fm.substitute(body, "X0", phi)
         if interpret(lts, phi, stats=stats) != interpret(lts, unfolded, stats=stats):
             return {"lts": format_lts(lts), "formula": format_formula(phi)}
+        # max X.phi is the limit of phi iterated down from every state
+        # (Knaster-Tarski); a decreasing chain settles within n steps
+        greatest = lts.full_mask
+        for _ in range(len(lts.states) + 1):
+            below = interpret(lts, body, {"X0": greatest})
+            if below == greatest:
+                break
+            greatest = below
+        if interpret(lts, fm.Max("X0", body)) != greatest:
+            return {"lts": format_lts(lts), "formula": format_formula(fm.Max("X0", body)),
+                    "limit": list(lts.names_of(greatest))}
         return None
 
     def check_approximants(self, trial, rng, stats):
@@ -352,16 +363,21 @@ class _Harness:
         lts = self.trial_lts(trial, rng)
         body = generate_test(self.cfg, rng, scope=("X0",))
         test = tm.Mu("X0", body)
-        verdicts = must_unfold_law(lts, test)
-        if not verdicts.violations:
+        recursive, unfolded = (must_states(compose_all(lts, *reachable_lts(t)))
+                               for t in (test, tm.substitute(body, "X0", test)))
+        converging = lts.full_mask & ~lts.divergent_mask
+        # must for mu X.t implies must for its unfolding; the converse
+        # holds at converging states
+        violations = recursive & ~unfolded | converging & unfolded & ~recursive
+        if not violations:
             return None
-        i = next(lts.iter_mask(verdicts.violations))
+        i = next(lts.iter_mask(violations))
         state = lts.states[i]
         return {"lts": format_lts(lts, state), "state": state,
                 "test": format_test(test),
-                "recursive": _has(verdicts.recursive, i),
-                "unfolded": _has(verdicts.unfolded, i),
-                "converges": _has(verdicts.converging, i)}
+                "recursive": _has(recursive, i),
+                "unfolded": _has(unfolded, i),
+                "converges": _has(converging, i)}
 
     def check_must_implies_may(self, trial, rng, stats):
         lts = self.trial_lts(trial, rng)

@@ -10,9 +10,10 @@ converges once all its tau successors have, counted down per state, so no
 tau closure is built.  The named transitions and outgoing lists are built
 from the triples on first read, the predecessor rows of a visible action
 when pre first needs them.  pre is a backward search over predecessor
-rows, and the weak derivatives of one state a forward search over the
-successor rows.  Those caches only memoise functions of the transitions,
-so an Lts is still observably immutable and safe to share.
+rows, and reaches (does one state have a weak derivative in a mask) a
+forward search over the successor rows.  Those caches only memoise
+functions of the transitions, so an Lts is still observably immutable
+and safe to share.
 """
 
 from dataclasses import dataclass
@@ -253,22 +254,20 @@ class Lts:
             back = self._back[act.name] = _transpose(self._strong.get(act) or [0] * len(self.states))
         return _reach(self._back_tau, _image(back, _reach(self._back_tau, mask)))
 
-    def _post(self, act: Action, i: int, stop: int = 0) -> int:
-        """Weak act-derivatives of state i, by a forward search: its tau
-        closure, then for a visible action one act step and the tau closure
-        of that.  The last closure ends early once it meets stop."""
+    def reaches(self, act: Action, i: int, mask: int) -> bool:
+        """Whether state i has some weak act-derivative in the mask, by a
+        forward search: its tau closure, then for a visible action one act
+        step and the tau closure of that, which ends early once it meets
+        the mask."""
         if act.kind == "omega":
             raise LtsError("omega has no weak derivatives")
-        if act.kind == "tau":
-            return _reach(self._tau, 1 << i, stop)
-        strong = self._strong.get(act)
-        if strong is None:
-            return 0
-        return _reach(self._tau, _image(strong, _reach(self._tau, 1 << i)), stop)
-
-    def reaches(self, act: Action, i: int, mask: int) -> bool:
-        """Whether state i has some weak act-derivative in the mask."""
-        return bool(self._post(act, i, mask) & mask)
+        start = 1 << i
+        if act.kind != "tau":
+            strong = self._strong.get(act)
+            if strong is None:
+                return False
+            start = _image(strong, _reach(self._tau, start))
+        return bool(_reach(self._tau, start, mask) & mask)
 
     @property
     def divergent_mask(self) -> int:
@@ -285,18 +284,6 @@ class Lts:
         return self._omega_mask != 0
 
     # -- name-level queries ------------------------------------------------
-
-    def weak_tau_closure(self, state: str) -> frozenset[str]:
-        """States reachable by zero or more tau steps."""
-        return frozenset(self.names_of(self._post(TAU, self.state_index(state))))
-
-    def weak_derivatives(self, state: str, act: Action) -> frozenset[str]:
-        """Weak derivatives: tau closure for tau, closure-step-closure for a
-        visible action.  The action must be tau or belong to the alphabet."""
-        i = self.state_index(state)
-        if act.kind == "visible" and act.name not in self.alphabet:
-            raise LtsError(f"unknown action {act.name!r}")
-        return frozenset(self.names_of(self._post(act, i)))
 
     def converges(self, state: str) -> bool:
         """True when no infinite tau run starts at the state."""

@@ -46,6 +46,7 @@ from .formulas import (
     SimFormula,
     Tt,
     Var,
+    sim_free_vars,
 )
 from .lts import TAU, Lts, LtsError, visible
 
@@ -227,10 +228,7 @@ def interpret_simultaneous_vector(
     """Least solution vector of a simultaneous fixpoint, by Kleene iteration
     from the all-empty vector."""
     base = _normalize_env(lts, env)
-    missing = set()
-    for body in sim.bodies:
-        missing |= body.free
-    missing -= {*sim.variables, *base}
+    missing = sim_free_vars(sim) - base.keys()
     if missing:
         raise FormulaError(f"unbound variable {sorted(missing)[0]}")
     ev = _Evaluator(lts, stats)

@@ -99,47 +99,9 @@ class Mu(Test, Binder):
     var_class = Var
 
 
-def _steps(term):
-    """Moves of a test term in the order left summand before right,
-    duplicates kept; one walk with its own stack over the summands."""
-    out = []
-    stack = [term]
-    while stack:
-        match stack.pop():
-            case Sum(left, right):
-                stack.append(right)
-                stack.append(left)
-            case Prefix(action, body):
-                out.append((action, body))
-            case Success():
-                out.append((OMEGA, Nil()))
-            case Mu(var, body) as node:
-                out.append((TAU, substitute(body, var, node)))
-            case Nil() | Var(_):
-                pass
-            case other:
-                raise TestError(f"cannot step {other!r}")
-    return out
-
-
 def _require_closed(term):
     if term.free:
         raise TestError(f"open test term; free: {', '.join(sorted(term.free))}")
-
-
-def test_step(term) -> list[tuple[Action, Test]]:
-    """Outgoing moves of a closed test term, duplicates removed, in the
-    deterministic order left summand before right.  Duplicates are told
-    apart by printed target, since printing round-trips; hashing a deep
-    target recurses through C, which Python 3.12 refuses at about 500
-    levels."""
-    from .textio import format_test
-
-    _require_closed(term)
-    moves = {}
-    for action, target in _steps(term):
-        moves.setdefault((action, format_test(target)), (action, target))
-    return list(moves.values())
 
 
 # Interned de Bruijn nodes: ("0",), ("w",), ("pre", action, id),
@@ -269,8 +231,9 @@ class _Table:
         return built[0]
 
     def moves(self, state: int) -> list[tuple[Action, int]]:
-        """The moves of a closed state as _steps orders them: one walk with
-        its own stack over the summands, left first."""
+        """The moves of a closed state, duplicates kept: a prefix fires its
+        action, success offers omega, a binder unfolds by a tau step, and
+        a sum's summands move left first.  One walk with its own stack."""
         nodes = self.nodes
         out = []
         stack = [state]

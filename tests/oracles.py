@@ -2,8 +2,10 @@
 
 Everything here works on plain sets of state names and naive Kleene or
 Tarski characterizations, deliberately avoiding the bitmask machinery,
-the warm-restart evaluator and the worklist solvers of the package
-proper.  Slow is fine; these run on small inputs only.
+the warm-restart evaluator and the interned test terms of the package
+proper.  The experiment solver here counts remaining moves backwards,
+where the package searches depth-first.  Slow is fine; these run on
+small inputs only.
 """
 
 from collections import deque
@@ -14,6 +16,7 @@ from rechml import formulas as fm
 from rechml.formulas import Binder, Variable
 from rechml import testterms as tm
 from rechml.lts import OMEGA, TAU
+from rechml.textio import format_test
 
 
 def tau_closure(lts, state):
@@ -235,12 +238,40 @@ def graph_witness(graph):
     return path
 
 
+def passing(graph):
+    """Reference solver over a built experiment graph: per configuration,
+    whether it may pass and whether it must pass.  Each is the least set
+    holding the success configurations and closed backwards: a
+    configuration joins once some move (may) or, with at least one move,
+    every move (must) leads into the set, counted down by a worklist of
+    remaining moves per configuration."""
+    edges, success = graph.edges, graph.success
+    preds = [[] for _ in edges]
+    for src, targets in enumerate(edges):
+        for dst in targets:
+            preds[dst].append(src)
+
+    def close(remaining):
+        inside = list(success)
+        queue = [c for c, ok in enumerate(success) if ok]
+        for c in queue:  # the queue grows while walked
+            for p in preds[c]:
+                remaining[p] -= 1
+                if not inside[p] and remaining[p] == 0:
+                    inside[p] = True
+                    queue.append(p)
+        return inside
+
+    return close([1] * len(edges)), close([len(targets) for targets in edges])
+
+
 def graph_counterexample(graph):
     """Reference walk over a built experiment graph: (path, loop_index)
     when the root must-fails, else None.  Each step takes the first edge
-    into a configuration outside the graph's must set; loop_index is where
-    the last configuration loops back to, or None at a deadlock."""
-    inside = graph.passing[1]
+    into a configuration outside the must set of the reference solver;
+    loop_index is where the last configuration loops back to, or None at
+    a deadlock."""
+    inside = passing(graph)[1]
     if inside[0]:
         return None
     path_ids = [0]
@@ -293,16 +324,53 @@ def canonical(term):
     return walk(term)
 
 
+def _steps(term):
+    """Moves of a test term in the order left summand before right,
+    duplicates kept; one walk with its own stack over the summands."""
+    out = []
+    stack = [term]
+    while stack:
+        match stack.pop():
+            case tm.Sum(left, right):
+                stack.append(right)
+                stack.append(left)
+            case tm.Prefix(action, body):
+                out.append((action, body))
+            case tm.Success():
+                out.append((OMEGA, tm.Nil()))
+            case tm.Mu(var, body) as node:
+                out.append((TAU, tm.substitute(body, var, node)))
+            case tm.Nil() | tm.Var(_):
+                pass
+            case other:
+                raise tm.TestError(f"cannot step {other!r}")
+    return out
+
+
+def test_step(term):
+    """Outgoing moves of a closed test term, rule by rule on named terms:
+    a prefix fires its action, success offers omega, a binder unfolds by a
+    tau step and a sum's summands move left first.  Duplicates are removed
+    and told apart by printed target, since printing round-trips; hashing
+    a deep target recurses through C, which Python 3.12 refuses at about
+    500 levels."""
+    tm._require_closed(term)
+    moves = {}
+    for action, target in _steps(term):
+        moves.setdefault((action, format_test(target)), (action, target))
+    return list(moves.values())
+
+
 def explore_oracle(term):
     """States, transitions and terms of the test LTS by breadth-first search
-    over the public test_step targets, each state identified by its
-    canonical term, which is hashed and compared structurally."""
+    over the test_step targets, each state identified by its canonical
+    term, which is hashed and compared structurally."""
     root = canonical(term)
     found = {root: 0}
     order = [root]
     transitions = []
     for i, current in enumerate(order):  # order grows while it is read
-        for action, target in tm.test_step(current):
+        for action, target in test_step(current):
             target = canonical(target)
             if target not in found:
                 found[target] = len(order)

@@ -283,3 +283,20 @@ def test_parser_is_built_once_and_answers_as_a_fresh_one(proc_file, capsys):
     assert cli._build_parser.cache_info().misses == 1
     for argv in (["--help"], ["must", "--help"]):
         assert _main(argv, capsys) == (0, run_cli(*argv).stdout)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("interpret", ["check", "{lts}", "p0", "tt"]),
+    ("parallel_compose", ["must", "{lts}", "p0", "a.w.0"]),
+    ("formula_to_must_test", ["compile-formula", "--mode", "must", "--formula", "[a]ff"]),
+    ("bekic_eliminate", ["compile-test", "--mode", "must", "--test", "a.w.0"]),
+    ("verify_theorems", ["verify"]),
+])
+def test_memory_error_exits_three(name, argv, proc_file, monkeypatch, capsys):
+    # each verb runs out of memory in its main step: one error line, exit 3
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, name, exhausted)
+    assert cli.main([arg.replace("{lts}", proc_file) for arg in argv]) == 3
+    assert capsys.readouterr() == ("", "error: out of memory\n")

@@ -5,8 +5,8 @@ import sys
 import pytest
 
 from rechml import testterms as tm
+from rechml import harness
 from rechml.experiments import (
-    UnfoldVerdicts,
     compose_all,
     may_satisfy,
     may_states,
@@ -14,7 +14,6 @@ from rechml.experiments import (
     must_counterexample,
     must_satisfy,
     must_states,
-    must_unfold_law,
     parallel_compose,
 )
 from rechml.generators import TrialConfig, generate_lts, generate_test, spawn_rng
@@ -125,29 +124,34 @@ def test_must_counterexample_shapes():
     assert must_counterexample(compose_with(t, "fork")) is None
 
 
-def test_unfold_law_requires_recursion():
-    with pytest.raises(tm.TestError):
-        must_unfold_law(proc_fixture(), tm.Success())
+def unfold_law_report(monkeypatch, body, trials=3):
+    """The unfold_law check on the harness fixture process (trial 0) and
+    random processes, with every drawn test body replaced by body."""
+    monkeypatch.setattr(harness, "generate_test", lambda cfg, rng, scope=(): body)
+    return harness.verify_theorems(TrialConfig(property_trials=trials), only={"unfold_law"})
 
 
-def test_unfold_law_agrees_on_loop():
-    proc = proc_fixture()
-    loop = tm.Mu("X", tm.Sum(tm.Prefix(A, tm.Var("X")), tm.Prefix(B, tm.Success())))
-    verdicts = must_unfold_law(proc, loop)
-    assert verdicts.violations == 0
-    tlts, troot = reachable_lts(loop)
-    expected = proc.mask_of(
-        s for s in proc.states if must_satisfy(parallel_compose(proc, tlts, s, troot))
-    )
-    assert verdicts.recursive == expected
-    assert verdicts.converging == proc.mask_of(s for s in proc.states if s != "div")
+def test_unfold_law_agrees_on_loop(monkeypatch):
+    # mu X0. (a.X0 + b.w.0) against the fixture's deadlock, fork, one-armed
+    # and divergent states: must for the test and for its unfolding agree
+    body = tm.Sum(tm.Prefix(A, tm.Var("X0")), tm.Prefix(B, tm.Success()))
+    report = unfold_law_report(monkeypatch, body)
+    assert report.passed and report.checks[0].trials == 3
+    assert report.checks[0].divergent_trials >= 1  # the fixture has divergent states
 
 
-def test_unfold_violations_mask():
-    # state 0 breaks the forward direction; state 1 the converse, which
-    # only counts where the process converges (state 2 does not)
-    verdicts = UnfoldVerdicts(recursive=0b001, unfolded=0b110, converging=0b011)
-    assert verdicts.violations == 0b011
+def test_unfold_violations_mask(monkeypatch):
+    # a must solver that passes every state for the recursive test and
+    # none for its unfolding breaks the forward direction at state 0
+    answers = iter([-1, 0] * 3)
+    monkeypatch.setattr(harness, "must_states", lambda experiment: next(answers) & experiment.proc.full_mask)
+    report = unfold_law_report(monkeypatch, tm.Prefix(A, tm.Var("X0")))
+    check = report.checks[0]
+    assert check.failures == 3
+    counterexample = check.counterexample
+    assert counterexample["state"] == "dead" and counterexample["test"] == "mu X0. a.X0"
+    assert (counterexample["recursive"], counterexample["unfolded"], counterexample["converges"]) == \
+        (True, False, True)
 
 
 @pytest.mark.parametrize("trial", range(40))
@@ -212,6 +216,29 @@ def _product_cases():
 PRODUCT_DIGEST = "f2ee9fa8aa5de4a1f37e4123eb4f0e0c322f0b42e67820616708dbfd0b1360bd"
 
 
+def test_all_roots_states_match_oracles():
+    """must_states and may_states of compose_all over _product_cases equal
+    the oracles' verdicts at every root."""
+    for proc, tlts, troot in _product_cases():
+        every = compose_all(proc, tlts, troot)
+        must, may = must_states(every), may_states(every)
+        for i, state in enumerate(proc.states):
+            assert bool(must >> i & 1) == oracles.must_oracle(proc, tlts, state, troot), state
+            assert bool(may >> i & 1) == oracles.may_oracle(proc, tlts, state, troot), state
+
+
+def test_must_states_builds_no_success_moves():
+    """must_states alone searches depth-first from the roots: it builds
+    the moves of non-success configurations only, and runs no
+    breadth-first search."""
+    for proc, tlts, troot in _product_cases():
+        experiment = compose_all(proc, tlts, troot)
+        must_states(experiment)
+        assert not experiment._edges
+        whole = compose_all(proc, tlts, troot)
+        assert experiment.built <= whole.success.count(False)
+
+
 def test_product_output_frozen():
     """Two passes: the whole graphs read fresh, then read after the
     single-root experiments' four answers have run their search up to
@@ -262,7 +289,7 @@ def test_local_answers_match_references(chunk):
         rng = spawn_rng(31, "local", trial)
         proc = generate_lts(cfg, rng)
         tlts, troot = reachable_lts(generate_test(cfg, rng))
-        may_all, must_all = compose_all(proc, tlts, troot).passing
+        may_all, must_all = oracles.passing(compose_all(proc, tlts, troot))
         for k, state in enumerate(proc.states):
             graph = parallel_compose(proc, tlts, state, troot)
             expected = (oracles.may_oracle(proc, tlts, state, troot),

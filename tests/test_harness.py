@@ -1,6 +1,9 @@
+import functools
 import hashlib
 import json
 
+from rechml import formulas as fm
+from rechml import semantics
 from rechml.experiments import must_satisfy, parallel_compose
 from rechml.generators import TrialConfig
 from rechml.harness import fixture_lts, report_json, report_text, verify_theorems
@@ -115,3 +118,19 @@ def test_mutation_counterexample_refails_standalone():
     assert must_satisfy(graph) == ce["test_verdict"]
     assert satisfies(lts, ce["state"], formula) == ce["formula_verdict"]
     assert ce["test_verdict"] != ce["formula_verdict"]
+
+
+def test_max_evaluated_as_min_is_detected(monkeypatch):
+    # the evaluator's fixpoint loop iterates every max binder up from the
+    # empty set, as if it were min: the unfolding law still holds for it,
+    # but the greatest fixpoint is not the limit of the downward iterates
+    fixpoint = semantics._Evaluator._fixpoint
+    as_min = functools.cache(lambda node: fm.Min(node.var, node.body))
+
+    def least_only(self, node, env, fv):
+        return fixpoint(self, as_min(node) if isinstance(node, fm.Max) else node, env, fv)
+
+    monkeypatch.setattr(semantics._Evaluator, "_fixpoint", least_only)
+    report = verify_theorems(TrialConfig(), only={"fixpoint_unfolding"})
+    assert not report.passed
+    assert report.checks[0].counterexample["formula"].startswith("max X0.")

@@ -65,20 +65,48 @@ def test_duplicate_transitions_collapse():
     assert len(lts.transitions) == 1
 
 
+def reached(lts, state, act):
+    """The weak act-derivatives of a state, asking Lts.reaches of one
+    target state at a time."""
+    i = lts.state_index(state)
+    return {s for j, s in enumerate(lts.states) if lts.reaches(act, i, 1 << j)}
+
+
+def pre_of(lts, act, mask):
+    """The states with a weak act-derivative in the mask, from Lts.pre."""
+    return set(lts.names_of(lts.pre(act, mask)))
+
+
+def assert_matches_oracle(lts):
+    """reaches and pre at every state and action against the oracle's tau
+    closures and weak derivatives, and convergence against its divergence
+    search."""
+    for state in lts.states:
+        assert reached(lts, state, TAU) == oracles.tau_closure(lts, state)
+        assert lts.converges(state) == oracles.converges(lts, state)
+        for letter in lts.alphabet:
+            act = visible(letter)
+            assert reached(lts, state, act) == oracles.weak_derivatives(lts, state, act)
+    for act in [TAU] + [visible(letter) for letter in lts.alphabet]:
+        for j, target in enumerate(lts.states):
+            expected = {s for s in lts.states if target in oracles.weak_derivatives(lts, s, act)}
+            assert pre_of(lts, act, 1 << j) == expected
+
+
 def test_tau_closure_frozen():
     lts = chain_with_loop()
-    assert lts.weak_tau_closure("s0") == {"s0", "s1"}
-    assert lts.weak_tau_closure("s2") == {"s2", "s3"}
+    assert reached(lts, "s0", TAU) == {"s0", "s1"}
+    assert reached(lts, "s2", TAU) == {"s2", "s3"}
+    assert pre_of(lts, TAU, lts.mask_of(["s1"])) == {"s0", "s1"}
 
 
 def test_weak_derivatives_frozen():
     lts = chain_with_loop()
-    assert set(lts.weak_derivatives("s0", visible("a"))) == {"s2", "s3"}
+    assert reached(lts, "s0", visible("a")) == {"s2", "s3"}
     # s1 has no tau moves, so padding after the b step adds nothing
-    assert set(lts.weak_derivatives("s0", visible("b"))) == {"s1"}
-    assert set(lts.weak_derivatives("s2", visible("a"))) == set()
-    # weak tau includes the state itself
-    assert set(lts.weak_derivatives("s0", TAU)) == {"s0", "s1"}
+    assert reached(lts, "s0", visible("b")) == {"s1"}
+    assert reached(lts, "s2", visible("a")) == set()
+    assert pre_of(lts, visible("a"), lts.mask_of(["s3"])) == {"s0", "s1"}
 
 
 def test_divergence_frozen():
@@ -95,12 +123,10 @@ def test_weak_queries_reject_omega_and_unknown_actions():
     with pytest.raises(LtsError):
         lts.pre(OMEGA, lts.full_mask)
     with pytest.raises(LtsError):
-        lts.weak_derivatives("s0", OMEGA)
-    # an action with no transitions anywhere has no predecessors, but
-    # naming one outside the alphabet is an error
+        lts.reaches(OMEGA, 0, lts.full_mask)
+    # an action with no transitions anywhere has no weak derivatives
     assert lts.pre(visible("zz"), lts.full_mask) == 0
-    with pytest.raises(LtsError):
-        lts.weak_derivatives("s0", visible("zz"))
+    assert not lts.reaches(visible("zz"), 0, lts.full_mask)
 
 
 def test_mask_round_trip():
@@ -113,14 +139,7 @@ def test_mask_round_trip():
 @pytest.mark.parametrize("trial", range(40))
 def test_closures_match_oracle(trial):
     cfg = TrialConfig(max_states=7)
-    lts = generate_lts(cfg, spawn_rng(99, "lts_oracle", trial))
-    for state in lts.states:
-        assert lts.weak_tau_closure(state) == oracles.tau_closure(lts, state)
-        assert lts.converges(state) == oracles.converges(lts, state)
-        for letter in lts.alphabet:
-            act = visible(letter)
-            assert set(lts.weak_derivatives(state, act)) == \
-                oracles.weak_derivatives(lts, state, act)
+    assert_matches_oracle(generate_lts(cfg, spawn_rng(99, "lts_oracle", trial)))
 
 
 def test_long_tau_chains_match_oracle():
@@ -137,15 +156,9 @@ def test_long_tau_chains_match_oracle():
     states = path + cycle + tail
     random.Random(7).shuffle(states)
     lts = Lts(states=states, transitions=transitions)
-    assert len(lts.weak_tau_closure("p0")) == 55
+    assert len(reached(lts, "p0", TAU)) == 55
     assert not lts.converges("p0") and lts.converges("q0")
-    for state in lts.states:
-        assert lts.weak_tau_closure(state) == oracles.tau_closure(lts, state)
-        assert lts.converges(state) == oracles.converges(lts, state)
-        for letter in lts.alphabet:
-            act = visible(letter)
-            assert set(lts.weak_derivatives(state, act)) == \
-                oracles.weak_derivatives(lts, state, act)
+    assert_matches_oracle(lts)
 
 
 def tau_heavy(rng, n):
