@@ -13,9 +13,9 @@ and all moves lead into the set", and the may set that of "successful now,
 or some move leads into the set".
 
 The product runs on ints: configuration (ip, it) is the key ip * n + it
-over the n test states, and each side's strong moves come from the
-successor masks of Lts.strong_row, read only for the configurations that
-are expanded.  Names are attached at the end.
+over the n test states, and each side's strong moves are read straight
+from the successor index lists of Lts.strong_row.  Names are attached at
+the end.
 
 An Experiment keeps one memo of the moves built so far, shared by two
 searches that stop and resume:
@@ -47,28 +47,23 @@ def _product(proc: Lts, test: Lts):
     (n, moves) where configuration (ip, it) is the key ip * n + it and
     moves(key) lists its target keys as process taus, test taus, then
     shared actions by name, each once.  Witness and counterexample paths
-    follow this order.  Each side's successor index lists are built per
-    state, when a configuration first needs them."""
+    follow this order.  Each side's moves are read from the successor
+    index lists of Lts.strong_row."""
     if proc.has_omega:
         raise LtsError("process side of an experiment cannot use omega")
     n = len(test.states)
-    acts = [TAU] + [visible(a) for a in sorted(set(proc.alphabet) & set(test.alphabet))]
-    proc_rows, test_rows = [proc.strong_row(a) for a in acts], [test.strong_row(a) for a in acts]
-    proc_succ = [None] * len(proc.states)
-    test_succ = [None] * n
+    acts = [visible(a) for a in sorted(set(proc.alphabet) & set(test.alphabet))]
+    proc_tau, test_tau = proc.strong_row(TAU), test.strong_row(TAU)
+    shared = [(proc.strong_row(a), test.strong_row(a)) for a in acts]
 
     def moves(key):
         ip, it = divmod(key, n)
-        ps, ts = proc_succ[ip], test_succ[it]
-        if ps is None:
-            ps = proc_succ[ip] = [list(proc.iter_mask(row[ip])) for row in proc_rows]
-        if ts is None:
-            ts = test_succ[it] = [list(test.iter_mask(row[it])) for row in test_rows]
-        targets = [jp * n + it for jp in ps[0]]
-        targets += [ip * n + jt for jt in ts[0]]
-        for k in range(1, len(acts)):
-            if ps[k] and ts[k]:
-                targets += [jp * n + jt for jp in ps[k] for jt in ts[k]]
+        targets = [jp * n + it for jp in proc_tau[ip]]
+        targets += [ip * n + jt for jt in test_tau[it]]
+        for proc_row, test_row in shared:
+            ps, ts = proc_row[ip], test_row[it]
+            if ps and ts:
+                targets += [jp * n + jt for jp in ps for jt in ts]
         return list(dict.fromkeys(targets))
 
     return n, moves

@@ -1,19 +1,21 @@
 """Finite labelled transition systems.
 
-States are interned to dense integer indices and sets of states are
-manipulated as integer bit masks keyed by that order.  Every Lts comes
-from one build step fed by interned states and (i, k, j) index triples
-over a table of distinct actions; the public constructor interns its
-arguments into them.  The step keeps the strong successor rows of each
-action, deduped on the row bits, and finds divergence by peeling: a state
-converges once all its tau successors have, counted down per state, so no
-tau closure is built.  The named transitions and outgoing lists are built
-from the triples on first read, the predecessor rows of a visible action
-when pre first needs them.  pre is a backward search over predecessor
-rows, and reaches (does one state have a weak derivative in a mask) a
-forward search over the successor rows.  Those caches only memoise
-functions of the transitions, so an Lts is still observably immutable
-and safe to share.
+States are interned to dense integer indices.  The transition relation is
+kept once: for each action, the strong successors of every state as a
+tuple of target indices in index order, so memory is linear in the
+transitions.  Sets of states are integer bit masks keyed by the state
+order.  Every Lts comes from one build step fed by interned states and
+(i, k, j) index triples over a table of distinct actions; the public
+constructor interns its arguments into them.  The step fills the
+successor lists, dropping repeated triples, and finds divergence by
+peeling: a state converges once all its tau successors have, counted
+down per state, so no tau closure is built.  The named transitions and
+outgoing lists are built from the triples on first read, the predecessor
+lists of a visible action when pre first needs them.  pre is a backward
+search over predecessor lists, and reaches (does one state have a weak
+derivative in a mask) a forward search over the successor lists.  Those
+caches only memoise functions of the transitions, and nothing handed out
+can be mutated, so an Lts is observably immutable and safe to share.
 """
 
 from dataclasses import dataclass
@@ -70,28 +72,32 @@ def visible(name: str) -> Action:
     return Action("visible", name)
 
 
-def _image(rows: list[int], mask: int) -> int:
-    """The union of rows[i] over the bits i of mask."""
+def _image(rows, mask: int) -> int:
+    """The mask of the states listed in rows[i] over the bits i of mask."""
     out = 0
     while mask:
         low = mask & -mask
-        out |= rows[low.bit_length() - 1]
+        for j in rows[low.bit_length() - 1]:
+            out |= 1 << j
         mask ^= low
     return out
 
 
-def _transpose(rows: list[int]) -> list[int]:
-    """The predecessor masks of every state, from its successor masks."""
-    out = [0] * len(rows)
+def _transpose(rows) -> list:
+    """The predecessor lists of every state, from its successor lists; a
+    state with no predecessors keeps the shared empty tuple."""
+    out: list = [()] * len(rows)
     for i, row in enumerate(rows):
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= 1 << i
-            row ^= low
+        for j in row:
+            got = out[j]
+            if got:
+                got.append(i)
+            else:
+                out[j] = [i]
     return out
 
 
-def _reach(rows: list[int], mask: int, stop: int = 0) -> int:
+def _reach(rows, mask: int, stop: int = 0) -> int:
     """The states reachable from mask in zero or more row steps; each
     reached state is expanded once.  The search ends early, with only part
     of the answer, once it has reached a state in stop."""
@@ -155,41 +161,43 @@ class Lts:
         self.states: tuple[str, ...] = tuple(states)
         self._index = index
         n = len(states)
-        rows: list[list[int] | None] = [None] * len(actions)
-        kept = []
-        for t in triples:
-            i, k, j = t
+        # sorted: targets come in index order, a repeated triple right after
+        # its first copy; a state with no moves keeps the shared ()
+        rows: list[list | None] = [None] * len(actions)
+        for i, k, j in sorted(triples):
             row = rows[k]
             if row is None:
-                row = rows[k] = [0] * n
-            bit = 1 << j
-            if not row[i] & bit:
-                row[i] |= bit
-                kept.append(t)
+                row = rows[k] = [()] * n
+            got = row[i]
+            if not got:
+                row[i] = [j]
+            elif got[-1] != j:
+                got.append(j)
         self._actions = actions
-        self._triples = kept
-        self._strong: dict[Action, list[int]] = {
-            actions[k]: row for k, row in enumerate(rows) if row is not None}
+        self._triples = triples
+        # via a list: tuple() of a map over-allocates and shrinks, churn that raises peak RSS
+        self._strong: dict[Action, tuple[tuple[int, ...], ...]] = {
+            actions[k]: tuple([*map(tuple, row)]) for k, row in enumerate(rows) if row is not None}
         names = {a.name for a in self._strong if a.kind == "visible"}
         names.update(alphabet)
         self.alphabet: tuple[str, ...] = tuple(sorted(names))
 
         self.full_mask: int = (1 << n) - 1
-        self._tau = self._strong.get(TAU) or [0] * n
+        self._tau = self.strong_row(TAU)
         self._back_tau = _transpose(self._tau)
-        # visible action name -> its transposed rows, built by pre
-        self._back: dict[str, list[int]] = {}
+        # visible action name -> its predecessor lists, built by pre
+        self._back: dict[str, list] = {}
         self._omega_mask = sum(1 << i for i, r in enumerate(self._strong.get(OMEGA, ())) if r)
 
         # Peel convergent states: a state converges once all its tau
         # successors have (a tau self-loop is never peeled).
-        left = [row.bit_count() for row in self._tau]
+        left = list(map(len, self._tau))
         peeled = [i for i, k in enumerate(left) if not k]
         converging = 0
         while peeled:
             j = peeled.pop()
             converging |= 1 << j
-            for i in self.iter_mask(self._back_tau[j]):
+            for i in self._back_tau[j]:
                 left[i] -= 1
                 if not left[i]:
                     peeled.append(i)
@@ -199,7 +207,7 @@ class Lts:
     def transitions(self) -> tuple[tuple[str, Action, str], ...]:
         """(source, Action, target) triples, deduped, in construction order."""
         states, actions = self.states, self._actions
-        return tuple((states[i], actions[k], states[j]) for i, k, j in self._triples)
+        return tuple((states[i], actions[k], states[j]) for i, k, j in dict.fromkeys(self._triples))
 
     @cached_property
     def _outgoing(self) -> dict[str, list[tuple[str, Action, str]]]:
@@ -233,25 +241,24 @@ class Lts:
 
     # -- state-set queries ------------------------------------------------
 
-    def strong_row(self, act: Action) -> tuple[int, ...]:
-        """The strong act-successor mask of every state; all 0 for an
-        action with no transitions anywhere."""
-        row = self._strong.get(act)
-        return tuple(row) if row else (0,) * len(self.states)
+    def strong_row(self, act: Action) -> tuple[tuple[int, ...], ...]:
+        """The strong act-successors of every state, as target indices in
+        index order; all empty for an action with no transitions anywhere."""
+        return self._strong.get(act) or ((),) * len(self.states)
 
     def pre(self, act: Action, mask: int) -> int:
         """States with some weak act-derivative in the mask, by a backward
         search: the tau-predecessor closure of the mask, then for a visible
         action its act-predecessors and their tau-predecessor closure.  The
-        predecessor rows of a visible action are transposed from its
-        successor rows on first use."""
+        predecessor lists of a visible action are transposed from its
+        successor lists on first use."""
         if act.kind == "tau":
             return _reach(self._back_tau, mask)
         if act.kind == "omega":
             raise LtsError("omega has no weak derivatives")
         back = self._back.get(act.name)
         if back is None:
-            back = self._back[act.name] = _transpose(self._strong.get(act) or [0] * len(self.states))
+            back = self._back[act.name] = _transpose(self.strong_row(act))
         return _reach(self._back_tau, _image(back, _reach(self._back_tau, mask)))
 
     def reaches(self, act: Action, i: int, mask: int) -> bool:
@@ -263,10 +270,7 @@ class Lts:
             raise LtsError("omega has no weak derivatives")
         start = 1 << i
         if act.kind != "tau":
-            strong = self._strong.get(act)
-            if strong is None:
-                return False
-            start = _image(strong, _reach(self._tau, start))
+            start = _image(self.strong_row(act), _reach(self._tau, start))
         return bool(_reach(self._tau, start, mask) & mask)
 
     @property
@@ -295,4 +299,4 @@ class Lts:
 
     def __repr__(self):
         return (f"Lts({self.name!r}, {len(self.states)} states, "
-                f"{len(self._triples)} transitions)")
+                f"{len(self.transitions)} transitions)")

@@ -248,10 +248,11 @@ def test_testing_query_leaves_transitions_unbuilt(tmp_path, monkeypatch):
     assert "transitions" in vars(lts)
 
 
-# Builds an n-state a-chain through parse_lts and then through Lts(...);
-# prints the seconds each build took.
+# Builds an n-state a-chain through parse_lts and then through Lts(...),
+# and answers one pre on the second; prints the seconds each build took and
+# the peak resident memory in MB.
 _A_CHAIN = """
-import sys, time
+import resource, sys, time
 from rechml.lts import Lts, visible
 from rechml.textio import parse_lts
 
@@ -267,14 +268,19 @@ chain = [(f"p{i}", a, f"p{i + 1}") for i in range(n - 1)]
 start = time.perf_counter()
 lts = Lts(transitions=chain)
 assert len(lts.states) == n and lts.divergent_mask == 0
-print(parsed, time.perf_counter() - start)
+public = time.perf_counter() - start
+assert lts.pre(a, 1 << n - 1) == 1 << n - 2
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(parsed, public, peak / 2**20 if sys.platform == "darwin" else peak / 2**10)
 """
 
 
 def test_long_chain_builds_in_linear_time():
-    # a row of n zeros allocated per transition made this about 30 s
+    # a row of n zeros allocated per transition made this about 30 s, and
+    # successor rows kept as n-bit masks peaked at about 1.3 GB once pre ran
     done = subprocess.run([sys.executable, "-c", _A_CHAIN, "100000"],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    parsed, public = map(float, done.stdout.split())
+    parsed, public, peak_mb = map(float, done.stdout.split())
     assert parsed < 10 and public < 10, done.stdout
+    assert peak_mb < 250, done.stdout
