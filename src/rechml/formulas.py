@@ -10,7 +10,7 @@ The first two work on any term language built from the marker bases
 Term, Variable and Binder: formulas here and the test terms of
 rechml.testterms, which re-exports them.  They look only at the shape of a
 node (variable, binder or other) and reach other nodes through the
-family's children() and map_children(f).
+family's map_children(f).
 
 Every node carries its free variables in the slot free, built with the
 node from its children's sets, so no walk recomputes them.  Large
@@ -24,7 +24,7 @@ several parents, so it builds that text once.
 
 from dataclasses import dataclass
 
-from .lts import Action
+from .lts import Action, LtsError, visible
 
 
 class FormulaError(Exception):
@@ -36,11 +36,11 @@ _CLOSED = frozenset()
 
 class Term:
     """Base of a term language with binders.  A family names the prefix of
-    its canonical bound names in bound_prefix and defines children() and
-    map_children(f), the latter rebuilding a node with f applied to each
-    child.  free holds the node's free variables, set in __post_init__; it
-    is a slot, not a field, so equality, hashing and repr ignore it and
-    vars() holds only the fields."""
+    its canonical bound names in bound_prefix and defines map_children(f),
+    which rebuilds a node with f applied to each child.  free holds the
+    node's free variables, set in __post_init__; it is a slot, not a field,
+    so equality, hashing and repr ignore it and vars() holds only the
+    fields."""
 
     __slots__ = ("free",)
 
@@ -52,8 +52,7 @@ class Term:
             if self.var in free:
                 free = free - {self.var}
         else:
-            # the children are the fields that hold terms; vars() is
-            # quicker to read than children()
+            # the children are the fields that hold terms
             free = _CLOSED
             for child in vars(self).values():
                 if isinstance(child, Term) and child.free:
@@ -134,8 +133,12 @@ class Acc(Formula):
         object.__setattr__(self, "actions", frozenset(self.actions))
         object.__setattr__(self, "free", _CLOSED)
         for a in self.actions:
-            if not isinstance(a, str) or not a or a in ("tau", "omega"):
+            if not isinstance(a, str):
                 raise FormulaError(f"bad action name in Acc: {a!r}")
+            try:
+                visible(a)
+            except LtsError as err:
+                raise FormulaError(f"bad action name in Acc: {a!r}") from err
 
 
 @dataclass(frozen=True)

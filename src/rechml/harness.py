@@ -6,8 +6,13 @@ Known awkward shapes (deadlock, a tau self-loop, the a/b fork and a
 divergent fork) are seeded into every run as trial 0 fixtures alongside
 the random instances.
 
-The mutation flag corrupts the output of the real must compiler (the
-visible box loses its tau escape to success) and is expected to produce
+The four representation theorems share one trial, _agreement: a
+formula and a test that correspond are drawn or compiled, the test is
+explored once, and the states that satisfy the formula are compared with
+the states that pass the test.
+
+The mutation flag swaps in the must compiler's wrong variant (a visible
+box loses its tau escape to success) and is expected to produce
 failures; it exists so a silent-green harness can be told apart from one
 that cannot see anything.
 """
@@ -22,9 +27,10 @@ from .formulas import bekic_eliminate
 from .generators import TrialConfig, generate_formula, generate_lts, generate_sim_system, generate_test, spawn_rng
 from .lts import TAU, Lts, visible
 from .semantics import EvalStats, interpret, interpret_simultaneous_vector
-from .testterms import reachable_lts
+from .testterms import explore, reachable_lts
 from .textio import format_formula, format_lts, format_test
-from .translate import formula_to_may_test, formula_to_must_test, test_to_may_formula, test_to_must_formula
+from .translate import (_must_test, formula_to_may_test, formula_to_must_test,
+                        test_lts_to_may_system, test_lts_to_must_system)
 
 
 @dataclass
@@ -84,26 +90,6 @@ def _deadlock_lts(cfg) -> Lts:
 def _tauloop_lts(cfg) -> Lts:
     return Lts(states=["loop"], transitions=[("loop", TAU, "loop")],
                alphabet=cfg.alphabet(), name="tauloop")
-
-
-def _strip_box_escapes(test):
-    """Wrong on purpose: every visible box forgets that refusing the action
-    is acceptable, so deadlocked processes are misjudged.  The must compiler
-    emits a.t + tau.w.0 for a visible box and nowhere else (Acc arms are
-    all visible, conjunction arms all tau)."""
-    match test:
-        case tm.Sum(tm.Prefix(action, body), tm.Prefix(escape, tm.Success())) if (
-            action.kind == "visible" and escape == TAU
-        ):
-            return tm.Prefix(action, _strip_box_escapes(body))
-        case tm.Prefix(action, body):
-            return tm.Prefix(action, _strip_box_escapes(body))
-        case tm.Sum(left, right):
-            return tm.Sum(_strip_box_escapes(left), _strip_box_escapes(right))
-        case tm.Mu(var, body):
-            return tm.Mu(var, _strip_box_escapes(body))
-        case _:
-            return test
 
 
 def _bool(value) -> str:
@@ -172,11 +158,46 @@ class _Harness:
             self._divergent += 1
         return lts
 
-    def _compare(self, lts, formula, test, mode, stats):
+    # -- representation theorems --------------------------------------------
+
+    def check_must_formula(self, trial, rng, stats):
+        return self._agreement(trial, rng, stats, "must", "formula")
+
+    def check_must_test(self, trial, rng, stats):
+        return self._agreement(trial, rng, stats, "must", "test")
+
+    def check_may_formula(self, trial, rng, stats):
+        return self._agreement(trial, rng, stats, "may", "formula")
+
+    def check_may_test(self, trial, rng, stats):
+        return self._agreement(trial, rng, stats, "may", "test")
+
+    def _agreement(self, trial, rng, stats, mode, source):
+        """One trial of a representation theorem: the states that satisfy
+        a formula are the states that mode-pass the test it corresponds
+        to.  source names the side that is drawn at random and compiled
+        to the other; the test is explored once either way."""
+        lts = self.trial_lts(trial, rng)
+        must = mode == "must"
+        if source == "formula":
+            formula = generate_formula(self.cfg, rng, mode)
+            if not must:
+                test = formula_to_may_test(formula)
+            elif self.mutate:
+                test = _must_test(formula, escape=False)
+            else:
+                test = formula_to_must_test(formula)
+            tlts, troot = reachable_lts(test)
+        else:
+            test = generate_test(self.cfg, rng)
+            tlts, troot, terms = explore(test)
+            system = test_lts_to_must_system if must else test_lts_to_may_system
+            formula = bekic_eliminate(system(tlts, troot, terms))
+            if not (fm.is_musthml if must else fm.is_mayhml)(formula):
+                return {"test": format_test(test), "error": f"compiled formula outside {mode} fragment"}
         sat = interpret(lts, formula, stats=stats)
-        tlts, troot = reachable_lts(test)
         graph = compose_all(lts, tlts, troot)
-        passing = must_states(graph) if mode == "must" else may_states(graph)
+        passing = must_states(graph) if must else may_states(graph)
         if sat == passing:
             return None
         i = next(lts.iter_mask(sat ^ passing))
@@ -190,37 +211,6 @@ class _Harness:
             "mode": mode,
             "lts": format_lts(lts, state),
         }
-
-    # -- representation theorems --------------------------------------------
-
-    def check_must_formula(self, trial, rng, stats):
-        lts = self.trial_lts(trial, rng)
-        formula = generate_formula(self.cfg, rng, "must")
-        test = formula_to_must_test(formula)
-        if self.mutate:
-            test = _strip_box_escapes(test)
-        return self._compare(lts, formula, test, "must", stats)
-
-    def check_may_formula(self, trial, rng, stats):
-        lts = self.trial_lts(trial, rng)
-        formula = generate_formula(self.cfg, rng, "may")
-        return self._compare(lts, formula, formula_to_may_test(formula), "may", stats)
-
-    def check_must_test(self, trial, rng, stats):
-        lts = self.trial_lts(trial, rng)
-        test = generate_test(self.cfg, rng)
-        formula = test_to_must_formula(test)
-        if not fm.is_musthml(formula):
-            return {"test": format_test(test), "error": "compiled formula outside must fragment"}
-        return self._compare(lts, formula, test, "must", stats)
-
-    def check_may_test(self, trial, rng, stats):
-        lts = self.trial_lts(trial, rng)
-        test = generate_test(self.cfg, rng)
-        formula = test_to_may_formula(test)
-        if not fm.is_mayhml(formula):
-            return {"test": format_test(test), "error": "compiled formula outside may fragment"}
-        return self._compare(lts, formula, test, "may", stats)
 
     # -- fixpoint machinery ---------------------------------------------------
 

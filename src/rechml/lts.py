@@ -26,25 +26,17 @@ class LtsError(Exception):
     """Raised for malformed systems, unknown states or unknown actions."""
 
 
-_ACTION_RANK = {"tau": 0, "visible": 1, "omega": 2}
-
-
 @dataclass(frozen=True)
 class Action:
     """A transition label: the silent action, a visible action or omega.
 
     kind is one of "tau", "visible" or "omega"; name is empty except for
-    visible actions.  Actions order as tau, then visible actions by name,
-    then omega.
+    visible actions.  Actions compare equal by kind and name; they have no
+    order.
     """
 
     kind: str
     name: str = ""
-
-    def __lt__(self, other):
-        if not isinstance(other, Action):
-            return NotImplemented
-        return (_ACTION_RANK[self.kind], self.name) < (_ACTION_RANK[other.kind], other.name)
 
     def __post_init__(self):
         if self.kind not in ("tau", "visible", "omega"):

@@ -39,15 +39,6 @@ class Test(Term):
 
         return format_test(self)
 
-    def children(self):
-        match self:
-            case Sum(l, r):
-                return (l, r)
-            case Prefix(_, b) | Mu(_, b):
-                return (b,)
-            case _:
-                return ()
-
     def map_children(self, f):
         match self:
             case Sum(l, r):

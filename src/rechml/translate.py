@@ -7,7 +7,9 @@ denotes the full state set must compile to immediate success rather than
 to a tau-choice, because a divergent process must-fails any test that
 cannot succeed at once.  Within the must fragment a subformula denotes the
 full state set exactly when it compiles to success, so the compiler reads
-the rule off the compiled arms in the same single pass.
+the rule off the compiled arms in the same single pass.  The must
+compiler has one deliberately wrong variant, in which a visible box loses
+its tau escape to success; the harness's mutation self-test runs it.
 
 Test to formula: the reachable states of the test induce one equation per
 state; packaging them as a simultaneous least fixpoint and eliminating it
@@ -41,6 +43,15 @@ def _require_fragment(formula, fragment: str, who: str):
 def formula_to_must_test(formula: Formula) -> Test:
     """Compile a closed must formula to a test characterizing it under
     must-passing."""
+    return _must_test(formula, escape=True)
+
+
+def _must_test(formula: Formula, escape: bool) -> Test:
+    """The must compiler.  With escape, a visible box [a]phi compiles to
+    a.t + tau.w.0, so refusing a is a way to pass.  Without it the box
+    compiles to a.t alone: a wrong compiler on purpose, which misjudges
+    deadlocked processes.  verify --self-test-mutation runs that variant
+    to show that the harness can see a broken translation."""
     _require_fragment(formula, "must", "formula_to_must_test")
 
     def conv(node) -> Test:
@@ -55,9 +66,10 @@ def formula_to_must_test(formula: Formula) -> Test:
             case fm.Var(name):
                 return tm.Var(name)
             case fm.Box(action, body):
-                if action.kind == "tau":
-                    return tm.Prefix(TAU, conv(body))
-                return tm.Sum(tm.Prefix(action, conv(body)), tm.Prefix(TAU, tm.Success()))
+                step = tm.Prefix(action, conv(body))
+                if action.kind == "tau" or not escape:
+                    return step
+                return tm.Sum(step, tm.Prefix(TAU, tm.Success()))
             case fm.And(left, right):
                 # isinstance, not ==: comparing two large equal tests is deep
                 lt, rt = conv(left), conv(right)

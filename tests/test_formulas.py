@@ -23,8 +23,11 @@ def test_modalities_reject_omega():
 def test_acc_normalizes_to_frozenset():
     acc = fm.Acc(["b", "a"])
     assert acc.actions == frozenset({"a", "b"})
-    with pytest.raises(fm.FormulaError):
-        fm.Acc(["tau"])
+    # the reserved-name rule is Action's; Acc reports it at construction,
+    # before interpret would meet the name
+    for name in ("w", "tau", "omega", "", 3):
+        with pytest.raises(fm.FormulaError):
+            fm.Acc([name])
 
 
 def test_free_vars():

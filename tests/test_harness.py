@@ -3,7 +3,7 @@ import hashlib
 import json
 
 from rechml import formulas as fm
-from rechml import semantics
+from rechml import semantics, testterms
 from rechml.experiments import must_satisfy, parallel_compose
 from rechml.generators import TrialConfig
 from rechml.harness import fixture_lts, report_json, report_text, verify_theorems
@@ -59,6 +59,23 @@ def test_zero_trials_is_a_vacuous_pass():
 def test_only_restricts_the_run():
     report = verify_theorems(small_config(), only={"bekic_equivalence"})
     assert [c.name for c in report.checks] == ["bekic_equivalence"]
+
+
+def test_test_side_trials_explore_each_test_once(monkeypatch):
+    # the compiled formula and the experiment read one exploration of the
+    # drawn test; explore converts its root once, whoever imported it
+    calls = [0]
+    convert = testterms._Table.convert
+
+    def counted(self, term):
+        calls[0] += 1
+        return convert(self, term)
+
+    monkeypatch.setattr(testterms._Table, "convert", counted)
+    cfg = small_config(trials=12)
+    report = verify_theorems(cfg, only={"must_test_agreement", "may_test_agreement"})
+    assert report.passed
+    assert calls[0] == 2 * cfg.trials
 
 
 def test_fixture_has_the_awkward_shapes():

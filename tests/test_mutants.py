@@ -1,4 +1,5 @@
-"""The harness kills mutants of the transition relation and the product.
+"""The harness kills mutants of the transition relation, the evaluator
+and the experiment.
 
 Each mutant is applied by monkeypatching one function, and the named
 checks of verify_theorems at the default TrialConfig must each fail.
@@ -6,10 +7,11 @@ checks of verify_theorems at the default TrialConfig must each fail.
 
 import pytest
 
-from rechml import experiments
+from rechml import experiments, semantics
+from rechml import formulas as fm
 from rechml.generators import TrialConfig
 from rechml.harness import verify_theorems
-from rechml.lts import TAU, Lts, _image
+from rechml.lts import TAU, Lts, _image, visible
 
 AGREEMENT = ("must_formula_agreement", "must_test_agreement",
              "may_formula_agreement", "may_test_agreement")
@@ -52,10 +54,69 @@ def product_without_test_taus(monkeypatch):
     monkeypatch.setattr(experiments, "_product", without_test_taus)
 
 
+def acc_ignores_divergence(monkeypatch):
+    # Acc A holds at divergent states whose tau-derivatives can all do A
+    def without_convergence(self, actions):
+        lts = self.lts
+        can_some = 0
+        for a in sorted(actions):
+            can_some |= lts.pre(visible(a), lts.full_mask)
+        return lts.full_mask & ~lts.pre(TAU, lts.full_mask & ~can_some)
+
+    monkeypatch.setattr(semantics._Evaluator, "_acc", without_convergence)
+
+
+def shrink_never_rechecks(monkeypatch):
+    # when a modality's input shrinks, no state leaves its pre-image
+    monkeypatch.setattr(Lts, "reaches", lambda self, act, i, mask: True)
+
+
+def box_ignores_divergence(monkeypatch):
+    # [a]phi holds at divergent states whose weak a-derivatives satisfy phi
+    evaluate = semantics._Evaluator.eval
+
+    def without_convergence(self, node, env):
+        if not isinstance(node, fm.Box):
+            return evaluate(self, node, env)
+        q = self.lts.full_mask & ~self.eval(node.body, env)
+        return self.lts.full_mask & ~self.lts.pre(node.action, q)
+
+    monkeypatch.setattr(semantics._Evaluator, "eval", without_convergence)
+
+
+def must_passes_at_a_deadlock(monkeypatch):
+    # a configuration with no moves passes when must is asked of it
+    fails = experiments.Experiment._fails
+
+    def deadlock_passes(self, key):
+        return bool(self._moves[key]) and fails(self, key)
+
+    monkeypatch.setattr(experiments.Experiment, "_fails", deadlock_passes)
+
+
+def stale_warm_start(monkeypatch):
+    # a binder evaluated before returns its old fixpoint whatever the
+    # environment is now
+    fixpoint = semantics._Evaluator._fixpoint
+
+    def resume_blindly(self, node, env, fv):
+        prev = self.resume.get(id(node))
+        return fixpoint(self, node, env, fv) if prev is None else prev[1]
+
+    monkeypatch.setattr(semantics._Evaluator, "_fixpoint", resume_blindly)
+
+
 @pytest.mark.parametrize("mutate, killed", [
     (tau_pre_one_step, ("must_formula_agreement", "must_test_agreement")),
     (divergence_from_self_loops, ("must_formula_agreement", "must_test_agreement", "unfold_law")),
     (product_without_test_taus, AGREEMENT + ("unfold_law",)),
+    (acc_ignores_divergence, ("must_formula_agreement", "divergence_collapse", "acc_equivalence")),
+    (shrink_never_rechecks, ("must_formula_agreement", "bekic_equivalence", "fixpoint_unfolding")),
+    (box_ignores_divergence, ("must_formula_agreement", "must_test_agreement", "divergence_collapse",
+                              "open_min_not_full", "acc_equivalence", "tt_grammar_semantic")),
+    (must_passes_at_a_deadlock, ("must_formula_agreement", "must_test_agreement", "unfold_law",
+                                 "must_implies_may")),
+    (stale_warm_start, ("must_formula_agreement", "bekic_equivalence", "fixpoint_unfolding")),
 ])
 def test_mutant_is_killed(monkeypatch, mutate, killed):
     mutate(monkeypatch)

@@ -12,11 +12,13 @@ from rechml.lts import OMEGA, TAU, Lts, visible
 from rechml.semantics import interpret_states
 from rechml.testterms import reachable_lts
 from rechml.textio import format_formula, format_test, parse_test
-from rechml.translate import formula_to_may_test, formula_to_must_test
+from rechml.translate import _must_test, formula_to_may_test, formula_to_must_test
 from rechml.translate import test_lts_to_may_system as lts_to_may_system
 from rechml.translate import test_lts_to_must_system as lts_to_must_system
 from rechml.translate import test_to_may_formula as to_may_formula
 from rechml.translate import test_to_must_formula as to_must_formula
+
+import oracles
 
 A = visible("a")
 B = visible("b")
@@ -54,6 +56,25 @@ def test_must_min_unwraps_when_body_is_closed():
     looping = fm.Min("X", fm.Box(A, fm.Var("X")))
     assert formula_to_must_test(looping) == tm.Mu(
         "X", tm.Sum(tm.Prefix(A, tm.Var("X")), tm.Prefix(TAU, W)))
+
+
+def test_must_compiler_variant_only_drops_box_escapes():
+    # the variant verify --self-test-mutation runs differs from the must
+    # compiler exactly by the tau.w.0 escape of every visible box
+    def agree(phi):
+        assert _must_test(phi, escape=True) == formula_to_must_test(phi)
+        assert _must_test(phi, escape=False) == oracles.strip_box_escapes(formula_to_must_test(phi))
+
+    fixed = fm.And(
+        fm.Min("X", fm.And(fm.Box(A, fm.Var("X")), fm.Box(TAU, fm.Box(B, fm.Acc({"a", "b"}))))),
+        fm.Box(A, fm.Ff()),
+    )
+    agree(fixed)
+    assert _must_test(fixed, escape=False) != formula_to_must_test(fixed)
+    assert _must_test(fm.Box(A, fm.Ff()), escape=False) == tm.Prefix(A, tm.Nil())
+    cfg = TrialConfig()
+    for trial in range(500):
+        agree(generate_formula(cfg, spawn_rng(41, "must_variant", trial), "must"))
 
 
 def test_may_compiler_frozen():
