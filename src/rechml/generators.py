@@ -94,25 +94,24 @@ def _acc_set(cfg, rng) -> frozenset[str]:
     return frozenset(a for a in cfg.alphabet() if rng.random() < 0.5)
 
 
+# the node kinds each fragment draws from; "leaf" stands for every leaf
+_KINDS = {
+    "may": ("dia", "or", "min", "leaf"),
+    "must": ("box", "and", "min", "leaf"),
+    "full": ("dia", "box", "or", "and", "min", "max", "acc", "leaf"),
+}
+
+
 def generate_formula(cfg: TrialConfig, rng: random.Random, fragment: str = "full",
                      depth: int | None = None, scope: tuple[str, ...] = ()):
     """A closed random formula in the given fragment ("may", "must" or
     "full").  scope lists variables allowed free, for recursive use."""
     if depth is None:
         depth = cfg.max_formula_depth
-    leaves: list = [fm.Tt(), fm.Ff()]
-    if fragment in ("must", "full"):
-        leaves.append(fm.Acc(_acc_set(cfg, rng)))
-    if scope:
-        leaves.append(fm.Var(rng.choice(scope)))
-    if depth <= 0:
-        return rng.choice(leaves)
-    kinds = {
-        "may": ("dia", "or", "min", "leaf"),
-        "must": ("box", "and", "min", "leaf"),
-        "full": ("dia", "box", "or", "and", "min", "max", "acc", "leaf"),
-    }[fragment]
-    kind = rng.choice(kinds)
+    # the leaves' Acc set and variable are drawn whatever node is built
+    acc = _acc_set(cfg, rng) if fragment in ("must", "full") else None
+    scoped = rng.choice(scope) if scope else None
+    kind = rng.choice(_KINDS[fragment]) if depth > 0 else "leaf"
     sub = lambda sc=scope: generate_formula(cfg, rng, fragment, depth - 1, sc)
     match kind:
         case "dia":
@@ -130,7 +129,16 @@ def generate_formula(cfg: TrialConfig, rng: random.Random, fragment: str = "full
         case "acc":
             return fm.Acc(_acc_set(cfg, rng))
         case _:
-            return rng.choice(leaves)
+            # one pick among tt, ff, then Acc and the variable when drawn
+            k = rng.choice(range(2 + (acc is not None) + (scoped is not None)))
+            if k == 0:
+                return fm.Tt()
+            if k == 1:
+                return fm.Ff()
+            return fm.Acc(acc) if k == 2 and acc is not None else fm.Var(scoped)
+
+
+_TEST_KINDS = ("prefix", "prefix", "sum", "mu", "leaf")
 
 
 def generate_test(cfg: TrialConfig, rng: random.Random,
@@ -138,12 +146,9 @@ def generate_test(cfg: TrialConfig, rng: random.Random,
     """A closed random test term."""
     if depth is None:
         depth = cfg.max_test_depth
-    leaves: list = [tm.Nil(), tm.Success()]
-    if scope:
-        leaves.append(tm.Var(rng.choice(scope)))
-    if depth <= 0:
-        return rng.choice(leaves)
-    kind = rng.choice(("prefix", "prefix", "sum", "mu", "leaf"))
+    # the leaf variable is drawn whatever node is built
+    scoped = rng.choice(scope) if scope else None
+    kind = rng.choice(_TEST_KINDS) if depth > 0 else "leaf"
     match kind:
         case "prefix":
             return tm.Prefix(_action(cfg, rng), generate_test(cfg, rng, depth - 1, scope))
@@ -156,7 +161,11 @@ def generate_test(cfg: TrialConfig, rng: random.Random,
             var = f"X{len(scope)}"
             return tm.Mu(var, generate_test(cfg, rng, depth - 1, scope + (var,)))
         case _:
-            return rng.choice(leaves)
+            # one pick among nil, success, then the variable when drawn
+            k = rng.choice(range(2 + (scoped is not None)))
+            if k == 0:
+                return tm.Nil()
+            return tm.Success() if k == 1 else tm.Var(scoped)
 
 
 def generate_sim_system(cfg: TrialConfig, rng: random.Random) -> fm.SimFormula:

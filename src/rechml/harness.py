@@ -100,6 +100,17 @@ def _has(mask: int, i: int) -> bool:
     return bool(mask & (1 << i))
 
 
+# the failure of a trial whose masks differ only in bits that name no state
+_OUTSIDE = "masks differ outside the system"
+
+
+def _first_state(lts: Lts, diff: int) -> int | None:
+    """The index of the first state in a difference of masks, clipped to
+    the system: None when the masks differ only outside it."""
+    diff &= lts.full_mask
+    return next(lts.iter_mask(diff)) if diff else None
+
+
 class _Harness:
     def __init__(self, cfg: TrialConfig, mutate: bool):
         self.cfg = cfg
@@ -200,7 +211,10 @@ class _Harness:
         passing = must_states(graph) if must else may_states(graph)
         if sat == passing:
             return None
-        i = next(lts.iter_mask(sat ^ passing))
+        i = _first_state(lts, sat ^ passing)
+        if i is None:
+            return {"lts": format_lts(lts), "formula": format_formula(formula),
+                    "test": format_test(test), "mode": mode, "error": _OUTSIDE}
         state = lts.states[i]
         return {
             "state": state,
@@ -361,7 +375,9 @@ class _Harness:
         violations = recursive & ~unfolded | converging & unfolded & ~recursive
         if not violations:
             return None
-        i = next(lts.iter_mask(violations))
+        i = _first_state(lts, violations)
+        if i is None:
+            return {"lts": format_lts(lts), "test": format_test(test), "error": _OUTSIDE}
         state = lts.states[i]
         return {"lts": format_lts(lts, state), "state": state,
                 "test": format_test(test),
@@ -380,7 +396,10 @@ class _Harness:
         bad = must_states(graph) & ~may_states(graph)
         if not bad:
             return None
-        state = lts.states[next(lts.iter_mask(bad))]
+        i = _first_state(lts, bad)
+        if i is None:
+            return {"lts": format_lts(lts), "test": format_test(test), "error": _OUTSIDE}
+        state = lts.states[i]
         return {"lts": format_lts(lts, state), "state": state,
                 "test": format_test(test)}
 

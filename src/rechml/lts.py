@@ -11,11 +11,14 @@ successor lists, dropping repeated triples, and finds divergence by
 peeling: a state converges once all its tau successors have, counted
 down per state, so no tau closure is built.  The named transitions and
 outgoing lists are built from the triples on first read, the predecessor
-lists of a visible action when pre first needs them.  pre is a backward
-search over predecessor lists, and reaches (does one state have a weak
-derivative in a mask) a forward search over the successor lists.  Those
-caches only memoise functions of the transitions, and nothing handed out
-can be mutated, so an Lts is observably immutable and safe to share.
+lists of a visible action when pre first needs them, and the pre-image of
+the full state set under a visible action (the states that can weakly
+perform it, read by every Acc, <a>tt and [a]ff) when it is first asked
+for.  pre is a backward search over predecessor lists, and reaches (does
+one state have a weak derivative in a mask) a forward search over the
+successor lists.  Those caches only memoise functions of the
+transitions, and nothing handed out can be mutated, so an Lts is
+observably immutable and safe to share.
 """
 
 from dataclasses import dataclass
@@ -179,6 +182,8 @@ class Lts:
         self._back_tau = _transpose(self._tau)
         # visible action name -> its predecessor lists, built by pre
         self._back: dict[str, list] = {}
+        # visible action name -> pre of the full mask, memoised by pre
+        self._can: dict[str, int] = {}
         self._omega_mask = sum(1 << i for i, r in enumerate(self._strong.get(OMEGA, ())) if r)
 
         # Peel convergent states: a state converges once all its tau
@@ -243,15 +248,25 @@ class Lts:
         search: the tau-predecessor closure of the mask, then for a visible
         action its act-predecessors and their tau-predecessor closure.  The
         predecessor lists of a visible action are transposed from its
-        successor lists on first use."""
+        successor lists on first use, and the answer for the full mask is
+        memoised per action."""
+        full = mask == self.full_mask
         if act.kind == "tau":
-            return _reach(self._back_tau, mask)
+            # every state is its own weak tau-derivative
+            return mask if full else _reach(self._back_tau, mask)
         if act.kind == "omega":
             raise LtsError("omega has no weak derivatives")
+        if full:
+            got = self._can.get(act.name)
+            if got is not None:
+                return got
         back = self._back.get(act.name)
         if back is None:
             back = self._back[act.name] = _transpose(self.strong_row(act))
-        return _reach(self._back_tau, _image(back, _reach(self._back_tau, mask)))
+        out = _reach(self._back_tau, _image(back, _reach(self._back_tau, mask)))
+        if full:
+            self._can[act.name] = out
+        return out
 
     def reaches(self, act: Action, i: int, mask: int) -> bool:
         """Whether state i has some weak act-derivative in the mask, by a

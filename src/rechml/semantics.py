@@ -28,6 +28,13 @@ other input is recomputed in full.  Every update yields exactly the
 pre-image of the new input, so the iterates and their counts are those
 of plain Kleene iteration.  Closed subformulas are evaluated once and
 need no update.
+
+eval dispatches on the exact type of a node, tested in the order of how
+often each kind occurs (variables and modalities first, constants and
+Acc last).  A match statement would pay an isinstance test and a
+__match_args__ lookup for every case that fails.  A table of one method
+per kind would add a Python frame per nesting level of the recursion,
+and so roughly halve the deepest formula that can be interpreted.
 """
 
 from dataclasses import dataclass
@@ -78,7 +85,10 @@ class _Evaluator:
         self.last_pre: dict[int, tuple[int, int]] = {}
 
     def eval(self, node, env) -> int:
-        fv = node.free
+        try:
+            fv = node.free
+        except AttributeError:
+            raise FormulaError(f"cannot interpret {node!r}") from None
         if not fv:
             got = self.closed_cache.get(id(node))
             if got is not None:
@@ -86,32 +96,32 @@ class _Evaluator:
         if self.stats is not None:
             self.stats.evaluations += 1
         lts = self.lts
-        match node:
-            case Tt():
-                out = lts.full_mask
-            case Ff():
-                out = 0
-            case Var(name):
-                try:
-                    out = env[name]
-                except KeyError:
-                    raise FormulaError(f"unbound variable {name}") from None
-            case Acc(actions):
-                out = self._acc(actions)
-            case Or(l, r):
-                out = self.eval(l, env) | self.eval(r, env)
-            case And(l, r):
-                out = self.eval(l, env) & self.eval(r, env)
-            case Dia(act, body):
-                p = self.eval(body, env)
-                out = self._pre(node, act, p) if fv else lts.pre(act, p)
-            case Box(act, body):
-                q = lts.full_mask & ~self.eval(body, env)
-                out = self.converging & ~(self._pre(node, act, q) if fv else lts.pre(act, q))
-            case Min(_, _) | Max(_, _):
-                out = self._fixpoint(node, env, fv)
-            case _:
-                raise FormulaError(f"cannot interpret {node!r}")
+        kind = type(node)
+        if kind is Var:
+            try:
+                out = env[node.name]
+            except KeyError:
+                raise FormulaError(f"unbound variable {node.name}") from None
+        elif kind is Dia:
+            act, p = node.action, self.eval(node.body, env)
+            out = self._pre(node, act, p) if fv else lts.pre(act, p)
+        elif kind is Box:
+            act, q = node.action, lts.full_mask & ~self.eval(node.body, env)
+            out = self.converging & ~(self._pre(node, act, q) if fv else lts.pre(act, q))
+        elif kind is Or:
+            out = self.eval(node.left, env) | self.eval(node.right, env)
+        elif kind is And:
+            out = self.eval(node.left, env) & self.eval(node.right, env)
+        elif kind is Min or kind is Max:
+            out = self._fixpoint(node, env, fv)
+        elif kind is Tt:
+            out = lts.full_mask
+        elif kind is Ff:
+            out = 0
+        elif kind is Acc:
+            out = self._acc(node.actions)
+        else:
+            raise FormulaError(f"cannot interpret {node!r}")
         if not fv:
             self.closed_cache[id(node)] = out
         return out
@@ -152,7 +162,7 @@ class _Evaluator:
         return self.converging & ~lts.pre(TAU, lts.full_mask & ~can_some)
 
     def _fixpoint(self, node, env, fv) -> int:
-        least = isinstance(node, Min)
+        least = type(node) is Min
         sig_vars = sorted(fv)
         try:
             sig = tuple(env[v] for v in sig_vars)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rechml import formulas as fm
@@ -10,6 +12,7 @@ from rechml.generators import (
     generate_test,
     spawn_rng,
 )
+from rechml.textio import format_formula, format_lts, format_test
 
 
 def test_config_validation():
@@ -96,3 +99,22 @@ def test_sim_systems_are_closed_over_their_variables():
         assert 0 <= sim.index < len(sim.variables)
         for body in sim.bodies:
             assert fm.free_vars(body) <= set(sim.variables)
+
+
+def test_generated_stream_frozen():
+    # sha256 of the printed output of seeded draws: a change to how the
+    # generators build their terms must keep every draw and its order
+    cfg = TrialConfig()
+    parts = []
+    for trial in range(40):
+        for fragment in ("may", "must", "full"):
+            for scope in ((), ("X0", "X1")):
+                rng = spawn_rng(21, fragment, len(scope), trial)
+                parts.append(format_formula(generate_formula(cfg, rng, fragment, scope=scope)))
+        parts.append(format_test(generate_test(cfg, spawn_rng(21, "test", trial))))
+        parts.append(format_test(generate_test(cfg, spawn_rng(21, "scoped", trial), scope=("X0",))))
+        sim = generate_sim_system(cfg, spawn_rng(21, "sim", trial))
+        parts.append(" ; ".join(map(format_formula, sim.bodies)) + f" @{sim.index}")
+        parts.append(format_lts(generate_lts(cfg, spawn_rng(21, "lts", trial))))
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == "bcaf06ae48c01538c7e658eef61a25a26f31d54e0c0d6050cbdd02de7d3c4099"

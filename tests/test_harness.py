@@ -2,11 +2,14 @@ import functools
 import hashlib
 import json
 
+import pytest
+
 from rechml import formulas as fm
-from rechml import semantics, testterms
-from rechml.experiments import must_satisfy, parallel_compose
+from rechml import harness, semantics, testterms
+from rechml.experiments import must_satisfy, must_states, parallel_compose
 from rechml.generators import TrialConfig
 from rechml.harness import fixture_lts, report_json, report_text, verify_theorems
+from rechml.lts import TAU, visible
 from rechml.semantics import satisfies
 from rechml.testterms import reachable_lts
 from rechml.textio import parse_formula, parse_lts, parse_test
@@ -151,3 +154,42 @@ def test_max_evaluated_as_min_is_detected(monkeypatch):
     report = verify_theorems(TrialConfig(), only={"fixpoint_unfolding"})
     assert not report.passed
     assert report.checks[0].counterexample["formula"].startswith("max X0.")
+
+
+# the checks that name a counterexample state from a difference of masks
+PICKS_A_STATE = {"must_formula_agreement", "must_test_agreement", "may_formula_agreement",
+                 "may_test_agreement", "unfold_law", "must_implies_may"}
+
+
+def acc_unclipped(monkeypatch):
+    # Acc A as the complement of a pre-image, not clipped to the system:
+    # a negative mask
+    def complement(self, actions):
+        lts = self.lts
+        can_some = 0
+        for a in sorted(actions):
+            can_some |= lts.pre(visible(a), lts.full_mask)
+        return ~lts.pre(TAU, lts.full_mask & ~can_some)
+
+    monkeypatch.setattr(semantics._Evaluator, "_acc", complement)
+    return {"must_formula_agreement"}
+
+
+def must_states_past_the_system(monkeypatch):
+    # must answers also name every state index past the system
+    monkeypatch.setattr(harness, "must_states",
+                        lambda graph: must_states(graph) | ~graph.proc.full_mask)
+    return {"must_formula_agreement", "must_test_agreement", "must_implies_may"}
+
+
+@pytest.mark.parametrize("mutate", [acc_unclipped, must_states_past_the_system])
+def test_masks_outside_the_system_are_failures(monkeypatch, mutate):
+    # a mask with bits past the last state is reported, never indexed
+    failing = mutate(monkeypatch)
+    report = verify_theorems(TrialConfig(), only=PICKS_A_STATE)
+    failures = {c.name: c.failures for c in report.checks}
+    assert {name for name, count in failures.items() if count} == failing
+    for check in report.checks:
+        found = check.counterexample
+        if found is not None and "state" in found:
+            assert found["state"] in parse_lts(found["lts"])[0].states

@@ -128,6 +128,30 @@ def test_weak_queries_reject_omega_and_unknown_actions():
     assert not lts.reaches(visible("zz"), 0, lts.full_mask)
 
 
+@pytest.mark.parametrize("trial", range(10))
+def test_full_mask_pre_is_memoised_per_action(trial):
+    # the can-set of each action, answered again from the memo in either
+    # call order, is the one a fresh system computes from single states
+    def make():
+        return generate_lts(TrialConfig(max_states=7), spawn_rng(31, "can", trial))
+
+    fresh = make()
+    can = {act: 0 for act in (visible("a"), visible("b"))}
+    for act in can:
+        for i in range(len(fresh.states)):
+            can[act] |= fresh.pre(act, 1 << i)
+    for order in (list(can), list(reversed(can))):
+        lts = make()
+        for _ in range(2):
+            for act in order:
+                assert lts.pre(act, lts.full_mask) == can[act]
+        assert lts.pre(TAU, lts.full_mask) == lts.full_mask
+        with pytest.raises(LtsError):
+            lts.pre(OMEGA, lts.full_mask)
+        for _ in range(2):
+            assert lts.pre(visible("zz"), lts.full_mask) == 0
+
+
 def test_mask_round_trip():
     lts = chain_with_loop()
     mask = lts.mask_of(["s1", "s3"])

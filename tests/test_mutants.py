@@ -106,6 +106,19 @@ def stale_warm_start(monkeypatch):
     monkeypatch.setattr(semantics._Evaluator, "_fixpoint", resume_blindly)
 
 
+def can_set_ignores_action(monkeypatch):
+    # the full-mask memo of pre answers every visible action with the first
+    # can-set it holds
+    pre = Lts.pre
+
+    def first_can_set(self, act, mask):
+        if act.kind == "visible" and mask == self.full_mask and self._can:
+            return next(iter(self._can.values()))
+        return pre(self, act, mask)
+
+    monkeypatch.setattr(Lts, "pre", first_can_set)
+
+
 @pytest.mark.parametrize("mutate, killed", [
     (tau_pre_one_step, ("must_formula_agreement", "must_test_agreement")),
     (divergence_from_self_loops, ("must_formula_agreement", "must_test_agreement", "unfold_law")),
@@ -117,6 +130,7 @@ def stale_warm_start(monkeypatch):
     (must_passes_at_a_deadlock, ("must_formula_agreement", "must_test_agreement", "unfold_law",
                                  "must_implies_may")),
     (stale_warm_start, ("must_formula_agreement", "bekic_equivalence", "fixpoint_unfolding")),
+    (can_set_ignores_action, AGREEMENT + ("fixpoint_unfolding",)),
 ])
 def test_mutant_is_killed(monkeypatch, mutate, killed):
     mutate(monkeypatch)

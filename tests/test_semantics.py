@@ -130,6 +130,14 @@ def test_unbound_variable_raises():
         interpret(lts, fm.Var("X"))
 
 
+def test_non_formula_objects_are_not_interpreted():
+    lts = fork_fixture()
+    sim = fm.SimFormula(("X",), (fm.Var("X"),), 0)
+    for node in (42, "tt", None, sim, fm.Or(fm.Tt(), 7), fm.And(fm.Tt(), sim)):
+        with pytest.raises(fm.FormulaError, match="cannot interpret"):
+            interpret(lts, node)
+
+
 # Interprets min X0. [a](X0 /\ min X1. [a](X1 /\ ...)) with n binders and
 # prints the denotation and the growth of peak RSS in kB.  The process is
 # fresh, so that its peak is this interpretation's alone, and the walk runs
