@@ -4,9 +4,9 @@ Verbs: check (formula satisfaction), may/must (test verdicts), two
 compile verbs for the four translations, and verify (the randomized
 harness).  Exit codes: 0 for success or a true verdict, 1 for a false
 verdict, 2 for input errors, 3 for harness failures and blown internal
-limits: the test-state cap, the recursion limit, the printed size of an
-eliminated formula, and memory (a MemoryError in any verb).  Every error
-is one "error:" line on stderr.
+limits: the test-state cap, the experiment's configuration cap, the
+recursion limit, the printed size of an eliminated formula, and memory
+(a MemoryError in any verb).  Every error is one "error:" line on stderr.
 
 The walks over terms and formulas are recursive, so main sets the
 recursion limit once, to a depth the running Python survives.
@@ -19,7 +19,8 @@ import json
 import os
 import sys
 
-from .experiments import may_satisfy, may_witness, must_counterexample, must_satisfy, parallel_compose
+from .experiments import (MAX_CONFIGS, may_satisfy, may_witness, must_counterexample, must_satisfy,
+                          parallel_compose)
 from .formulas import FormulaError, bekic_eliminate, tree_size
 from .generators import TrialConfig
 from .harness import report_json, report_text, verify_theorems
@@ -94,7 +95,7 @@ def _cmd_testing(args) -> int:
     proc, _ = _load_lts_file(args.lts)
     proc.state_index(args.state)
     test_lts, root, _ = _load_test_side(args.test, args.max_test_states)
-    graph = parallel_compose(proc, test_lts, args.state, root)
+    graph = parallel_compose(proc, test_lts, args.state, root, args.max_configs)
     may = may_satisfy(graph)
     must = must_satisfy(graph)
     payload = {"command": args.command, "state": args.state,
@@ -220,6 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--witness", action="store_true",
                        help="print a successful computation (may) or a failing one (must)")
         add_cap(p)
+        p.add_argument("--max-configs", type=int, default=MAX_CONFIGS,
+                       help="abort once the experiment builds the moves of this many configurations")
         add_format(p)
         p.set_defaults(fn=_cmd_testing)
 

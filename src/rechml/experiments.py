@@ -40,6 +40,7 @@ from functools import cached_property
 from itertools import islice
 
 from .lts import TAU, Lts, LtsError, visible
+from .testterms import CapExceeded
 
 
 def _product(proc: Lts, test: Lts):
@@ -69,16 +70,28 @@ def _product(proc: Lts, test: Lts):
     return n, moves
 
 
-class _Moves(dict):
-    """The moves of each configuration key, built on first lookup."""
+# the default cap on the configurations an experiment builds moves for
+MAX_CONFIGS = 10_000_000
 
-    def __init__(self, build):
+
+class _Moves(dict):
+    """The moves of each configuration key, built on first lookup, for at
+    most cap configurations; a revisit is a plain lookup and pays nothing."""
+
+    def __init__(self, build, cap: int):
         super().__init__()
         self.build = build
+        self.cap = cap
 
     def __missing__(self, key):
+        if len(self) >= self.cap:
+            self.refuse()
         got = self[key] = self.build(key)
         return got
+
+    def refuse(self):
+        raise CapExceeded(f"the experiment needs the moves of more than {self.cap} "
+                          "configurations (the --max-configs cap)")
 
 
 class Experiment:
@@ -92,10 +105,13 @@ class Experiment:
     what is read needs: up to the first success configuration for
     may_satisfy and may_witness, to the end for configs, edges, success
     and len.  Its move memo also serves the depth-first must search (Liu
-    and Smolka 1998) and is what built counts.
+    and Smolka 1998) and is what built counts.  Building the moves of
+    more than max_configs configurations raises CapExceeded.
     """
 
-    def __init__(self, proc: Lts, test: Lts, roots, t: str):
+    def __init__(self, proc: Lts, test: Lts, roots, t: str, max_configs: int = MAX_CONFIGS):
+        if max_configs < 1:
+            raise ValueError(f"max_configs must be at least 1, got {max_configs}")
         self._n, build = _product(proc, test)
         start = test.state_index(t)
         self.proc, self.test, self.roots = proc, test, list(roots)
@@ -103,7 +119,7 @@ class Experiment:
         self._index = {key: k for k, key in enumerate(self._keys)}
         self._parent: list[int | None] = [None] * len(self._keys)
         self._edges: list[list[int]] = []  # of the configurations expanded so far
-        self._moves = _Moves(build)
+        self._moves = _Moves(build, max_configs)
         self._failing: dict[int, bool] = {}
 
     @property
@@ -117,13 +133,16 @@ class Experiment:
         before expanding the first success configuration and return its
         position; otherwise run to the end and return None."""
         keys, index, parent, edges = self._keys, self._index, self._parent, self._edges
-        memo, build, omega, n = self._moves, self._moves.build, self.test.omega_mask, self._n
+        memo, build, cap = self._moves, self._moves.build, self._moves.cap
+        omega, n = self.test.omega_mask, self._n
         k = len(edges)
         for key in islice(keys, k, None):  # the key list is the queue: it grows while walked
             if stop and omega >> key % n & 1:
                 return k
             targets = memo.get(key)  # not memo[key]: no method call per configuration
             if targets is None:
+                if len(memo) >= cap:
+                    memo.refuse()
                 targets = memo[key] = build(key)
             out = []
             for target in targets:
@@ -219,13 +238,16 @@ class Experiment:
         return True
 
 
-def parallel_compose(proc: Lts, test: Lts, p: str, t: str) -> Experiment:
+def parallel_compose(proc: Lts, test: Lts, p: str, t: str,
+                     max_configs: int = MAX_CONFIGS) -> Experiment:
     """The experiment of process state p against test state t.
 
     The process must not mention omega; the test may.  Nothing is built
-    until an answer, or the whole graph, is asked for.
+    until an answer, or the whole graph, is asked for, and an answer that
+    needs the moves of more than max_configs configurations raises
+    CapExceeded.
     """
-    return Experiment(proc, test, (proc.state_index(p),), t)
+    return Experiment(proc, test, (proc.state_index(p),), t, max_configs)
 
 
 def compose_all(proc: Lts, test: Lts, t: str) -> Experiment:

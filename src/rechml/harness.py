@@ -23,9 +23,9 @@ from dataclasses import asdict, dataclass, field, replace
 from . import formulas as fm
 from . import testterms as tm
 from .experiments import compose_all, may_states, must_states
-from .formulas import bekic_eliminate
+from .formulas import FormulaError, bekic_eliminate
 from .generators import TrialConfig, generate_formula, generate_lts, generate_sim_system, generate_test, spawn_rng
-from .lts import TAU, Lts, visible
+from .lts import TAU, Lts, LtsError, visible
 from .semantics import EvalStats, interpret, interpret_simultaneous_vector
 from .testterms import explore, reachable_lts
 from .textio import format_formula, format_lts, format_test
@@ -148,7 +148,12 @@ class _Harness:
             self._divergent = 0
             for trial in range(count):
                 rng = spawn_rng(self.cfg.seed, name, trial)
-                found = fn(trial, rng, stats)
+                try:
+                    found = fn(trial, rng, stats)
+                except (FormulaError, LtsError) as err:
+                    # a broken evaluator (a fixpoint that never settles, a
+                    # mask outside the system) fails the trial, not the run
+                    found = {"error": str(err)}
                 if found is not None:
                     failures += 1
                     if first is None:

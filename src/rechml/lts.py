@@ -6,19 +6,26 @@ tuple of target indices in index order, so memory is linear in the
 transitions.  Sets of states are integer bit masks keyed by the state
 order.  Every Lts comes from one build step fed by interned states and
 (i, k, j) index triples over a table of distinct actions; the public
-constructor interns its arguments into them.  The step fills the
-successor lists, dropping repeated triples, and finds divergence by
-peeling: a state converges once all its tau successors have, counted
-down per state, so no tau closure is built.  The named transitions and
-outgoing lists are built from the triples on first read, the predecessor
-lists of a visible action when pre first needs them, and the pre-image of
-the full state set under a visible action (the states that can weakly
-perform it, read by every Acc, <a>tt and [a]ff) when it is first asked
-for.  pre is a backward search over predecessor lists, and reaches (does
-one state have a weak derivative in a mask) a forward search over the
-successor lists.  Those caches only memoise functions of the
-transitions, and nothing handed out can be mutated, so an Lts is
-observably immutable and safe to share.
+constructor interns its arguments into them.  The step does only what
+every reader needs: it fills the successor lists, dropping repeated
+triples, and in one pass over the actions the alphabet, the tau row and
+the omega mask.  Everything else is built on first read, because many
+systems never need it (an experiment reads neither the tau predecessors
+nor divergence of its process or its explored test):
+- the tau-predecessor lists, read by pre and by the peel;
+- divergence, by peeling: a state converges once all its tau successors
+  have, counted down per state, so no tau closure is built; a system
+  without tau moves diverges nowhere and is not peeled;
+- the named transitions and outgoing lists, from the triples;
+- the predecessor lists of a visible action, when pre first needs them;
+- the pre-image of the full state set under a visible action (the states
+  that can weakly perform it, read by every Acc, <a>tt and [a]ff).
+
+pre is a backward search over predecessor lists, and reaches (does one
+state have a weak derivative in a mask) a forward search over the
+successor lists; pre rejects a mask with bits outside the system.  Those
+caches only memoise functions of the transitions, and nothing handed out
+can be mutated, so an Lts is observably immutable and safe to share.
 """
 
 from dataclasses import dataclass
@@ -147,7 +154,7 @@ class Lts:
 
     def _with(self, i: int, act: Action, j: int) -> "Lts":
         """This system plus a move of state i by act to state j."""
-        actions = self._actions if act in self._actions else self._actions + [act]
+        actions = self._actions if act in self._actions else [*self._actions, act]
         triples = self._triples + [(i, actions.index(act), j)]
         return Lts._from_triples(self.states, self._index, actions, triples, self.alphabet, self.name)
 
@@ -170,35 +177,61 @@ class Lts:
                 got.append(j)
         self._actions = actions
         self._triples = triples
-        # via a list: tuple() of a map over-allocates and shrinks, churn that raises peak RSS
-        self._strong: dict[Action, tuple[tuple[int, ...], ...]] = {
-            actions[k]: tuple([*map(tuple, row)]) for k, row in enumerate(rows) if row is not None}
-        names = {a.name for a in self._strong if a.kind == "visible"}
-        names.update(alphabet)
-        self.alphabet: tuple[str, ...] = tuple(sorted(names))
-
         self.full_mask: int = (1 << n) - 1
-        self._tau = self.strong_row(TAU)
-        self._back_tau = _transpose(self._tau)
+        # one pass over the actions fills the successor rows, the alphabet,
+        # the tau row and the omega mask, hashing each action once
+        strong: dict[Action, tuple[tuple[int, ...], ...]] = {}
+        names = set(alphabet)
+        tau = None
+        omega = 0
+        for act, row in zip(actions, rows):
+            if row is None:
+                continue
+            # via a list: tuple() of a map over-allocates and shrinks, churn that raises peak RSS
+            row = strong[act] = tuple([*map(tuple, row)])
+            kind = act.kind
+            if kind == "visible":
+                names.add(act.name)
+            elif kind == "tau":
+                tau = row
+            else:
+                for i, targets in enumerate(row):
+                    if targets:
+                        omega |= 1 << i
+        self._strong = strong
+        self.alphabet: tuple[str, ...] = tuple(sorted(names))
+        self._tau = tau or ((),) * n
+        self._omega_mask = omega
         # visible action name -> its predecessor lists, built by pre
         self._back: dict[str, list] = {}
         # visible action name -> pre of the full mask, memoised by pre
         self._can: dict[str, int] = {}
-        self._omega_mask = sum(1 << i for i, r in enumerate(self._strong.get(OMEGA, ())) if r)
 
-        # Peel convergent states: a state converges once all its tau
-        # successors have (a tau self-loop is never peeled).
-        left = list(map(len, self._tau))
+    @cached_property
+    def _back_tau(self) -> list:
+        """The tau-predecessor lists, transposed on first read."""
+        return _transpose(self._tau)
+
+    @cached_property
+    def _divergent(self) -> int:
+        """The states with an infinite tau run, found by peeling convergent
+        states: a state converges once all its tau successors have (a tau
+        self-loop is never peeled).  Without tau moves nothing diverges."""
+        tau = self._tau
+        if not any(tau):
+            return 0
+        back = self._back_tau
+        left = list(map(len, tau))
         peeled = [i for i, k in enumerate(left) if not k]
         converging = 0
         while peeled:
             j = peeled.pop()
             converging |= 1 << j
-            for i in self._back_tau[j]:
+            for i in back[j]:
                 left[i] -= 1
                 if not left[i]:
                     peeled.append(i)
-        self._divergent = self.full_mask & ~converging
+        return self.full_mask & ~converging
 
     @cached_property
     def transitions(self) -> tuple[tuple[str, Action, str], ...]:
@@ -249,7 +282,10 @@ class Lts:
         action its act-predecessors and their tau-predecessor closure.  The
         predecessor lists of a visible action are transposed from its
         successor lists on first use, and the answer for the full mask is
-        memoised per action."""
+        memoised per action.  A mask with bits outside the system (negative,
+        or above the full mask) is an LtsError."""
+        if mask < 0 or mask > self.full_mask:
+            raise LtsError(f"mask names states outside the system of {len(self.states)} states")
         full = mask == self.full_mask
         if act.kind == "tau":
             # every state is its own weak tau-derivative

@@ -13,7 +13,11 @@ warm restart: when a binder is re-evaluated under an environment that has
 only grown (the usual case when fixpoints are nested to one side), the
 previous fixpoint is a sound starting point below the new one.  When the
 environments are not comparable the iteration falls back to a cold start,
-so the optimization never changes the computed set.
+so the optimization never changes the computed set.  On n states a
+monotone body settles within n + 1 rounds, and a system of m equations
+within n * m + 1, so each loop stops there and raises FormulaError: only
+an evaluator that is not monotone can cycle, and it then fails instead of
+hanging.
 
 Both modalities come down to one weak pre-image, Lts.pre (a box takes it
 of the complement of its body).  Between Kleene iterates the input of a
@@ -163,12 +167,14 @@ class _Evaluator:
 
     def _fixpoint(self, node, env, fv) -> int:
         least = type(node) is Min
-        sig_vars = sorted(fv)
+        # the signature lists the free variables in the order of the node's
+        # own set, the same order every time the node is evaluated
         try:
-            sig = tuple(env[v] for v in sig_vars)
+            sig = tuple([env[v] for v in fv])
         except KeyError as missing:
             raise FormulaError(f"unbound variable {missing.args[0]}") from None
-        current = 0 if least else self.lts.full_mask
+        lts = self.lts
+        current = 0 if least else lts.full_mask
         prev = self.resume.get(id(node))
         if prev is not None:
             psig, pval = prev
@@ -178,26 +184,39 @@ class _Evaluator:
             # shrank (greatest): the old fixpoint then lies below the new
             # least, or above the new greatest, fixpoint
             small, big = (psig, sig) if least else (sig, psig)
-            if all(b | s == b for s, b in zip(small, big)):
+            for s, b in zip(small, big):
+                if b | s != b:
+                    break
+            else:
                 current = pval
         # bind the variable in env itself, restoring the shadowed entry on
         # the way out, so that nested binders share one environment
         var = node.var
         shadowed = env.get(var)
+        body = node.body
+        evaluate = self.eval
+        # a monotone body climbs (or falls) by at least one state a round
+        bound = len(lts.states) + 1
         iterations = 0
         while True:
             iterations += 1
             env[var] = current
-            nxt = self.eval(node.body, env)
+            nxt = evaluate(body, env)
             if nxt == current:
                 break
+            if iterations == bound:
+                raise FormulaError(f"fixpoint {var} did not settle within {bound} iterations: "
+                                   "the body is not monotone")
             current = nxt
         if shadowed is None:
             del env[var]
         else:
             env[var] = shadowed
-        if self.stats is not None:
-            self.stats.record(iterations)
+        stats = self.stats
+        if stats is not None:
+            stats.fixpoint_iterations += iterations
+            if iterations > stats.max_fixpoint_iterations:
+                stats.max_fixpoint_iterations = iterations
         self.resume[id(node)] = (sig, current)
         return current
 
@@ -243,6 +262,8 @@ def interpret_simultaneous_vector(
         raise FormulaError(f"unbound variable {sorted(missing)[0]}")
     ev = _Evaluator(lts, stats)
     vector = [0] * len(sim.variables)
+    # a monotone system adds at least one state to one component a round
+    bound = len(lts.states) * len(sim.variables) + 1
     iterations = 0
     while True:
         iterations += 1
@@ -251,6 +272,9 @@ def interpret_simultaneous_vector(
         nxt = [ev.eval(body, inner) for body in sim.bodies]
         if nxt == vector:
             break
+        if iterations == bound:
+            raise FormulaError(f"simultaneous fixpoint {', '.join(sim.variables)} did not settle "
+                               f"within {bound} iterations: the bodies are not monotone")
         vector = nxt
     if stats is not None:
         stats.record(iterations)

@@ -9,9 +9,12 @@ in a single tau step.
 Free variables and substitution are the shared binder operations of
 rechml.formulas, re-exported here.  Exploration does not use them: it
 converts the root once to de Bruijn nodes interned to ints (de Bruijn
-1972), steps and substitutes on those ids, and tells states apart by id.  The named canonical term of a state is
-built only when a caller reads it; its printed text, which names equation
-variables, is printed straight from the ids.
+1972), steps and substitutes on those ids, and tells states apart by id.
+The conversion dispatches on the exact type of each node, like the
+formula evaluator, so a subclass of a node class is not a test term.
+The named canonical term of a state is built only when a caller reads
+it; its printed text, which names equation variables, is printed
+straight from the ids.
 """
 
 from collections.abc import Mapping
@@ -26,8 +29,9 @@ class TestError(Exception):
 
 
 class CapExceeded(TestError):
-    """Exploration produced more reachable terms than the configured cap;
-    indicates a runaway construction rather than bad input."""
+    """Exploration produced more reachable terms than the configured cap,
+    or an experiment needed the moves of more configurations than its
+    cap; indicates a runaway construction rather than bad input."""
 
 
 class Test(Term):
@@ -99,6 +103,7 @@ def _require_closed(term):
 # ("+", id, id), ("mu", id) and ("idx", k), where k counts the binders
 # between a variable and its own.
 _NIL, _SUCCESS = ("0",), ("w",)
+_SUM = (Sum,)  # marks a sum in convert's stack
 
 
 class _Table:
@@ -117,64 +122,78 @@ class _Table:
     def intern(self, node: tuple) -> int:
         got = self._ids.get(node)
         if got is None:
-            match node:
-                case ("idx", k):
-                    depth = k + 1
-                case ("pre", _, body):
-                    depth = self.depth[body]
-                case ("+", left, right):
-                    depth = max(self.depth[left], self.depth[right])
-                case ("mu", body):
-                    depth = max(self.depth[body] - 1, 0)
-                case _:
-                    depth = 0
+            tag = node[0]
+            depths = self.depth
+            if tag == "pre":
+                depth = depths[node[2]]
+            elif tag == "+":
+                depth = max(depths[node[1]], depths[node[2]])
+            elif tag == "mu":
+                depth = max(depths[node[1]] - 1, 0)
+            elif tag == "idx":
+                depth = node[1] + 1
+            else:
+                depth = 0
             got = self._ids[node] = len(self.nodes)
             self.nodes.append(node)
-            self.depth.append(depth)
+            depths.append(depth)
         return got
 
     def convert(self, term) -> int:
         """Intern a closed Test; one walk with its own stack and one scope
-        dict, whose shadowed entry each binder saves and restores."""
+        dict, whose shadowed entry each binder saves and restores.  A node
+        is dispatched on its exact type, as the evaluator does, and a
+        tuple on the stack marks a node whose children are interned: a
+        match statement would pay an isinstance test and a __match_args__
+        lookup for every case that fails.  Any other object is a
+        TestError."""
         _require_closed(term)
+        intern = self.intern
         scope: dict[str, int] = {}  # variable -> binders around its binder
         binders = 0  # binders around the current node
         built = []
         stack = [term]
         while stack:
-            match stack.pop():
-                case Prefix(action, body):
-                    stack.append(("pre", action))
-                    stack.append(body)
-                case Sum(left, right):
-                    stack.append(("+",))
-                    stack.append(right)
-                    stack.append(left)
-                case Mu(var, body):
-                    stack.append(("mu", var, scope.get(var)))
-                    scope[var] = binders
-                    binders += 1
-                    stack.append(body)
-                case Var(name):
-                    built.append(self.intern(("idx", binders - 1 - scope[name])))
-                case Nil():
-                    built.append(self.nil)
-                case Success():
-                    built.append(self.intern(_SUCCESS))
-                case ("pre", action):
-                    built[-1] = self.intern(("pre", action, built[-1]))
-                case ("+",):
+            node = stack.pop()
+            kind = type(node)
+            if kind is tuple and node:  # (the node's class, its other data)
+                tag = node[0]
+                if tag is Prefix:
+                    built[-1] = intern(("pre", node[1], built[-1]))
+                elif tag is Sum:
                     right = built.pop()
-                    built[-1] = self.intern(("+", built[-1], right))
-                case ("mu", var, shadowed):
+                    built[-1] = intern(("+", built[-1], right))
+                elif tag is Mu:
+                    _, var, shadowed = node
                     binders -= 1
                     if shadowed is None:
                         del scope[var]
                     else:
                         scope[var] = shadowed
-                    built[-1] = self.intern(("mu", built[-1]))
-                case other:
-                    raise TestError(f"not a test term: {other!r}")
+                    built[-1] = intern(("mu", built[-1]))
+                else:
+                    raise TestError(f"not a test term: {node!r}")
+            elif kind is Prefix:
+                stack.append((Prefix, node.action))
+                stack.append(node.body)
+            elif kind is Sum:
+                stack.append(_SUM)
+                stack.append(node.right)
+                stack.append(node.left)
+            elif kind is Mu:
+                var = node.var
+                stack.append((Mu, var, scope.get(var)))
+                scope[var] = binders
+                binders += 1
+                stack.append(node.body)
+            elif kind is Var:
+                built.append(intern(("idx", binders - 1 - scope[node.name])))
+            elif kind is Nil:
+                built.append(self.nil)
+            elif kind is Success:
+                built.append(intern(_SUCCESS))
+            else:
+                raise TestError(f"not a test term: {node!r}")
         return built[0]
 
     def subst(self, node: int, k: int, closed: int) -> int:

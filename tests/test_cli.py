@@ -135,6 +135,23 @@ def test_cap_exceeded_exits_three(proc_file):
     assert "error" in done.stderr
 
 
+def test_config_cap_exits_three(tmp_path):
+    # a 100-state a-ring against a 2-state test: 200 configurations
+    ring = tmp_path / "ring.lts"
+    ring.write_text("".join(f"p{i} a p{(i + 1) % 100}\n" for i in range(100)))
+    for verb in ("may", "must"):
+        done = run_cli(verb, str(ring), "p0", "mu X. a.X", "--max-configs", "199")
+        assert done.returncode == 3
+        assert done.stderr == ("error: the experiment needs the moves of more than 199 "
+                               "configurations (the --max-configs cap)\n")
+        assert done.stdout == ""
+        done = run_cli(verb, str(ring), "p0", "mu X. a.X", "--max-configs", "200", "--witness")
+        assert done.returncode == 1 and done.stderr == ""
+    done = run_cli("must", str(ring), "p0", "mu X. a.X", "--max-configs", "0")
+    assert done.returncode == 2
+    assert done.stderr == "error: max_configs must be at least 1, got 0\n"
+
+
 def test_nonpositive_test_state_cap_exits_two(proc_file):
     done = run_cli("must", proc_file, "p0", "a.w.0", "--max-test-states", "0")
     assert done.returncode == 2

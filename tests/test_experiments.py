@@ -18,7 +18,7 @@ from rechml.experiments import (
 )
 from rechml.generators import TrialConfig, generate_lts, generate_test, spawn_rng
 from rechml.lts import OMEGA, TAU, Lts, LtsError, visible
-from rechml.testterms import reachable_lts
+from rechml.testterms import CapExceeded, reachable_lts
 
 import oracles
 from oracles import graph_counterexample, graph_witness
@@ -428,6 +428,29 @@ def test_work_counts_frozen():
         assert set(counts.values()) == {1} and len(counts) == experiment.built
         built.append((experiment.built, len(parallel_compose(proc, tlts, "p0", troot))))
     assert built == FROZEN_BUILT
+
+
+def test_config_cap_counts_built_configurations():
+    """An experiment builds the moves of at most max_configs configurations:
+    at the count an answer needs, all four answers agree with an uncapped
+    experiment, since a revisit builds nothing; one below it, the answer
+    raises CapExceeded."""
+    proc, tlts = ring(300, "abc"), levels(10, "abc")
+    order = ("must", "may", "witness", "counterexample")
+    uncapped = parallel_compose(proc, tlts, "p0", "l0")
+    expected = answers(uncapped, order)
+    needed = uncapped.built
+    assert needed == FROZEN_BUILT[1][0]
+    capped = parallel_compose(proc, tlts, "p0", "l0", max_configs=needed)
+    assert answers(capped, order) == expected and capped.built == needed
+    short = parallel_compose(proc, tlts, "p0", "l0", max_configs=needed - 1)
+    with pytest.raises(CapExceeded, match=f"more than {needed - 1} configurations"):
+        must_satisfy(short)
+    assert short.built == needed - 1
+    with pytest.raises(CapExceeded):  # the whole-graph search counts the same memo
+        len(parallel_compose(proc, tlts, "p0", "l0", max_configs=needed))
+    with pytest.raises(ValueError, match="at least 1"):
+        parallel_compose(proc, tlts, "p0", "l0", max_configs=0)
 
 
 def test_deep_chain_is_answered_iteratively():

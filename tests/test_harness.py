@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rechml import formulas as fm
-from rechml import harness, semantics, testterms
+from rechml import cli, harness, semantics, testterms
 from rechml.experiments import must_satisfy, must_states, parallel_compose
 from rechml.generators import TrialConfig
 from rechml.harness import fixture_lts, report_json, report_text, verify_theorems
@@ -163,7 +163,8 @@ PICKS_A_STATE = {"must_formula_agreement", "must_test_agreement", "may_formula_a
 
 def acc_unclipped(monkeypatch):
     # Acc A as the complement of a pre-image, not clipped to the system:
-    # a negative mask
+    # a negative mask, which pre and the environment of an evaluation
+    # reject, so every check runs
     def complement(self, actions):
         lts = self.lts
         can_some = 0
@@ -172,24 +173,52 @@ def acc_unclipped(monkeypatch):
         return ~lts.pre(TAU, lts.full_mask & ~can_some)
 
     monkeypatch.setattr(semantics._Evaluator, "_acc", complement)
-    return {"must_formula_agreement"}
+    return None, {"must_formula_agreement", "bekic_equivalence", "fixpoint_prefix_property",
+                  "fixpoint_unfolding", "divergence_collapse", "acc_equivalence"}
 
 
 def must_states_past_the_system(monkeypatch):
     # must answers also name every state index past the system
     monkeypatch.setattr(harness, "must_states",
                         lambda graph: must_states(graph) | ~graph.proc.full_mask)
-    return {"must_formula_agreement", "must_test_agreement", "must_implies_may"}
+    return PICKS_A_STATE, {"must_formula_agreement", "must_test_agreement", "must_implies_may"}
 
 
 @pytest.mark.parametrize("mutate", [acc_unclipped, must_states_past_the_system])
 def test_masks_outside_the_system_are_failures(monkeypatch, mutate):
     # a mask with bits past the last state is reported, never indexed
-    failing = mutate(monkeypatch)
-    report = verify_theorems(TrialConfig(), only=PICKS_A_STATE)
+    only, failing = mutate(monkeypatch)
+    report = verify_theorems(TrialConfig(), only=only)
     failures = {c.name: c.failures for c in report.checks}
     assert {name for name, count in failures.items() if count} == failing
     for check in report.checks:
         found = check.counterexample
         if found is not None and "state" in found:
             assert found["state"] in parse_lts(found["lts"])[0].states
+        if found is not None and "error" in found:
+            assert "outside the system" in found["error"], found
+
+
+def pre_of_complement(monkeypatch):
+    # an open modality's pre-image is taken of the complement of its
+    # input: not monotone, so Kleene iterates can cycle
+    def complement(self, node, act, mask):
+        return self.lts.pre(act, self.lts.full_mask & ~mask)
+
+    monkeypatch.setattr(semantics._Evaluator, "_pre", complement)
+
+
+def test_fixpoints_that_never_settle_fail_their_trials(monkeypatch, capsys):
+    # the Kleene loops stop at their bound and raise FormulaError, which
+    # the harness reports as the trial's failure: verify ends and exits 3
+    pre_of_complement(monkeypatch)
+    report = verify_theorems(TrialConfig(), only={"may_formula_agreement", "bekic_equivalence"})
+    errors = {c.name: c.counterexample["error"] for c in report.checks}
+    assert errors == {
+        "may_formula_agreement": "fixpoint X0 did not settle within 3 iterations: "
+                                 "the body is not monotone",
+        "bekic_equivalence": "simultaneous fixpoint Z0 did not settle within 8 iterations: "
+                             "the bodies are not monotone",
+    }
+    assert cli.main(["verify", "--seed", "1", "--trials", "10", "--property-trials", "4"]) == 3
+    assert 'error="' in capsys.readouterr().out

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from rechml import cli
-from rechml.generators import TrialConfig, generate_lts, spawn_rng
+from rechml import testterms as tm
+from rechml.generators import TrialConfig, generate_lts, generate_test, spawn_rng
 from rechml.lts import OMEGA, TAU, Action, Lts, LtsError, visible
 
 import oracles
@@ -250,9 +251,13 @@ def test_long_tau_chain_builds_without_closures():
     assert float(done.stdout) < 5, done.stdout
 
 
+LAZY = ("transitions", "_outgoing", "_back_tau", "_divergent")
+
+
 def test_testing_query_leaves_transitions_unbuilt(tmp_path, monkeypatch):
-    # the named transitions and outgoing lists are built on first read,
-    # and a may query never reads them on the process
+    # the named transitions, outgoing lists, tau predecessors and divergence
+    # are built on first read, and neither a may nor a must query reads
+    # them on the process or on the explored test
     built = []
 
     def parse_and_keep(text):
@@ -260,15 +265,86 @@ def test_testing_query_leaves_transitions_unbuilt(tmp_path, monkeypatch):
         built.append(out[0])
         return out
 
-    real = cli.parse_lts
+    def explore_and_keep(term, max_states):
+        out = real_explore(term, max_states)
+        built.append(out[0])
+        return out
+
+    real, real_explore = cli.parse_lts, cli.explore
     monkeypatch.setattr(cli, "parse_lts", parse_and_keep)
+    monkeypatch.setattr(cli, "explore", explore_and_keep)
     proc = tmp_path / "proc.lts"
-    proc.write_text("lts p\ninit p0\np0 a p1\np1 b p0\np1 tau p2\n")
+    proc.write_text("lts p\ninit p0\np0 a p1\np1 b p0\np1 tau p2\np2 tau p2\n")
     assert cli.main(["may", str(proc), "p0", "a.b.w.0", "--witness"]) == 0
-    (lts,) = built
-    assert "transitions" not in vars(lts) and "_outgoing" not in vars(lts)
+    assert cli.main(["must", str(proc), "p0", "mu X. a.tau.X + a.w.0", "--witness"]) == 1
+    assert len(built) == 4
+    for lts in built:
+        assert not set(LAZY) & set(vars(lts)), lts
+    lts = built[0]
     assert lts.outgoing("p1") == [("p1", visible("b"), "p0"), ("p1", TAU, "p2")]
-    assert "transitions" in vars(lts)
+    assert "transitions" in vars(lts) and "_divergent" not in vars(lts)
+    assert lts.divergent_mask == lts.mask_of(["p1", "p2"])
+    assert "_back_tau" in vars(lts)
+
+
+def no_tau(rng, n):
+    """Visible moves only, some states without any."""
+    names = [f"s{i}" for i in range(n)]
+    edges = [(rng.choice(names), visible(rng.choice("ab")), rng.choice(names)) for _ in range(n)]
+    return Lts(names, edges, alphabet="c")
+
+
+def lazy_reads(lts):
+    """Each relation built on first read, by a function that reads it."""
+    return [
+        ("divergent_mask", lambda: lts.divergent_mask),
+        ("pre tau", lambda: [lts.pre(TAU, 1 << i) for i in range(len(lts.states))]),
+        ("omega_mask", lambda: lts.omega_mask),
+        ("alphabet", lambda: lts.alphabet),
+    ]
+
+
+def oracle_reads(lts, declared):
+    """What lazy_reads should return, from the oracle's closures and the
+    named transitions; declared is the alphabet the system was built with."""
+    return {
+        "divergent_mask": lts.mask_of(s for s in lts.states if oracles.diverges(lts, s)),
+        "pre tau": [lts.mask_of(s for s in lts.states if t in oracles.tau_closure(lts, s))
+                    for t in lts.states],
+        "omega_mask": lts.mask_of({src for src, act, _ in lts.transitions if act == OMEGA}),
+        "alphabet": tuple(sorted({act.name for _, act, _ in lts.transitions if act.kind == "visible"}
+                                 | set(declared))),
+    }
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_lazy_relations_match_oracle_in_either_order(trial):
+    # divergence and the tau predecessors are built on first read, whichever
+    # is read first; on a system without tau moves the peel is skipped
+    cfg = TrialConfig(max_states=7)
+    n = random.Random(trial).randint(1, 9)
+    makers = [
+        (lambda: generate_lts(cfg, spawn_rng(41, "lazy", trial)), cfg.alphabet()),
+        (lambda: no_tau(random.Random(trial), n), "c"),
+        (lambda: tm.explore(generate_test(cfg, spawn_rng(41, "lazy test", trial)))[0], ()),
+    ]
+    for make, declared in makers:
+        expected = oracle_reads(make(), declared)
+        for reverse in (False, True):
+            reads = lazy_reads(make())
+            for name, read in reversed(reads) if reverse else reads:
+                assert read() == expected[name], name
+    quiet = no_tau(random.Random(trial), n)
+    assert quiet.divergent_mask == 0 and "_back_tau" not in vars(quiet)
+
+
+def test_pre_rejects_masks_outside_the_system():
+    lts = chain_with_loop()
+    for act in (TAU, visible("a"), visible("zz")):
+        for mask in (-1, ~lts.full_mask, lts.full_mask + 1, 1 << len(lts.states)):
+            with pytest.raises(LtsError, match="outside the system"):
+                lts.pre(act, mask)
+        assert lts.pre(act, 0) == 0
 
 
 # Builds an n-state a-chain through parse_lts and then through Lts(...),

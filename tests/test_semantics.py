@@ -417,3 +417,30 @@ def test_ring_work_counts_frozen():
         stats = EvalStats()
         interpret(lts, parse_formula(text), stats=stats)
         assert (stats.fixpoint_iterations, stats.evaluations) == counts, text
+
+
+def test_kleene_loops_stop_at_their_bound(monkeypatch):
+    # a monotone body on n states settles within n + 1 rounds: [a]X climbs
+    # an a-chain one state a round, from the deadlocked end
+    n = 6
+    chain = Lts(transitions=[(f"s{i}", A, f"s{i + 1}") for i in range(n - 1)])
+    stats = EvalStats()
+    assert interpret(chain, parse_formula("min X. [a]X"), stats=stats) == chain.full_mask
+    assert stats.max_fixpoint_iterations == n + 1
+    sim = fm.SimFormula(("Z0", "Z1"), (parse_formula("[a]Z1"), parse_formula("[a]Z0")), 0)
+    assert interpret_simultaneous_vector(chain, sim) == (chain.full_mask, chain.full_mask)
+
+    # a pre-image of the complement is not monotone: on an a-cycle the
+    # iterates of <a>X flip between no state and both, and both loops
+    # raise at their bound, naming the binder
+    def complement(self, node, act, mask):
+        return self.lts.pre(act, self.lts.full_mask & ~mask)
+
+    monkeypatch.setattr(_Evaluator, "_pre", complement)
+    cycle = Lts(transitions=[("s0", A, "s1"), ("s1", A, "s0")])
+    with pytest.raises(fm.FormulaError, match="fixpoint X did not settle within 3 iterations"):
+        interpret(cycle, parse_formula("min X. <a>X"))
+    sim = fm.SimFormula(("Z0", "Z1"), (parse_formula("<a>Z1"), parse_formula("<a>Z0")), 0)
+    with pytest.raises(fm.FormulaError,
+                       match="simultaneous fixpoint Z0, Z1 did not settle within 5 iterations"):
+        interpret_simultaneous_vector(cycle, sim)
