@@ -26,7 +26,7 @@ from .generators import TrialConfig
 from .harness import report_json, report_text, verify_theorems
 from .lts import LtsError
 from .semantics import interpret
-from .testterms import CapExceeded, TestError, explore
+from .testterms import CapExceeded, TestError, reachable_lts
 from .textio import ParseError, format_formula, format_test, parse_formula, parse_lts, parse_test
 from .translate import (
     formula_to_may_test,
@@ -68,10 +68,8 @@ def _load_test_side(value: str, cap: int):
         lts, init = _load_lts_file(value)
         if init is None:
             raise ParseError(f"{value}: test system needs an init line")
-        return lts, init, None
-    term = parse_test(_source(value))
-    lts, root, terms = explore(term, max_states=cap)
-    return lts, root, terms
+        return lts, init
+    return reachable_lts(parse_test(_source(value)), max_states=cap)
 
 
 def _cmd_check(args) -> int:
@@ -94,7 +92,7 @@ def _cmd_check(args) -> int:
 def _cmd_testing(args) -> int:
     proc, _ = _load_lts_file(args.lts)
     proc.state_index(args.state)
-    test_lts, root, _ = _load_test_side(args.test, args.max_test_states)
+    test_lts, root = _load_test_side(args.test, args.max_test_states)
     graph = parallel_compose(proc, test_lts, args.state, root, args.max_configs)
     may = may_satisfy(graph)
     must = must_satisfy(graph)
@@ -148,9 +146,9 @@ def _cmd_compile_formula(args) -> int:
 
 
 def _cmd_compile_test(args) -> int:
-    test_lts, root, terms = _load_test_side(args.test, args.max_test_states)
+    test_lts, root = _load_test_side(args.test, args.max_test_states)
     build = test_lts_to_must_system if args.mode == "must" else test_lts_to_may_system
-    system = build(test_lts, root, terms)
+    system = build(test_lts, root)
     if args.show_system and args.format == "text":
         for v, b in zip(system.variables, system.bodies):
             print(f"{v} = {format_formula(b)}")

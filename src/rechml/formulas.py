@@ -404,10 +404,7 @@ def approximant(formula, k: int) -> Formula:
 
 
 def sim_free_vars(sim: SimFormula) -> frozenset[str]:
-    out = frozenset()
-    for body in sim.bodies:
-        out |= body.free
-    return out - set(sim.variables)
+    return frozenset().union(*(b.free for b in sim.bodies)) - set(sim.variables)
 
 
 def bekic_eliminate(sim: SimFormula) -> Formula:

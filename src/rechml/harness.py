@@ -27,7 +27,7 @@ from .formulas import FormulaError, bekic_eliminate
 from .generators import TrialConfig, generate_formula, generate_lts, generate_sim_system, generate_test, spawn_rng
 from .lts import TAU, Lts, LtsError, visible
 from .semantics import EvalStats, interpret, interpret_simultaneous_vector
-from .testterms import explore, reachable_lts
+from .testterms import reachable_lts
 from .textio import format_formula, format_lts, format_test
 from .translate import (_must_test, formula_to_may_test, formula_to_must_test,
                         test_lts_to_may_system, test_lts_to_must_system)
@@ -206,9 +206,9 @@ class _Harness:
             tlts, troot = reachable_lts(test)
         else:
             test = generate_test(self.cfg, rng)
-            tlts, troot, terms = explore(test)
+            tlts, troot = reachable_lts(test)
             system = test_lts_to_must_system if must else test_lts_to_may_system
-            formula = bekic_eliminate(system(tlts, troot, terms))
+            formula = bekic_eliminate(system(tlts, troot))
             if not (fm.is_musthml if must else fm.is_mayhml)(formula):
                 return {"test": format_test(test), "error": f"compiled formula outside {mode} fragment"}
         sat = interpret(lts, formula, stats=stats)

@@ -13,8 +13,7 @@ converts the root once to de Bruijn nodes interned to ints (de Bruijn
 The conversion dispatches on the exact type of each node, like the
 formula evaluator, so a subclass of a node class is not a test term.
 The named canonical term of a state is built only when a caller reads
-it; its printed text, which names equation variables, is printed
-straight from the ids.
+it.
 """
 
 from collections.abc import Mapping
@@ -307,99 +306,20 @@ def _named(nodes: list[tuple], root: int) -> Test:
     return built[0]
 
 
-def _printed(nodes: list[tuple], depth: list[int], root: int, memo: dict | None) -> str:
-    """format_test of the canonical Test of an interned closed term, printed
-    straight from the nodes: binders named B0, B1, ... in preorder and the
-    precedence and tail rules of format_test.  One walk with its own stack.
-    A closed subterm prints the same text at the same level and tail after
-    the same number of binders, so memo keeps it, with the number of
-    binders inside it, under (id, level, tail, binders before it).  The
-    memo holds the text of every closed subterm, so a single print passes
-    None: on a chain of n prefixes that text is n squared characters."""
-    prefix = Test.bound_prefix
-    scope: list[str] = []  # binder names, innermost last
-    count = 0  # binders numbered so far
-    out: list[str] = []
-    stack: list = [(root, 0, True)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-        elif item is None:  # the end of a binder's body
-            scope.pop()
-        elif len(item) == 2:  # a closed subterm is printed: keep it
-            key, start = item
-            piece = "".join(out[start:])
-            del out[start:]
-            out.append(piece)
-            memo[key] = (piece, count - key[3])
-        else:
-            node, level, tail = item
-            shape = nodes[node]
-            tag = shape[0]
-            if tag == "0":
-                out.append("0")
-                continue
-            if tag == "w":
-                out.append("w.0")
-                continue
-            if tag == "idx":
-                out.append(scope[-1 - shape[1]])
-                continue
-            if memo is not None and not depth[node]:
-                key = (node, level, tail, count)
-                got = memo.get(key)
-                if got is not None:
-                    out.append(got[0])
-                    count += got[1]
-                    continue
-                stack.append((key, len(out)))
-            # levels are 0 (sum) and 1 (prefix), so a prefix is never
-            # parenthesised
-            if tag == "pre":
-                out.append(f"{shape[1]}.")
-                stack.append((shape[2], 1, tail))
-            elif tag == "+":
-                if level:
-                    out.append("(")
-                    stack.append(")")
-                stack.append((shape[2], 1, tail))
-                stack.append(" + ")
-                stack.append((shape[1], 0, False))
-            else:
-                name = f"{prefix}{count}"
-                count += 1
-                if not tail:
-                    out.append("(")
-                    stack.append(")")
-                out.append(f"mu {name}. ")
-                scope.append(name)
-                stack.append(None)
-                stack.append((shape[1], 0, True))
-    return "".join(out)
-
-
 class _Terms(Mapping):
     """Read-only map from state name to canonical Test, built on first read
     of a name and kept for later reads."""
 
-    def __init__(self, nodes: list[tuple], depth: list[int], ids: dict[str, int]):
+    def __init__(self, nodes: list[tuple], ids: dict[str, int]):
         self._nodes = nodes
-        self._depth = depth
         self._ids = ids
         self._built: dict[str, Test] = {}
-        self._texts: dict[tuple, tuple[str, int]] = {}
 
     def __getitem__(self, name: str) -> Test:
         got = self._built.get(name)
         if got is None:
             got = self._built[name] = _named(self._nodes, self._ids[name])
         return got
-
-    def text(self, name: str) -> str:
-        """format_test(self[name]), printed from the interned nodes without
-        building the Test; subterms shared between states print once."""
-        return _printed(self._nodes, self._depth, self._ids[name], self._texts)
 
     def __iter__(self):
         return iter(self._ids)
@@ -444,7 +364,7 @@ def explore(term, max_states: int = 100_000):
             if i is None:
                 if len(queue) >= max_states:
                     sample = ", ".join(
-                        _clip(_printed(table.nodes, table.depth, t, None))
+                        _clip(str(_named(table.nodes, t)))
                         for t in [target] + queue[at : at + 2]
                     )
                     raise CapExceeded(
@@ -456,7 +376,7 @@ def explore(term, max_states: int = 100_000):
                 names.append(f"t{i}")
             triples.append((source, slots.setdefault(action, len(slots)), i))
     lts = Lts._from_triples(names, dict(zip(names, range(len(names)))), list(slots), triples, name="test")
-    return lts, "t0", _Terms(table.nodes, table.depth, dict(zip(names, queue)))
+    return lts, "t0", _Terms(table.nodes, dict(zip(names, queue)))
 
 
 def reachable_lts(term, max_states: int = 100_000) -> tuple[Lts, str]:

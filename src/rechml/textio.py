@@ -280,29 +280,45 @@ def parse_test(text: str):
 
 
 def format_test(term) -> str:
-    # precedence levels: 0 sum, 1 prefix, 2 atoms; mu prints bare only in
-    # tail position, like the formula binders.
-    def go(node, level, tail):
+    # precedence levels: 0 sum, 1 prefix; a prefix is never parenthesised,
+    # and mu prints bare only in tail position, like the formula binders.
+    # One walk with its own stack, so a term of any depth prints (the
+    # frontier sample of explore's cap prints terms nobody parsed); a str
+    # on the stack is text that follows a subterm.
+    out = []
+    stack: list = [(term, 0, True)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, level, tail = item
         match node:
             case tm.Nil():
-                return "0"
+                out.append("0")
             case tm.Success():
-                return "w.0"
+                out.append("w.0")
             case tm.Var(name):
-                return name
+                out.append(name)
             case tm.Prefix(action, body):
-                text = f"{action}.{go(body, 1, tail)}"
-                return f"({text})" if level > 1 else text
+                out.append(f"{action}.")
+                stack.append((body, 1, tail))
             case tm.Sum(l, r):
-                text = f"{go(l, 0, False)} + {go(r, 1, tail)}"
-                return f"({text})" if level > 0 else text
+                if level:
+                    out.append("(")
+                    stack.append(")")
+                stack.append((r, 1, tail))
+                stack.append(" + ")
+                stack.append((l, 0, False))
             case tm.Mu(x, b):
-                text = f"mu {x}. {go(b, 0, True)}"
-                return text if tail else f"({text})"
+                if not tail:
+                    out.append("(")
+                    stack.append(")")
+                out.append(f"mu {x}. ")
+                stack.append((b, 0, True))
             case _:
                 raise ValueError(f"cannot format {node!r}")
-
-    return go(term, 0, True)
+    return "".join(out)
 
 
 # -- transition systems -------------------------------------------------------

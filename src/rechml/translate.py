@@ -12,11 +12,11 @@ compiler has one deliberately wrong variant, in which a visible box loses
 its tau escape to success; the harness's mutation self-test runs it.
 
 Test to formula: the reachable states of the test induce one equation per
-state; packaging them as a simultaneous least fixpoint and eliminating it
-yields a single formula in the corresponding fragment.
+state, whose variable X_s is named after the state s; packaging them as
+a simultaneous least fixpoint and eliminating it yields a single formula
+in the corresponding fragment.
 """
 
-import hashlib
 from functools import reduce
 
 from . import formulas as fm
@@ -111,25 +111,12 @@ def formula_to_may_test(formula: Formula) -> Test:
     return conv(formula)
 
 
-def _state_variables(lts: Lts, terms=None) -> dict[str, str]:
-    """One formula variable per test state, named from a digest of the
-    printed canonical term (or the state name for external systems) plus
-    the state name itself as a readable suffix.  The term is printed from
-    explore's interned table; no Test is built."""
-    out = {}
-    for state in lts.states:
-        basis = terms.text(state) if terms else state
-        digest = hashlib.sha1(basis.encode()).hexdigest()[:6]
-        out[state] = f"X_{digest}_{state}"
-    return out
-
-
-def _system(lts: Lts, root: str, terms, moves) -> SimFormula:
-    """The simultaneous system with one variable per test state: success
-    now gives tt, no moves gives ff, and otherwise the body is
+def _system(lts: Lts, root: str, moves) -> SimFormula:
+    """The simultaneous system with the variable X_s for each test state
+    s: success now gives tt, no moves gives ff, and otherwise the body is
     moves(taus, vis), where taus and vis list the (action, successor
     variable) pairs of the tau and of the visible moves."""
-    var_of = _state_variables(lts, terms)
+    var_of = {state: f"X_{state}" for state in lts.states}
     bodies = []
     for state in lts.states:
         taus = []
@@ -164,35 +151,29 @@ def _may_moves(taus, vis) -> Formula:
     return _fold(fm.Or, [fm.Dia(a, x) for a, x in taus + vis], fm.Ff())
 
 
-def test_lts_to_must_system(lts: Lts, root: str, terms=None) -> SimFormula:
-    """The simultaneous system of must equations for a test system.
+def test_lts_to_must_system(lts: Lts, root: str) -> SimFormula:
+    """The simultaneous system of must equations for a test system, with
+    the variable X_s for state s.
 
     Per state: success now gives tt; no moves gives ff; a stable state
     gives boxes over its visible moves plus acceptance of their actions;
     an unstable state gives boxes over all its tau and visible moves.
-
-    terms is the mapping that explore returned with lts; each variable is
-    named from its state's canonical term.  Pass None for a system read
-    from a file, whose variables are named from the state names.
     """
-    return _system(lts, root, terms, _must_moves)
+    return _system(lts, root, _must_moves)
 
 
-def test_lts_to_may_system(lts: Lts, root: str, terms=None) -> SimFormula:
-    """The simultaneous system of may equations for a test system: success
-    gives tt, deadlock gives ff, anything else the disjunction of diamonds
-    over all moves.  terms is as for test_lts_to_must_system: the mapping
-    that explore returned with lts, or None."""
-    return _system(lts, root, terms, _may_moves)
+def test_lts_to_may_system(lts: Lts, root: str) -> SimFormula:
+    """The simultaneous system of may equations for a test system, with
+    the variable X_s for state s: success gives tt, deadlock gives ff,
+    anything else the disjunction of diamonds over all moves."""
+    return _system(lts, root, _may_moves)
 
 
 def test_to_must_formula(test: Test) -> Formula:
     """Formula satisfied exactly by the processes that must pass the test."""
-    lts, root, terms = tm.explore(test)
-    return bekic_eliminate(test_lts_to_must_system(lts, root, terms))
+    return bekic_eliminate(test_lts_to_must_system(*tm.reachable_lts(test)))
 
 
 def test_to_may_formula(test: Test) -> Formula:
     """Formula satisfied exactly by the processes that may pass the test."""
-    lts, root, terms = tm.explore(test)
-    return bekic_eliminate(test_lts_to_may_system(lts, root, terms))
+    return bekic_eliminate(test_lts_to_may_system(*tm.reachable_lts(test)))

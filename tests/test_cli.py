@@ -88,10 +88,13 @@ def test_compile_test_round(proc_file):
     done = run_cli("compile-test", "--mode", "must", "--test", "a.w.0",
                    "--show-system")
     assert done.returncode == 0
-    lines = done.stdout.splitlines()
-    assert any(" = tt" in line for line in lines)
-    # the last line is the eliminated formula
-    assert lines[-1].startswith("min X_") or lines[-1].startswith("[")
+    # one equation per test state, named after it, then the eliminated formula
+    assert done.stdout == (
+        "X_t0 = [a]X_t1 /\\ Acc{a}\n"
+        "X_t1 = tt\n"
+        "X_t2 = ff\n"
+        "min X_t0. [a](min X_t1. tt) /\\ Acc{a}\n"
+    )
     done = run_cli("compile-test", "--mode", "may", "--test", "a.w.0",
                    "--format", "json")
     payload = json.loads(done.stdout)

@@ -265,14 +265,14 @@ def test_testing_query_leaves_transitions_unbuilt(tmp_path, monkeypatch):
         built.append(out[0])
         return out
 
-    def explore_and_keep(term, max_states):
-        out = real_explore(term, max_states)
+    def reach_and_keep(term, max_states):
+        out = real_reach(term, max_states)
         built.append(out[0])
         return out
 
-    real, real_explore = cli.parse_lts, cli.explore
+    real, real_reach = cli.parse_lts, cli.reachable_lts
     monkeypatch.setattr(cli, "parse_lts", parse_and_keep)
-    monkeypatch.setattr(cli, "explore", explore_and_keep)
+    monkeypatch.setattr(cli, "reachable_lts", reach_and_keep)
     proc = tmp_path / "proc.lts"
     proc.write_text("lts p\ninit p0\np0 a p1\np1 b p0\np1 tau p2\np2 tau p2\n")
     assert cli.main(["may", str(proc), "p0", "a.b.w.0", "--witness"]) == 0

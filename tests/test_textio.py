@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from functools import reduce
 
 import pytest
 
@@ -162,6 +163,20 @@ def test_mu_on_the_left_needs_parentheses():
     t = tm.Sum(tm.Mu("X", tm.Prefix(A, tm.Var("X"))), tm.Success())
     printed = format_test(t)
     assert parse_test(printed) == t
+
+
+def test_format_test_prints_deep_terms():
+    # the printer keeps its own stack: 5000 summands nest 5000 sums deep
+    # on the left, and a chain of 5000 prefixes under mu as deep
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        summands = format_test(reduce(tm.Sum, [tm.Prefix(A, tm.Nil())] * 5000))
+        chain = format_test(tm.Mu("X", reduce(lambda body, _: tm.Prefix(A, body), range(5000), tm.Var("X"))))
+    finally:
+        sys.setrecursionlimit(old)
+    assert summands == " + ".join(["a.0"] * 5000)
+    assert chain == "mu X. " + "a." * 5000 + "X"
 
 
 def test_test_parse_errors():

@@ -1,8 +1,11 @@
 import hashlib
 import random
+import tracemalloc
+from functools import reduce
 
 import pytest
 
+from rechml import cli
 from rechml import formulas as fm
 from rechml import testterms as tm
 from rechml import textio
@@ -102,8 +105,7 @@ def test_compilers_reject_wrong_fragment_and_open_formulas():
 def test_must_system_equations_frozen():
     # a.w.0: one stable state with a single visible move, then success
     t = tm.Prefix(A, W)
-    lts, root, terms = tm.explore(t)
-    sim = lts_to_must_system(lts, root, terms)
+    sim = lts_to_must_system(*reachable_lts(t))
     assert sim.index == 0
     x0, x1, x2 = sim.variables
     assert sim.bodies[0] == fm.And(fm.Box(A, fm.Var(x1)), fm.Acc({"a"}))
@@ -113,8 +115,8 @@ def test_must_system_equations_frozen():
 
 def test_must_system_unstable_state():
     t = tm.Sum(tm.Prefix(A, W), tm.Prefix(TAU, tm.Nil()))
-    lts, root, terms = tm.explore(t)
-    sim = lts_to_must_system(lts, root, terms)
+    lts, root = reachable_lts(t)
+    sim = lts_to_must_system(lts, root)
     body = sim.bodies[lts.state_index(root)]
     # an unstable state contributes boxes for every move and no Acc
     boxes = []
@@ -130,21 +132,12 @@ def test_must_system_unstable_state():
 
 def test_may_system_equations_frozen():
     t = tm.Sum(tm.Prefix(A, W), tm.Prefix(TAU, tm.Nil()))
-    lts, root, terms = tm.explore(t)
-    sim = lts_to_may_system(lts, root, terms)
+    lts, root = reachable_lts(t)
+    sim = lts_to_may_system(lts, root)
     body = sim.bodies[lts.state_index(root)]
     assert isinstance(body, fm.Or)
     produced = to_may_formula(t)
     assert fm.is_mayhml(produced)
-
-
-def test_variable_names_are_stable():
-    t = tm.Prefix(A, W)
-    lts, root, terms = tm.explore(t)
-    once = lts_to_must_system(lts, root, terms).variables
-    again = lts_to_must_system(lts, root, terms).variables
-    assert once == again
-    assert all(v.startswith("X_") for v in once)
 
 
 def test_round_trip_formula_test_formula_semantics():
@@ -173,11 +166,11 @@ def test_round_trip_may_semantics():
         assert interpret_states(lts, phi) == interpret_states(lts, back)
 
 
-def test_state_names_build_no_terms(monkeypatch):
-    # variable names are printed from explore's interned table: building
-    # and printing the canonical Test of every state cost more than the
-    # rest of the translation
-    lts, root, terms = tm.explore(parse_test("mu X. (a.mu Y. (b.Y + a.X) + b.c.X + c.w.0 + tau.X)"))
+def test_variables_are_named_after_states(monkeypatch):
+    # X_ and the state's name, for an explored term and for a system read
+    # from a file; no canonical Test is built or printed to name them
+    explored = reachable_lts(parse_test("mu X. (a.mu Y. (b.Y + a.X) + b.c.X + c.w.0 + tau.X)"))
+    read = textio.parse_lts("lts t\ninit q0\nq0 a q1\nq0 tau ok\nq1 b q0\nok omega ok\n")
     built = []
     for cls in (tm.Prefix, tm.Mu):
         def counted(self, *args, _init=cls.__init__):
@@ -190,40 +183,54 @@ def test_state_names_build_no_terms(monkeypatch):
         raise AssertionError("a state name was printed from a built term")
 
     monkeypatch.setattr(textio, "format_test", refuse)
-    systems = [build(lts, root, terms) for build in (lts_to_must_system, lts_to_may_system)]
+    for (lts, root), states in ((explored, [f"t{i}" for i in range(7)]), (read, ["q0", "q1", "ok"])):
+        assert list(lts.states) == states
+        for build in (lts_to_must_system, lts_to_may_system):
+            once, again = build(lts, root), build(lts, root)
+            assert once.variables == again.variables == tuple(f"X_{s}" for s in states)
     assert built == []
-    monkeypatch.undo()
-    expected = tuple(
-        f"X_{hashlib.sha1(format_test(terms[s]).encode()).hexdigest()[:6]}_{s}" for s in lts.states
-    )
-    assert len(expected) == 7
-    assert all(sim.variables == expected for sim in systems)
 
 
-TRANSLATE_DIGEST = "10bd8678eedf949029fa1ff4b76253f6af85687d9b8888d2d7cb71fc69e9ea86"
+def test_recursive_chain_system_in_bounded_memory(monkeypatch):
+    # the path compile-test takes from a test term to its equations, on
+    # mu X. a.a. ... a.X with 5000 prefixes; naming each variable from the
+    # printed canonical term of its state kept the text of every closed
+    # subterm of every state, about 150 MB here.  The term is built by
+    # hand because parsing it nests 10000 calls deep.
+    chain = tm.Mu("X", reduce(lambda body, _: tm.Prefix(A, body), range(5000), tm.Var("X")))
+    monkeypatch.setattr(cli, "parse_test", lambda _: chain)
+    tracemalloc.start()
+    try:
+        sim = lts_to_must_system(*cli._load_test_side("chain", 100_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sim.variables) == 5001
+    assert peak < 32 * 2**20, peak
+
+
+TRANSLATE_DIGEST = "58853cde68c296874746e71945177cadb5010edba366f1f872da69b0d85c2f9f"
 
 
 def test_translation_output_frozen():
-    # compiled tests, system variables and printed bodies, with and without
-    # the canonical terms that name the variables
+    # compiled tests, system variables and printed bodies
     cfg = TrialConfig(max_formula_depth=6, max_test_depth=5)
     h = hashlib.sha256()
     for trial in range(300):
         rng = spawn_rng(43, "translate", trial)
         must_phi = generate_formula(cfg, rng, "must")
         may_phi = generate_formula(cfg, rng, "may")
-        lts, root, terms = tm.explore(generate_test(cfg, rng))
+        lts, root = reachable_lts(generate_test(cfg, rng))
         h.update(format_test(formula_to_must_test(must_phi)).encode())
         h.update(format_test(formula_to_may_test(may_phi)).encode())
         for build in (lts_to_must_system, lts_to_may_system):
-            for names in (terms, None):
-                sim = build(lts, root, names)
-                bodies = [format_formula(b) for b in sim.bodies]
-                h.update(repr((sim.variables, bodies, sim.index)).encode())
+            sim = build(lts, root)
+            bodies = [format_formula(b) for b in sim.bodies]
+            h.update(repr((sim.variables, bodies, sim.index)).encode())
     assert h.hexdigest() == TRANSLATE_DIGEST
 
 
-ELIMINATED_DIGEST = "434e259cec1e50c84f8f780a28062e0f62f2cc14c8cd8a20f1ca8887445cb221"
+ELIMINATED_DIGEST = "0175c437a0ebc4bdee878a8f370e993433b83a80fcba7ec1acaeadff7bd42b12"
 
 
 def _complete_test_lts(rng, n):
@@ -245,13 +252,13 @@ def test_eliminated_formula_output_frozen():
     # the printed single formula after elimination, whose subformulas are
     # shared objects, for seeded test terms and complete 5-state test LTSs
     cfg = TrialConfig(max_test_depth=5)
-    sources = [tm.explore(generate_test(cfg, spawn_rng(47, "eliminate", trial)))
+    sources = [reachable_lts(generate_test(cfg, spawn_rng(47, "eliminate", trial)))
                for trial in range(150)]
-    sources += [(_complete_test_lts(random.Random(seed), 5), "q0", None) for seed in range(3)]
+    sources += [(_complete_test_lts(random.Random(seed), 5), "q0") for seed in range(3)]
     h = hashlib.sha256()
-    for lts, root, terms in sources:
+    for lts, root in sources:
         for build in (lts_to_must_system, lts_to_may_system):
-            text = format_formula(bekic_eliminate(build(lts, root, terms)))
+            text = format_formula(bekic_eliminate(build(lts, root)))
             h.update(f"{len(text)}:{text}".encode())
     assert h.hexdigest() == ELIMINATED_DIGEST
 
