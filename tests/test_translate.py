@@ -166,11 +166,22 @@ def test_round_trip_may_semantics():
         assert interpret_states(lts, phi) == interpret_states(lts, back)
 
 
-def test_variables_are_named_after_states(monkeypatch):
-    # X_ and the state's name, for an explored term and for a system read
-    # from a file; no canonical Test is built or printed to name them
+def test_variable_names_are_stable():
+    # X_ and the state's name, the same on every build, for an explored
+    # term and for a system read from a file
     explored = reachable_lts(parse_test("mu X. (a.mu Y. (b.Y + a.X) + b.c.X + c.w.0 + tau.X)"))
     read = textio.parse_lts("lts t\ninit q0\nq0 a q1\nq0 tau ok\nq1 b q0\nok omega ok\n")
+    for (lts, root), states in ((explored, [f"t{i}" for i in range(7)]), (read, ["q0", "q1", "ok"])):
+        assert list(lts.states) == states
+        for build in (lts_to_must_system, lts_to_may_system):
+            once, again = build(lts, root), build(lts, root)
+            assert once.variables == again.variables == tuple(f"X_{s}" for s in states)
+
+
+def test_state_names_build_no_terms(monkeypatch):
+    # variable names come from the state names alone: no canonical Test is
+    # built or printed to name them
+    lts, root = reachable_lts(parse_test("mu X. (a.mu Y. (b.Y + a.X) + b.c.X + c.w.0 + tau.X)"))
     built = []
     for cls in (tm.Prefix, tm.Mu):
         def counted(self, *args, _init=cls.__init__):
@@ -183,12 +194,11 @@ def test_variables_are_named_after_states(monkeypatch):
         raise AssertionError("a state name was printed from a built term")
 
     monkeypatch.setattr(textio, "format_test", refuse)
-    for (lts, root), states in ((explored, [f"t{i}" for i in range(7)]), (read, ["q0", "q1", "ok"])):
-        assert list(lts.states) == states
-        for build in (lts_to_must_system, lts_to_may_system):
-            once, again = build(lts, root), build(lts, root)
-            assert once.variables == again.variables == tuple(f"X_{s}" for s in states)
+    systems = [build(lts, root) for build in (lts_to_must_system, lts_to_may_system)]
     assert built == []
+    expected = tuple(f"X_{s}" for s in lts.states)
+    assert len(expected) == 7
+    assert all(sim.variables == expected for sim in systems)
 
 
 def test_recursive_chain_system_in_bounded_memory(monkeypatch):
