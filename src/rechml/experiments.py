@@ -22,7 +22,10 @@ searches that stop and resume:
 
 - a breadth-first search from its roots, which may_satisfy and
   may_witness run to the first success configuration and which reading
-  the whole graph (configs, edges, success, len) runs to the end;
+  the whole graph (configs, edges, success, len) runs to the end.  It
+  numbers the configurations it finds and keeps a cursor of those it
+  has expanded, but no edge lists: edges is read off the numbers and
+  the move memo;
 - a depth-first search for must over the non-success configurations
   (Liu and Smolka 1998), which stops at the first non-success deadlock
   or cycle and keeps what it settles.
@@ -49,23 +52,32 @@ def _product(proc: Lts, test: Lts):
     moves(key) lists its target keys as process taus, test taus, then
     shared actions by name, each once.  Witness and counterexample paths
     follow this order.  Each side's moves are read from the successor
-    index lists of Lts.strong_row."""
+    index lists of Lts.strong_row; the shared actions a test state offers
+    are listed on its first move."""
     if proc.has_omega:
         raise LtsError("process side of an experiment cannot use omega")
     n = len(test.states)
     acts = [visible(a) for a in sorted(set(proc.alphabet) & set(test.alphabet))]
     proc_tau, test_tau = proc.strong_row(TAU), test.strong_row(TAU)
     shared = [(proc.strong_row(a), test.strong_row(a)) for a in acts]
+    offers: list[list | None] = [None] * n  # per test state: (proc row, its targets)
 
     def moves(key):
         ip, it = divmod(key, n)
-        targets = [jp * n + it for jp in proc_tau[ip]]
-        targets += [ip * n + jt for jt in test_tau[it]]
-        for proc_row, test_row in shared:
-            ps, ts = proc_row[ip], test_row[it]
-            if ps and ts:
+        ps = proc_tau[ip]
+        targets = [jp * n + it for jp in ps] if ps else []
+        ts = test_tau[it]
+        if ts:
+            targets += [ip * n + jt for jt in ts]
+        offered = offers[it]
+        if offered is None:
+            offered = offers[it] = [(proc_row, test_row[it]) for proc_row, test_row in shared
+                                    if test_row[it]]
+        for proc_row, ts in offered:
+            ps = proc_row[ip]
+            if ps:
                 targets += [jp * n + jt for jp in ps for jt in ts]
-        return list(dict.fromkeys(targets))
+        return list(dict.fromkeys(targets)) if len(targets) > 1 else targets
 
     return n, moves
 
@@ -104,9 +116,10 @@ class Experiment:
     whose test component offers omega.  The search runs only as far as
     what is read needs: up to the first success configuration for
     may_satisfy and may_witness, to the end for configs, edges, success
-    and len.  Its move memo also serves the depth-first must search (Liu
-    and Smolka 1998) and is what built counts.  Building the moves of
-    more than max_configs configurations raises CapExceeded.
+    and len; edges is derived when first read.  Its move memo also
+    serves the depth-first must search (Liu and Smolka 1998) and is what
+    built counts.  Building the moves of more than max_configs
+    configurations raises CapExceeded.
     """
 
     def __init__(self, proc: Lts, test: Lts, roots, t: str, max_configs: int = MAX_CONFIGS):
@@ -118,7 +131,7 @@ class Experiment:
         self._keys = [ip * self._n + start for ip in self.roots]  # in search order
         self._index = {key: k for k, key in enumerate(self._keys)}
         self._parent: list[int | None] = [None] * len(self._keys)
-        self._edges: list[list[int]] = []  # of the configurations expanded so far
+        self._expanded = 0  # the breadth-first search's cursor into _keys
         self._moves = _Moves(build, max_configs)
         self._failing: dict[int, bool] = {}
 
@@ -128,42 +141,41 @@ class Experiment:
         return len(self._moves)
 
     def _search(self, stop: bool) -> int | None:
-        """Run the breadth-first search on from where it last stopped,
-        recording each expanded configuration's edges.  With stop, halt
+        """Run the breadth-first search on from its cursor, numbering each
+        new configuration and recording its parent.  With stop, halt
         before expanding the first success configuration and return its
         position; otherwise run to the end and return None."""
-        keys, index, parent, edges = self._keys, self._index, self._parent, self._edges
+        keys, index, parent = self._keys, self._index, self._parent
         memo, build, cap = self._moves, self._moves.build, self._moves.cap
         omega, n = self.test.omega_mask, self._n
-        k = len(edges)
+        k = self._expanded
         for key in islice(keys, k, None):  # the key list is the queue: it grows while walked
             if stop and omega >> key % n & 1:
+                self._expanded = k
                 return k
             targets = memo.get(key)  # not memo[key]: no method call per configuration
             if targets is None:
                 if len(memo) >= cap:
                     memo.refuse()
                 targets = memo[key] = build(key)
-            out = []
             for target in targets:
-                got = index.get(target)
-                if got is None:
-                    got = index[target] = len(keys)
+                if target not in index:
+                    index[target] = len(keys)
                     keys.append(target)
                     parent.append(k)
-                out.append(got)
-            edges.append(out)
             k += 1
+        self._expanded = k
         return None
 
     def __len__(self):
         self._search(False)
         return len(self._keys)
 
-    @property
+    @cached_property
     def edges(self) -> list[list[int]]:
         self._search(False)
-        return self._edges
+        index, memo = self._index, self._moves
+        return [[index[target] for target in memo[key]] for key in self._keys]
 
     @cached_property
     def success(self) -> list[bool]:
@@ -191,7 +203,7 @@ class Experiment:
         """Position of the first success configuration, or None.  An
         unfinished search has stopped there or not reached it yet."""
         self._root()
-        if len(self._edges) < len(self._keys):
+        if self._expanded < len(self._keys):
             return self._search(True)
         return next((k for k, ok in enumerate(self.success) if ok), None)
 

@@ -230,10 +230,17 @@ def _substitute_many(term, mapping: dict[str, Term]) -> Term:
 
     def sub(node, mapping):
         fv = node.free
-        live = {v: r for v, r in mapping.items() if v in fv}
-        if not live:
-            return node
-        key = (id(node), tuple(sorted((v, id(r)) for v, r in live.items())))
+        if len(mapping) == 1:
+            # every Bekic step and unfolding substitutes one variable
+            [(v, r)] = mapping.items()
+            if v not in fv:
+                return node
+            live, key = mapping, (id(node), v, id(r))
+        else:
+            live = {v: r for v, r in mapping.items() if v in fv}
+            if not live:
+                return node
+            key = (id(node), *sorted((v, id(r)) for v, r in live.items()))
         got = memo.get(key)
         if got is not None:
             return got
@@ -247,7 +254,7 @@ def _substitute_many(term, mapping: dict[str, Term]) -> Term:
                     incoming |= r.free
                 if x in incoming:
                     x2 = fresh_name(x, fv | incoming | {x})
-                    live[x] = node.var_class(x2)
+                    live = {**live, x: node.var_class(x2)}  # live may be the caller's
                     x = x2
                 out = type(node)(x, sub(b, live))
             case _:
@@ -255,7 +262,7 @@ def _substitute_many(term, mapping: dict[str, Term]) -> Term:
         memo[key] = out
         return out
 
-    return sub(term, dict(mapping))
+    return sub(term, mapping)
 
 
 def substitute(term, var: str, replacement) -> Term:
@@ -412,8 +419,8 @@ def bekic_eliminate(sim: SimFormula) -> Formula:
 
     The projected variable is moved to the front, then the remaining
     variables are eliminated last-first: close the final equation with its
-    own min binder and substitute it into every earlier body.  The result
-    is semantically the requested projection.
+    own min binder and substitute it into every earlier body it is free
+    in.  The result is semantically the requested projection.
     """
     leftover = sim_free_vars(sim)
     if leftover:
@@ -423,8 +430,19 @@ def bekic_eliminate(sim: SimFormula) -> Formula:
     bodies = list(sim.bodies)
     variables.insert(0, variables.pop(sim.index))
     bodies.insert(0, bodies.pop(sim.index))
+    # the positions of the bodies each variable is free in; substituting a
+    # closed binder brings its free variables into the bodies it enters.
+    # An entry may point at a body eliminated since, which is skipped.
+    users: dict[str, set[int]] = {x: set() for x in variables}
+    for i, b in enumerate(bodies):
+        for v in b.free:
+            users[v].add(i)
     while len(variables) > 1:
         x = variables.pop()
         closed = Min(x, bodies.pop())
-        bodies = [substitute(b, x, closed) if x in b.free else b for b in bodies]
+        for i in users.pop(x):
+            if i < len(bodies):
+                bodies[i] = substitute(bodies[i], x, closed)
+                for v in closed.free:
+                    users[v].add(i)
     return Min(variables[0], bodies[0])

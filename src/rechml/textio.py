@@ -337,7 +337,9 @@ def parse_lts(text: str) -> tuple[Lts, str | None]:
     """Parse the line format; returns the system and its init state (None
     when the file has no init line).  One pass interns each state name and
     each label to an index when first seen, checking it only then, and
-    hands the index triples to the Lts build step."""
+    hands the index triples to the Lts build step.  A move line checks its
+    source, then its destination, then its label, and the first faulty
+    line in the file is the one reported."""
     name = "lts"
     init = None
     order: list[str] = []
@@ -357,13 +359,18 @@ def parse_lts(text: str) -> tuple[Lts, str | None]:
         return i
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
             continue
         if len(tokens) == 3 and tokens[0] != "alphabet":
             src, label, dst = tokens
-            i = intern(src, lineno)
-            j = intern(dst, lineno)
+            # a name seen before is a plain lookup; intern checks a new one
+            i = index.get(src)
+            if i is None:
+                i = intern(src, lineno)
+            j = index.get(dst)
+            if j is None:
+                j = intern(dst, lineno)
             k = slots.get(label)
             if k is None:
                 k = slots[label] = len(actions)

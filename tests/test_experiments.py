@@ -234,7 +234,7 @@ def test_must_states_builds_no_success_moves():
     for proc, tlts, troot in _product_cases():
         experiment = compose_all(proc, tlts, troot)
         must_states(experiment)
-        assert not experiment._edges
+        assert experiment._expanded == 0 and len(experiment._keys) == len(experiment.roots)
         whole = compose_all(proc, tlts, troot)
         assert experiment.built <= whole.success.count(False)
 

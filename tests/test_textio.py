@@ -262,6 +262,50 @@ def test_bad_state_name_is_reported_where_it_first_appears():
         parse_lts("state x-\nx- a s0\n")
 
 
+def parsed_as(text):
+    lts, init = parse_lts(text)
+    return lts.name, lts.states, lts.transitions, lts.alphabet, init
+
+
+@pytest.mark.parametrize("commented, stripped", [
+    ("s0 a s1 # a move\n# a whole line\n  # indented\n#\ns1 b s0\n", "s0 a s1\ns1 b s0\n"),
+    ("s0 a s1#x\ns1 b s0#x y\n", "s0 a s1\ns1 b s0\n"),
+    ("lts demo # its name\nstate s2 # declared\ninit s0 #start\nalphabet a c # letters\n"
+     "s0 a s1\n", "lts demo\nstate s2\ninit s0\nalphabet a c\ns0 a s1\n"),
+    ("lts demo#x\nstate s2#\ninit s0#y\nalphabet a#z\ns0 a s1\n",
+     "lts demo\nstate s2\ninit s0\nalphabet a\ns0 a s1\n"),
+    ("lts demo\r\ninit s0\r\n\r\ns0\ta\ts1 # tabs\r\n\ts1  b\t s0\t\r\n",
+     "lts demo\ninit s0\ns0 a s1\ns1 b s0\n"),
+])
+def test_comments_parse_as_their_stripped_text(commented, stripped):
+    assert parsed_as(commented) == parsed_as(stripped)
+
+
+def test_cannot_parse_quotes_the_raw_line_with_its_comment():
+    with pytest.raises(ParseError, match=r"^line 2: cannot parse 's0 a s1 s2 # four tokens'$"):
+        parse_lts("# header\n\ts0 a s1 s2 # four tokens\r\n")
+    with pytest.raises(ParseError, match=r"^line 1: cannot parse 'lts#x y'$"):
+        parse_lts("lts#x y\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    # within a line: source, then destination, then label
+    ("s0 a 9x\n8y a s0\n", "line 1: bad state name '9x'"),
+    ("s0 B 9x\n", "line 1: bad state name '9x'"),
+    ("9x B 8y\n", "line 1: bad state name '9x'"),
+    # across lines: the first faulty line, whatever its fault
+    ("s0 a s1\ns1 B s0\ns1 a 9x\n", "line 2: bad label 'B'"),
+    ("s0 a 9x\ns0 a s1 s2\n", "line 1: bad state name '9x'"),
+    ("init 9x\nnonsense here at all\n", "line 1: bad state name '9x'"),
+    ("alphabet a Bad\ns0 a 9x\n", "line 1: bad letter 'Bad'"),
+    ("s0 a s1 s2\ns0 a 9x\n", "line 1: cannot parse 's0 a s1 s2'"),
+])
+def test_the_first_faulty_line_wins(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_lts(text)
+    assert str(err.value) == message
+
+
 def test_duplicate_transition_keeps_its_first_place():
     lts, _ = parse_lts("p a q\nq tau p\np a q\nq b p\nq tau p\n")
     assert lts.transitions == (("p", A, "q"), ("q", TAU, "p"), ("q", B, "p"))
