@@ -358,8 +358,11 @@ def parse_lts(text: str) -> tuple[Lts, str | None]:
             order.append(state)
         return i
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+    lines = text.splitlines()
+    # comments are cut off up front, and only from a text that has one;
+    # an error still quotes the raw line
+    bodies = [line.split("#", 1)[0] for line in lines] if "#" in text else lines
+    for lineno, tokens in enumerate(map(str.split, bodies), 1):
         if not tokens:
             continue
         if len(tokens) == 3 and tokens[0] != "alphabet":
@@ -383,11 +386,16 @@ def parse_lts(text: str) -> tuple[Lts, str | None]:
             intern(tokens[1], lineno)
             init = tokens[1]
         elif tokens[0] == "state" and len(tokens) == 2:
-            intern(tokens[1], lineno)
+            state = tokens[1]
+            if state not in index:
+                if not _STATE_NAME.match(state):
+                    raise ParseError(f"line {lineno}: bad state name {state!r}")
+                index[state] = len(order)
+                order.append(state)
         elif tokens[0] == "alphabet":
             alphabet += [_visible_at(letter, lineno, "letter").name for letter in tokens[1:]]
         else:
-            raise ParseError(f"line {lineno}: cannot parse {raw.strip()!r}")
+            raise ParseError(f"line {lineno}: cannot parse {lines[lineno - 1].strip()!r}")
     return Lts._from_triples(order, index, actions, triples, alphabet, name), init
 
 

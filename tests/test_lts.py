@@ -7,7 +7,9 @@ import pytest
 from rechml import cli
 from rechml import testterms as tm
 from rechml.generators import TrialConfig, generate_lts, generate_test, spawn_rng
-from rechml.lts import OMEGA, TAU, Action, Lts, LtsError, visible
+from rechml.lts import _DENSE, OMEGA, TAU, Action, Lts, LtsError, visible
+from rechml.semantics import interpret
+from rechml.textio import parse_formula
 
 import oracles
 
@@ -383,3 +385,135 @@ def test_long_chain_builds_in_linear_time():
     parsed, public, peak_mb = map(float, done.stdout.split())
     assert parsed < 10 and public < 10, done.stdout
     assert peak_mb < 250, done.stdout
+
+
+def dense_systems():
+    """Systems of 40-300 states, where masks of _DENSE or more set bits
+    take the selector walk: generated ones, a 203-state a-chain (not a
+    multiple of 8 states), a tau fan whose hub's tau closure and its
+    images are dense, and a tau tangle."""
+    cfg = TrialConfig(max_states=300)
+    drawn = (generate_lts(cfg, spawn_rng(23, "dense", trial)) for trial in range(40))
+    systems = [lts for lts in drawn if len(lts.states) >= 40][:4]
+    a, b = visible("a"), visible("b")
+    systems.append(Lts([f"c{i}" for i in range(203)],
+                       [(f"c{i}", a, f"c{i + 1}") for i in range(202)], alphabet="ab"))
+    fan = [("hub", TAU, f"f{i}") for i in range(45)]
+    fan += [(f"f{i}", a, f"f{i * 7 % 45}") for i in range(45)]
+    fan += [(f"f{i}", b, "hub") for i in range(0, 45, 3)]
+    systems.append(Lts(["hub"], fan, alphabet="ab"))
+    systems.append(tau_heavy(random.Random(5), 97))
+    return systems
+
+
+def threshold_masks(rng, n):
+    """The full mask, masks of _DENSE - 1, _DENSE and _DENSE + 1 set bits,
+    and a dense mask whose top bit is the last state."""
+    masks = [(1 << n) - 1]
+    for k in (_DENSE - 1, _DENSE, _DENSE + 1):
+        masks.append(sum(1 << i for i in rng.sample(range(n), k)))
+    masks.append(sum(1 << i for i in rng.sample(range(n - 1), _DENSE)) | 1 << n - 1)
+    return masks
+
+
+DENSE_FORMULAS = ("<a>tt", "[b]ff", "Acc{a,b}", "[tau]<b>tt", "min X. [a]X",
+                  "max X. <a>X \\/ <b>tt", "min X. <tau>X \\/ (<a>tt /\\ [b]ff)")
+
+
+@pytest.mark.parametrize("system", range(7))
+def test_dense_masks_match_oracle(system):
+    # verify's systems have at most 8 states, so only these reach the
+    # selector walk of _image and iter_mask
+    lts = dense_systems()[system]
+    n = len(lts.states)
+    assert 40 <= n <= 300
+    rng = random.Random(system)
+    acts = [TAU] + [visible(letter) for letter in lts.alphabet]
+    weak = {(s, act): oracles.weak_derivatives(lts, s, act) for s in lts.states for act in acts}
+    for mask in threshold_masks(rng, n):
+        assert list(lts.iter_mask(mask)) == [i for i in range(n) if mask >> i & 1]
+        target = set(lts.names_of(mask))
+        for act in acts:
+            expected = {s for s in lts.states if weak[s, act] & target}
+            assert set(lts.names_of(lts.pre(act, mask))) == expected
+            for i, state in enumerate(lts.states):
+                assert lts.reaches(act, i, mask) == (state in expected)
+        phi = parse_formula("<a>X \\/ [tau]X")
+        assert interpret(lts, phi, {"X": mask}) == lts.mask_of(oracles.sat_states(lts, phi, {"X": target}))
+    for text in DENSE_FORMULAS:
+        phi = parse_formula(text)
+        assert interpret(lts, phi) == lts.mask_of(oracles.sat_states(lts, phi)), text
+
+
+def test_build_rows_are_sorted_and_deduped_in_any_order():
+    rng = random.Random(23)
+    a, b = visible("a"), visible("b")
+    states = [f"s{i}" for i in range(30)]
+    moves = [(rng.choice(states), rng.choice((TAU, a, b, OMEGA)), rng.choice(states)) for _ in range(200)]
+    moves += rng.sample(moves, 40)
+    for order in (moves, moves[::-1], rng.sample(moves, len(moves))):
+        lts = Lts(states, order)
+        for act in (TAU, a, b, OMEGA):
+            expected = tuple(tuple(sorted({lts.state_index(dst) for src, x, dst in order
+                                           if src == state and x == act}))
+                             for state in states)
+            assert lts.strong_row(act) == expected
+        assert lts.transitions == tuple(dict.fromkeys(order))
+
+
+# Builds a star of n a-moves from one hub, fed in descending target order;
+# prints the seconds the build took.
+_STAR = """
+import sys, time
+from rechml.lts import Lts, visible
+
+n = int(sys.argv[1])
+a = visible("a")
+states = ["hub"] + [f"t{j}" for j in range(n)]
+moves = [("hub", a, f"t{j}") for j in reversed(range(n))]
+start = time.perf_counter()
+lts = Lts(states, moves)
+built = time.perf_counter() - start
+assert lts.strong_row(a)[0] == tuple(range(1, n + 1))
+assert lts.transitions[0] == ("hub", a, f"t{n - 1}")
+print(built)
+"""
+
+
+def test_star_builds_in_near_linear_time():
+    # about 0.1 s; deduping each target by a search of the hub's growing
+    # target list would take about 17 s
+    done = subprocess.run([sys.executable, "-c", _STAR, "50000"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 5, done.stdout
+
+
+# Runs `rechml check` on an n-state a-chain file as its only child process;
+# prints the exit code, stdout, the seconds taken and the child's peak
+# resident memory in MB.
+_CHECK_CHAIN = """
+import resource, subprocess, sys, time
+
+path, n = sys.argv[1], int(sys.argv[2])
+with open(path, "w") as out:
+    out.writelines(f"s{i} a s{i + 1}\\n" for i in range(n - 1))
+start = time.perf_counter()
+done = subprocess.run([sys.executable, "-m", "rechml", "check", path, "s0", "<a>tt"],
+                      capture_output=True, text=True)
+took = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(done.returncode, done.stdout.strip(), took, peak / 2**20 if sys.platform == "darwin" else peak / 2**10)
+"""
+
+
+def test_300000_state_chain_answers_in_bounded_memory(tmp_path):
+    # about 1 s at 136 MB; walking the full mask one bit at a time took
+    # about 28 s
+    done = subprocess.run([sys.executable, "-c", _CHECK_CHAIN, str(tmp_path / "chain.lts"), "300000"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    code, out, took, peak_mb = done.stdout.split()
+    assert (code, out) == ("0", "sat=true"), done.stdout
+    assert float(peak_mb) < 250, done.stdout
+    assert float(took) < 20, done.stdout
