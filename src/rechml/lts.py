@@ -26,17 +26,17 @@ explored test):
 pre is a backward search over predecessor lists, and reaches (does one
 state have a weak derivative in a mask) a forward search over the
 successor lists; pre rejects a mask with bits outside the system.  Both
-walk a mask one set bit at a time, at O(n) big-int work per bit, for its
-first 32 set bits, and the rest of a denser mask by selectors, O(n) in
-all; the switch counts set bits, so a one-bit delta near the top of a
-large mask stays cheap.  Those caches only memoise functions of the
-transitions, and nothing handed out can be mutated, so an Lts is
-observably immutable and safe to share.
+take pre-images one set bit of a mask at a time, at O(n) big-int work per
+bit, for its first 32 set bits, and the rest of a denser mask by
+selectors, O(n) in all; the switch counts set bits, so a one-bit delta
+near the top of a large mask stays cheap.  Those caches only memoise
+functions of the transitions, and nothing handed out can be mutated, so
+an Lts is observably immutable and safe to share.
 """
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import compress, count
+from itertools import compress
 
 
 class LtsError(Exception):
@@ -81,24 +81,17 @@ def visible(name: str) -> Action:
     return Action("visible", name)
 
 
-# _image and iter_mask walk the first _DENSE set bits of a mask one at a
-# time, at O(n) big-int work each, and the rest by selectors, O(n) in all:
-# one pass over the binary digits picks the rows, and _image marks the
-# targets in a byte per state and reads them back as one int.  The switch
-# counts set bits as they are walked: by bit_length, every one-bit delta
-# near the top of a large mask (the Kleene rounds of min X. [a]X on a
-# chain) would pay the O(n) pass, and an up-front int.bit_count costs half
-# a one-bit step on a 100,000-state mask.  Selectors win from about 24 set
-# bits at 300 states and 60 at 1000.
+# _image walks the first _DENSE set bits of a mask one at a time, at O(n)
+# big-int work each, and the rest by selectors, O(n) in all: the binary
+# digits of the mask, lowest first and translated to 0/1 bytes, pick the
+# rows, and the targets are marked in a byte per state and read back as
+# one int.  The switch counts set bits as they are walked: by bit_length,
+# every one-bit delta near the top of a large mask (the Kleene rounds of
+# min X. [a]X on a chain) would pay the O(n) pass, and an up-front
+# int.bit_count costs half a one-bit step on a 100,000-state mask.
+# Selectors win from about 24 set bits at 300 states and 60 at 1000.
 _DENSE = 32
-
-# the binary digits of a mask, as 0/1 selector bytes
 _SELECT = bytes.maketrans(b"01", b"\0\1")
-
-
-def _selectors(mask: int) -> bytes:
-    """One byte per bit of mask, lowest bit first: 1 where the bit is set."""
-    return bin(mask)[:1:-1].encode().translate(_SELECT)
 
 
 def _image(rows, mask: int) -> int:
@@ -109,7 +102,7 @@ def _image(rows, mask: int) -> int:
         if not left:
             # marks[j] is the binary digit of bit j, read back in reverse
             marks = bytearray(b"0") * len(rows)
-            for row in compress(rows, _selectors(mask)):
+            for row in compress(rows, bin(mask)[:1:-1].encode().translate(_SELECT)):
                 for j in row:
                     marks[j] = 49
             return out | int(marks[::-1], 2)
@@ -309,16 +302,10 @@ class Lts:
         return tuple(s for i, s in enumerate(self.states) if mask & (1 << i))
 
     def iter_mask(self, mask: int):
-        """The indices of the set bits of mask in increasing order, walked
-        as _image walks a mask: the first _DENSE one at a time, the rest by
-        selectors."""
-        for _ in range(_DENSE):
-            if not mask:
-                return
+        while mask:
             i = (mask & -mask).bit_length() - 1
             mask &= mask - 1
             yield i
-        yield from compress(count(), _selectors(mask))
 
     # -- state-set queries ------------------------------------------------
 

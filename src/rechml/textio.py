@@ -396,6 +396,8 @@ def parse_lts(text: str) -> tuple[Lts, str | None]:
             alphabet += [_visible_at(letter, lineno, "letter").name for letter in tokens[1:]]
         else:
             raise ParseError(f"line {lineno}: cannot parse {lines[lineno - 1].strip()!r}")
+    # the lines go before the build, so the two never peak together
+    del lines, bodies
     return Lts._from_triples(order, index, actions, triples, alphabet, name), init
 
 

@@ -423,7 +423,7 @@ DENSE_FORMULAS = ("<a>tt", "[b]ff", "Acc{a,b}", "[tau]<b>tt", "min X. [a]X",
 @pytest.mark.parametrize("system", range(7))
 def test_dense_masks_match_oracle(system):
     # verify's systems have at most 8 states, so only these reach the
-    # selector walk of _image and iter_mask
+    # selector walk of _image
     lts = dense_systems()[system]
     n = len(lts.states)
     assert 40 <= n <= 300
