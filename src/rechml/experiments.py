@@ -54,7 +54,7 @@ def _product(proc: Lts, test: Lts):
     follow this order.  Each side's moves are read from the successor
     index lists of Lts.strong_row; the shared actions a test state offers
     are listed on its first move."""
-    if proc.has_omega:
+    if proc.omega_mask:
         raise LtsError("process side of an experiment cannot use omega")
     n = len(test.states)
     acts = [visible(a) for a in sorted(set(proc.alphabet) & set(test.alphabet))]
@@ -86,26 +86,6 @@ def _product(proc: Lts, test: Lts):
 MAX_CONFIGS = 10_000_000
 
 
-class _Moves(dict):
-    """The moves of each configuration key, built on first lookup, for at
-    most cap configurations; a revisit is a plain lookup and pays nothing."""
-
-    def __init__(self, build, cap: int):
-        super().__init__()
-        self.build = build
-        self.cap = cap
-
-    def __missing__(self, key):
-        if len(self) >= self.cap:
-            self.refuse()
-        got = self[key] = self.build(key)
-        return got
-
-    def refuse(self):
-        raise CapExceeded(f"the experiment needs the moves of more than {self.cap} "
-                          "configurations (the --max-configs cap)")
-
-
 class Experiment:
     """The process states with indices roots, each against test state t.
 
@@ -125,14 +105,15 @@ class Experiment:
     def __init__(self, proc: Lts, test: Lts, roots, t: str, max_configs: int = MAX_CONFIGS):
         if max_configs < 1:
             raise ValueError(f"max_configs must be at least 1, got {max_configs}")
-        self._n, build = _product(proc, test)
+        self._n, self._build = _product(proc, test)
         start = test.state_index(t)
         self.proc, self.test, self.roots = proc, test, list(roots)
         self._keys = [ip * self._n + start for ip in self.roots]  # in search order
         self._index = {key: k for k, key in enumerate(self._keys)}
         self._parent: list[int | None] = [None] * len(self._keys)
         self._expanded = 0  # the breadth-first search's cursor into _keys
-        self._moves = _Moves(build, max_configs)
+        self._cap = max_configs
+        self._moves: dict[int, list[int]] = {}  # the moves built so far, by key
         self._failing: dict[int, bool] = {}
 
     @property
@@ -140,25 +121,31 @@ class Experiment:
         """Configurations whose moves have been built so far."""
         return len(self._moves)
 
+    def _moves_of(self, key: int) -> list[int]:
+        """The moves of a configuration, built on first call, for at most
+        max_configs configurations."""
+        got = self._moves.get(key)
+        if got is None:
+            if len(self._moves) >= self._cap:
+                raise CapExceeded(f"the experiment needs the moves of more than {self._cap} "
+                                  "configurations (the --max-configs cap)")
+            got = self._moves[key] = self._build(key)
+        return got
+
     def _search(self, stop: bool) -> int | None:
         """Run the breadth-first search on from its cursor, numbering each
         new configuration and recording its parent.  With stop, halt
         before expanding the first success configuration and return its
         position; otherwise run to the end and return None."""
         keys, index, parent = self._keys, self._index, self._parent
-        memo, build, cap = self._moves, self._moves.build, self._moves.cap
+        memo, moves_of = self._moves, self._moves_of
         omega, n = self.test.omega_mask, self._n
         k = self._expanded
         for key in islice(keys, k, None):  # the key list is the queue: it grows while walked
             if stop and omega >> key % n & 1:
                 self._expanded = k
                 return k
-            targets = memo.get(key)  # not memo[key]: no method call per configuration
-            if targets is None:
-                if len(memo) >= cap:
-                    memo.refuse()
-                targets = memo[key] = build(key)
-            for target in targets:
+            for target in memo.get(key) or moves_of(key):
                 if target not in index:
                     index[target] = len(keys)
                     keys.append(target)
@@ -214,7 +201,7 @@ class Experiment:
         into its stack or into a configuration known to fail; then every
         configuration on the stack fails.  A configuration whose search
         ends without that passes: it moves, and every move passes."""
-        status, moves, omega, n = self._failing, self._moves, self.test.omega_mask, self._n
+        status, moves_of, omega, n = self._failing, self._moves_of, self.test.omega_mask, self._n
         known = status.get(key)
         if known is not None:
             return known
@@ -226,10 +213,11 @@ class Experiment:
         c = key
         while True:  # c is a non-success configuration not settled yet
             stack.append(c)
-            if not moves[c]:
+            moves = moves_of(c)
+            if not moves:
                 break
             on_stack.add(c)
-            todo.append(iter(moves[c]))
+            todo.append(iter(moves))
             c = None
             while c is None:
                 for d in todo[-1]:
@@ -312,13 +300,13 @@ def must_counterexample(experiment: Experiment):
     Returns None when the root must-passes.
     """
     root = experiment._root()
-    fails, moves = experiment._fails, experiment._moves
+    fails, moves_of = experiment._fails, experiment._moves_of
     if not fails(root):
         return None
     path = [root]
     position = {root: 0}
     while True:
-        nxt = next((d for d in moves[path[-1]] if fails(d)), None)
+        nxt = next((d for d in moves_of(path[-1]) if fails(d)), None)
         if nxt is None:
             return experiment._names(path), None
         path.append(nxt)

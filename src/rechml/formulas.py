@@ -133,8 +133,6 @@ class Acc(Formula):
         object.__setattr__(self, "actions", frozenset(self.actions))
         object.__setattr__(self, "free", _CLOSED)
         for a in self.actions:
-            if not isinstance(a, str):
-                raise FormulaError(f"bad action name in Acc: {a!r}")
             try:
                 visible(a)
             except LtsError as err:

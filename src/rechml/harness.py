@@ -108,7 +108,7 @@ def _first_state(lts: Lts, diff: int) -> int | None:
     """The index of the first state in a difference of masks, clipped to
     the system: None when the masks differ only outside it."""
     diff &= lts.full_mask
-    return next(lts.iter_mask(diff)) if diff else None
+    return (diff & -diff).bit_length() - 1 if diff else None
 
 
 class _Harness:

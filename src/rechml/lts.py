@@ -10,14 +10,15 @@ constructor interns its arguments into them.  The step does only what
 every reader needs: it fills the successor lists in construction order,
 without a sort of all the triples (only a state with several targets for
 one action has them sorted and deduped), and in one pass over the actions
-the alphabet, the tau row and the omega mask.  Everything else is built
-on first read, because many systems never need it (an experiment reads
-neither the tau predecessors nor divergence of its process or its
+the alphabet, the tau row and the omega_mask attribute.  Everything else
+is built on first read, because many systems never need it (an experiment
+reads neither the tau predecessors nor divergence of its process or its
 explored test):
-- the tau-predecessor lists, read by pre and by the peel;
-- divergence, by peeling: a state converges once all its tau successors
-  have, counted down per state, so no tau closure is built; a system
-  without tau moves diverges nowhere and is not peeled;
+- the tau-predecessor lists, read by pre and by the peel; a system without
+  tau moves has no tau row, and pre and reaches skip its tau closures;
+- divergent_mask, by peeling: a state converges once all its tau
+  successors have, counted down per state, so no tau closure is built; a
+  system without tau moves diverges nowhere and is not peeled;
 - the named transitions and outgoing lists, from the triples;
 - the predecessor lists of a visible action, when pre first needs them;
 - the pre-image of the full state set under a visible action (the states
@@ -32,8 +33,12 @@ selectors, O(n) in all; the switch counts set bits, so a one-bit delta
 near the top of a large mask stays cheap.  Those caches only memoise
 functions of the transitions, and nothing handed out can be mutated, so
 an Lts is observably immutable and safe to share.
+
+Names follow the text formats, so what format_lts writes parse_lts reads
+back: states are identifiers, and Action owns the visible-name rule.
 """
 
+import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress
@@ -43,13 +48,19 @@ class LtsError(Exception):
     """Raised for malformed systems, unknown states or unknown actions."""
 
 
+_STATE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_VISIBLE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+_RESERVED = frozenset({"tau", "omega", "w", "tt", "ff", "min", "max", "mu"})
+
+
 @dataclass(frozen=True)
 class Action:
     """A transition label: the silent action, a visible action or omega.
 
     kind is one of "tau", "visible" or "omega"; name is empty except for
-    visible actions.  Actions compare equal by kind and name; they have no
-    order.
+    visible actions, where it is a lowercase-initial identifier that is no
+    word of the text formats.  Actions compare equal by kind and name;
+    they have no order.
     """
 
     kind: str
@@ -59,9 +70,9 @@ class Action:
         if self.kind not in ("tau", "visible", "omega"):
             raise LtsError(f"unknown action kind {self.kind!r}")
         if self.kind == "visible":
-            if not self.name:
-                raise LtsError("visible action needs a name")
-            if self.name in ("tau", "omega", "w"):
+            if not isinstance(self.name, str) or not _VISIBLE.fullmatch(self.name):
+                raise LtsError(f"bad action name {self.name!r}")
+            if self.name in _RESERVED:
                 raise LtsError(f"action name {self.name!r} is reserved")
         elif self.name:
             raise LtsError(f"{self.kind} carries no name")
@@ -129,11 +140,11 @@ def _transpose(rows) -> list:
 
 
 def _reach(rows, mask: int, stop: int = 0) -> int:
-    """The states reachable from mask in zero or more row steps; each
-    reached state is expanded once.  The search ends early, with only part
-    of the answer, once it has reached a state in stop."""
+    """The states reachable from mask in zero or more row steps (none for
+    rows None); each reached state is expanded once.  The search ends
+    early, with only part of the answer, once it has reached a state in stop."""
     seen = frontier = mask
-    while frontier and not frontier & stop:
+    while rows and frontier and not frontier & stop:
         frontier = _image(rows, frontier) & ~seen
         seen |= frontier
     return seen
@@ -147,15 +158,18 @@ class Lts:
     :param transitions: iterable of (source, Action, target) triples.
     :param alphabet: extra visible action names beyond those occurring in
         the transitions (useful when formulas range over a larger alphabet).
-    :param name: a label used when serializing.
+    :param name: a label used when serializing, one word without a #.
     """
 
     def __init__(self, states=(), transitions=(), alphabet=(), name="lts"):
+        if not isinstance(name, str) or name.split() != [name] or "#" in name:
+            raise LtsError(f"bad system name {name!r}")
+        alphabet = [visible(letter).name for letter in alphabet]
         order: list[str] = []
         index: dict[str, int] = {}
 
         def intern(state):
-            if not isinstance(state, str) or not state:
+            if not isinstance(state, str) or not _STATE_NAME.fullmatch(state):
                 raise LtsError(f"bad state name {state!r}")
             i = index.get(state)
             if i is None:
@@ -238,8 +252,8 @@ class Lts:
                         omega |= 1 << i
         self._strong = strong
         self.alphabet: tuple[str, ...] = tuple(sorted(names))
-        self._tau = tau or ((),) * n
-        self._omega_mask = omega
+        self._tau = tau  # None without tau moves
+        self.omega_mask: int = omega  # states with an omega move (a test's success states)
         # visible action name -> its predecessor lists, built by pre
         self._back: dict[str, list] = {}
         # visible action name -> pre of the full mask, memoised by pre
@@ -251,12 +265,12 @@ class Lts:
         return _transpose(self._tau)
 
     @cached_property
-    def _divergent(self) -> int:
+    def divergent_mask(self) -> int:
         """The states with an infinite tau run, found by peeling convergent
         states: a state converges once all its tau successors have (a tau
         self-loop is never peeled).  Without tau moves nothing diverges."""
         tau = self._tau
-        if not any(tau):
+        if tau is None:
             return 0
         back = self._back_tau
         left = list(map(len, tau))
@@ -301,12 +315,6 @@ class Lts:
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(s for i, s in enumerate(self.states) if mask & (1 << i))
 
-    def iter_mask(self, mask: int):
-        while mask:
-            i = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            yield i
-
     # -- state-set queries ------------------------------------------------
 
     def strong_row(self, act: Action) -> tuple[tuple[int, ...], ...]:
@@ -325,9 +333,10 @@ class Lts:
         if mask < 0 or mask > self.full_mask:
             raise LtsError(f"mask names states outside the system of {len(self.states)} states")
         full = mask == self.full_mask
+        back_tau = self._tau and self._back_tau  # None without tau moves
         if act.kind == "tau":
             # every state is its own weak tau-derivative
-            return mask if full else _reach(self._back_tau, mask)
+            return mask if full else _reach(back_tau, mask)
         if act.kind == "omega":
             raise LtsError("omega has no weak derivatives")
         if full:
@@ -337,7 +346,7 @@ class Lts:
         back = self._back.get(act.name)
         if back is None:
             back = self._back[act.name] = _transpose(self.strong_row(act))
-        out = _reach(self._back_tau, _image(back, _reach(self._back_tau, mask)))
+        out = _reach(back_tau, _image(back, _reach(back_tau, mask)))
         if full:
             self._can[act.name] = out
         return out
@@ -354,25 +363,11 @@ class Lts:
             start = _image(self.strong_row(act), _reach(self._tau, start))
         return bool(_reach(self._tau, start, mask) & mask)
 
-    @property
-    def divergent_mask(self) -> int:
-        return self._divergent
-
-    @property
-    def omega_mask(self) -> int:
-        """States with an outgoing omega transition (success states of a
-        test system)."""
-        return self._omega_mask
-
-    @property
-    def has_omega(self) -> bool:
-        return self._omega_mask != 0
-
     # -- name-level queries ------------------------------------------------
 
     def converges(self, state: str) -> bool:
         """True when no infinite tau run starts at the state."""
-        return not self._divergent & (1 << self.state_index(state))
+        return not self.divergent_mask & (1 << self.state_index(state))
 
     def outgoing(self, state: str):
         """Transitions leaving the state, in construction order."""

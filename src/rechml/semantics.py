@@ -149,9 +149,12 @@ class _Evaluator:
                 # only predecessors of the removed states can have lost
                 # their last weak derivative in the mask; a forward search
                 # from one of them soon meets a mask that kept most states
-                for i in lts.iter_mask(out & lts.pre(act, gone)):
-                    if not lts.reaches(act, i, mask):
-                        out &= ~(1 << i)
+                suspects = out & lts.pre(act, gone)
+                while suspects:
+                    low = suspects & -suspects
+                    suspects ^= low
+                    if not lts.reaches(act, low.bit_length() - 1, mask):
+                        out &= ~low
             else:
                 out = lts.pre(act, mask)
         self.last_pre[id(node)] = (mask, out)
@@ -212,11 +215,8 @@ class _Evaluator:
             del env[var]
         else:
             env[var] = shadowed
-        stats = self.stats
-        if stats is not None:
-            stats.fixpoint_iterations += iterations
-            if iterations > stats.max_fixpoint_iterations:
-                stats.max_fixpoint_iterations = iterations
+        if self.stats is not None:
+            self.stats.record(iterations)
         self.resume[id(node)] = (sig, current)
         return current
 

@@ -1,8 +1,9 @@
 """Text formats: LTS files, formula syntax, test syntax.
 
 LTS files are line based: `lts <name>`, `init <state>`, `state <name>`,
-`<src> <label> <dst>`, with `#` comments.  Labels are tau, omega, or a
-lowercase-initial identifier.
+`<src> <label> <dst>`, with `#` comments, at most one init line.  States
+and labels follow the name rules of lts: a label is tau, omega, or a
+visible action name.
 
 Formulas: tt, ff, Acc{a,b}, <a>phi, [tau]phi, phi \\/ phi, phi /\\ phi,
 min X. phi, max X. phi.  Disjunction binds loosest, then conjunction, then
@@ -28,7 +29,6 @@ class ParseError(Exception):
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|0")
 _STATE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-_VISIBLE = re.compile(r"[a-z][a-zA-Z0-9_]*$")
 
 
 def _scan(text: str, symbols) -> list[str]:
@@ -79,17 +79,15 @@ class _Tokens:
 # -- formulas ---------------------------------------------------------------
 
 _FORMULA_SYMBOLS = ("\\/", "/\\", "<", ">", "[", "]", "{", "}", "(", ")", ".", ",")
-_FORMULA_KEYWORDS = {"tt", "ff", "min", "max", "Acc", "tau"}
 
 
 def _action_token(tok, allow_tau=True) -> Action:
-    if tok == "tau":
-        if not allow_tau:
-            raise ParseError("tau not allowed here")
+    if tok == "tau" and allow_tau:
         return TAU
-    if tok is None or not _VISIBLE.match(tok) or tok in ("tt", "ff", "min", "max", "mu", "w", "omega"):
-        raise ParseError(f"bad action name {tok!r}")
-    return visible(tok)
+    try:
+        return visible(tok)
+    except LtsError:
+        raise ParseError(f"bad action name {tok!r}") from None
 
 
 def _var_token(tok) -> str:
@@ -325,12 +323,10 @@ def format_test(term) -> str:
 
 
 def _visible_at(word: str, lineno: int, what: str) -> Action:
-    if not _VISIBLE.match(word):
-        raise ParseError(f"line {lineno}: bad {what} {word!r}")
     try:
         return visible(word)
-    except LtsError as err:
-        raise ParseError(f"line {lineno}: {err}") from None
+    except LtsError:
+        raise ParseError(f"line {lineno}: bad {what} {word!r}") from None
 
 
 def parse_lts(text: str) -> tuple[Lts, str | None]:
@@ -383,6 +379,8 @@ def parse_lts(text: str) -> tuple[Lts, str | None]:
         elif tokens[0] == "lts" and len(tokens) == 2:
             name = tokens[1]
         elif tokens[0] == "init" and len(tokens) == 2:
+            if init is not None:
+                raise ParseError(f"line {lineno}: a second init line")
             intern(tokens[1], lineno)
             init = tokens[1]
         elif tokens[0] == "state" and len(tokens) == 2:
@@ -403,15 +401,16 @@ def parse_lts(text: str) -> tuple[Lts, str | None]:
 
 def format_lts(lts: Lts, init: str | None = None) -> str:
     """Serialize; every state is declared explicitly so that reparsing
-    reproduces the interned order."""
+    reproduces the interned order.  An init that is not a state of the
+    system is an LtsError."""
     lines = [f"lts {lts.name}"]
     if init is not None:
+        lts.state_index(init)
         lines.append(f"init {init}")
     if lts.alphabet:
         lines.append("alphabet " + " ".join(lts.alphabet))
     for state in lts.states:
         lines.append(f"state {state}")
     for src, action, dst in lts.transitions:
-        label = action.name if action.kind == "visible" else action.kind
-        lines.append(f"{src} {label} {dst}")
+        lines.append(f"{src} {action} {dst}")
     return "\n".join(lines) + "\n"

@@ -268,13 +268,13 @@ def answers(experiment, order):
 def count_builds(experiment):
     """Wrap an experiment's move builder; returns the per-key build counts."""
     counts = {}
-    build = experiment._moves.build
+    build = experiment._build
 
     def counted(key):
         counts[key] = counts.get(key, 0) + 1
         return build(key)
 
-    experiment._moves.build = counted
+    experiment._build = counted
     return counts
 
 

@@ -253,7 +253,7 @@ def test_long_tau_chain_builds_without_closures():
     assert float(done.stdout) < 5, done.stdout
 
 
-LAZY = ("transitions", "_outgoing", "_back_tau", "_divergent")
+LAZY = ("transitions", "_outgoing", "_back_tau", "divergent_mask")
 
 
 def test_testing_query_leaves_transitions_unbuilt(tmp_path, monkeypatch):
@@ -284,7 +284,7 @@ def test_testing_query_leaves_transitions_unbuilt(tmp_path, monkeypatch):
         assert not set(LAZY) & set(vars(lts)), lts
     lts = built[0]
     assert lts.outgoing("p1") == [("p1", visible("b"), "p0"), ("p1", TAU, "p2")]
-    assert "transitions" in vars(lts) and "_divergent" not in vars(lts)
+    assert "transitions" in vars(lts) and "divergent_mask" not in vars(lts)
     assert lts.divergent_mask == lts.mask_of(["p1", "p2"])
     assert "_back_tau" in vars(lts)
 
@@ -338,6 +338,24 @@ def test_lazy_relations_match_oracle_in_either_order(trial):
                 assert read() == expected[name], name
     quiet = no_tau(random.Random(trial), n)
     assert quiet.divergent_mask == 0 and "_back_tau" not in vars(quiet)
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_tau_free_system_answers_without_tau_closures(trial):
+    # without tau moves a weak derivative is a strong one, or for tau the
+    # state itself, so pre and reaches never build the tau-predecessor lists
+    rng = random.Random(trial)
+    lts = no_tau(rng, 9)
+    masks = [rng.getrandbits(len(lts.states)) for _ in range(6)] + [lts.full_mask]
+    for act in (TAU, visible("a"), visible("b"), visible("c")):
+        weak = {s: oracles.weak_derivatives(lts, s, act) for s in lts.states}
+        for mask in masks:
+            target = set(lts.names_of(mask))
+            expected = {s for s in lts.states if weak[s] & target}
+            assert set(lts.names_of(lts.pre(act, mask))) == expected
+            for i, state in enumerate(lts.states):
+                assert lts.reaches(act, i, mask) == (state in expected)
+    assert "_back_tau" not in vars(lts)
 
 
 def test_pre_rejects_masks_outside_the_system():
@@ -431,7 +449,6 @@ def test_dense_masks_match_oracle(system):
     acts = [TAU] + [visible(letter) for letter in lts.alphabet]
     weak = {(s, act): oracles.weak_derivatives(lts, s, act) for s in lts.states for act in acts}
     for mask in threshold_masks(rng, n):
-        assert list(lts.iter_mask(mask)) == [i for i in range(n) if mask >> i & 1]
         target = set(lts.names_of(mask))
         for act in acts:
             expected = {s for s in lts.states if weak[s, act] & target}

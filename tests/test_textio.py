@@ -7,7 +7,7 @@ import pytest
 from rechml import formulas as fm
 from rechml import testterms as tm
 from rechml.generators import TrialConfig, generate_formula, generate_lts, generate_test, spawn_rng
-from rechml.lts import OMEGA, TAU, Lts, visible
+from rechml.lts import OMEGA, TAU, Lts, LtsError, visible
 from rechml.textio import (
     ParseError,
     format_formula,
@@ -253,6 +253,53 @@ def test_parse_lts_line_shapes():
     lts, init = parse_lts("state x y\ninit x y\n")
     assert lts.states == ("state", "y", "init") and init is None
     assert lts.transitions == (("state", visible("x"), "y"), ("init", visible("x"), "y"))
+
+
+def test_a_second_init_line_is_an_error():
+    # the last init line used to win silently, so a file could get the wrong root
+    with pytest.raises(ParseError, match=r"^line 3: a second init line$"):
+        parse_lts("init s0\ns0 a s1\ninit s1\n")
+    with pytest.raises(ParseError, match=r"^line 2: a second init line$"):
+        parse_lts("init s0\ninit s0\n")
+
+
+# names a caller may hand to visible() or Lts(): each is refused there or round-trips
+NAMES = ("a", "aB_1", "_s", "S0", "Foo", "a b", "my sys", "x#y", "9x", "", "a\n",
+         "tau", "omega", "w", "tt", "ff", "min", "max", "mu", "Acc")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_constructors_refuse_names_the_printers_cannot_round_trip(name):
+    # each name is refused where it is first given, or prints as text that
+    # parses back to an equal formula, test or system
+    try:
+        act = visible(name)
+    except LtsError:
+        act = None
+    if act is not None:
+        phi = fm.Or(fm.Dia(act, fm.Tt()), fm.Box(act, fm.Acc([name])))
+        assert parse_formula(format_formula(phi)) == phi
+        term = tm.Sum(tm.Prefix(act, tm.Success()), tm.Nil())
+        assert parse_test(format_test(term)) == term
+    systems = [
+        lambda: Lts(states=[name, "s"], transitions=[(name, A, "s")]),
+        lambda: Lts(states=["s"], transitions=[("s", act, "s")] if act else [], name=name),
+        lambda: Lts(states=["s"], alphabet=[name]),
+    ]
+    for make in systems:
+        try:
+            lts = make()
+        except LtsError:
+            continue
+        text = format_lts(lts, lts.states[0])
+        again, init = parse_lts(text)
+        assert (again.name, again.states, again.transitions, again.alphabet, init) == (
+            lts.name, lts.states, lts.transitions, lts.alphabet, lts.states[0]), text
+
+
+def test_format_lts_refuses_an_init_that_is_not_a_state():
+    with pytest.raises(LtsError, match="unknown state 't'"):
+        format_lts(Lts(states=["s"]), "t")
 
 
 def test_bad_state_name_is_reported_where_it_first_appears():
