@@ -24,7 +24,7 @@ several parents, so it builds that text once.
 
 from dataclasses import dataclass
 
-from .lts import Action, LtsError, visible
+from .lts import Action, LtsError, variable_name, visible
 
 
 class FormulaError(Exception):
@@ -35,22 +35,23 @@ _CLOSED = frozenset()
 
 
 class Term:
-    """Base of a term language with binders.  A family names the prefix of
-    its canonical bound names in bound_prefix and defines map_children(f),
-    which rebuilds a node with f applied to each child.  free holds the
-    node's free variables, set in __post_init__; it is a slot, not a field,
-    so equality, hashing and repr ignore it and vars() holds only the
-    fields."""
+    """Base of a term language with binders.  A family names its exception
+    class in error and defines map_children(f), which rebuilds a node with
+    f applied to each child.  __post_init__ checks the name of every
+    variable and binder node by lts.variable_name and sets free, the
+    node's free variables; free is a slot, not a field, so equality,
+    hashing and repr ignore it and vars() holds only the fields."""
 
     __slots__ = ("free",)
 
     def __post_init__(self):
         if isinstance(self, Variable):
-            free = frozenset((self.name,))
+            free = frozenset((variable_name(self.name, self.error),))
         elif isinstance(self, Binder):
+            x = variable_name(self.var, self.error)
             free = self.body.free
-            if self.var in free:
-                free = free - {self.var}
+            if x in free:
+                free = free - {x}
         else:
             # the children are the fields that hold terms
             free = _CLOSED
@@ -75,7 +76,7 @@ class Binder:
 
 class Formula(Term):
     __slots__ = ()
-    bound_prefix = "V"
+    error = FormulaError
 
     def __str__(self):
         from .textio import format_formula
@@ -86,7 +87,7 @@ class Formula(Term):
         match self:
             case Or(l, r) | And(l, r):
                 return (l, r)
-            case Dia(_, b) | Box(_, b) | Min(_, b) | Max(_, b):
+            case _Modality(_, b) | _Fixpoint(_, b):
                 return (b,)
             case _:
                 return ()
@@ -97,12 +98,8 @@ class Formula(Term):
                 return Or(f(l), f(r))
             case And(l, r):
                 return And(f(l), f(r))
-            case Dia(a, b):
-                return Dia(a, f(b))
-            case Box(a, b):
-                return Box(a, f(b))
-            case Min(x, b) | Max(x, b):
-                return type(self)(x, f(b))
+            case _Modality(a, b) | _Fixpoint(a, b):
+                return type(self)(a, f(b))
             case _:
                 return self
 
@@ -152,7 +149,7 @@ class And(Formula):
 
 
 @dataclass(frozen=True)
-class Dia(Formula):
+class _Modality(Formula):
     action: Action
     body: Formula
 
@@ -163,28 +160,30 @@ class Dia(Formula):
 
 
 @dataclass(frozen=True)
-class Box(Formula):
-    action: Action
-    body: Formula
-
-    def __post_init__(self):
-        if self.action.kind == "omega":
-            raise FormulaError("omega cannot appear in a modality")
-        object.__setattr__(self, "free", self.body.free)
+class Dia(_Modality):
+    pass
 
 
 @dataclass(frozen=True)
-class Min(Formula, Binder):
+class Box(_Modality):
+    pass
+
+
+@dataclass(frozen=True)
+class _Fixpoint(Formula, Binder):
     var: str
     body: Formula
     var_class = Var
 
 
 @dataclass(frozen=True)
-class Max(Formula, Binder):
-    var: str
-    body: Formula
-    var_class = Var
+class Min(_Fixpoint):
+    pass
+
+
+@dataclass(frozen=True)
+class Max(_Fixpoint):
+    pass
 
 
 @dataclass(frozen=True)
@@ -207,6 +206,8 @@ class SimFormula:
             raise FormulaError("duplicate variables in simultaneous formula")
         if not 0 <= self.index < len(self.variables):
             raise FormulaError(f"projection index {self.index} out of range")
+        for x in self.variables:
+            variable_name(x, FormulaError)
 
 
 def free_vars(term) -> frozenset[str]:
@@ -343,7 +344,7 @@ def nesting_depth(formula) -> int:
             return got
         kids = [walk(c) for c in node.children()]
         out = max(kids, default=0)
-        if isinstance(node, (Min, Max)):
+        if isinstance(node, _Fixpoint):
             out += 1
         memo[id(node)] = out
         return out

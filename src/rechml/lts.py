@@ -28,14 +28,15 @@ pre is a backward search over predecessor lists, and reaches (does one
 state have a weak derivative in a mask) a forward search over the
 successor lists; pre rejects a mask with bits outside the system.  Both
 take pre-images one set bit of a mask at a time, at O(n) big-int work per
-bit, for its first 32 set bits, and the rest of a denser mask by
-selectors, O(n) in all; the switch counts set bits, so a one-bit delta
-near the top of a large mask stays cheap.  Those caches only memoise
+target, while the walked rows hold at most 32 targets, and the rest by
+selectors, O(n) in all, so a one-bit delta near the top of a large mask
+and the hub of a fan both stay cheap.  Those caches only memoise
 functions of the transitions, and nothing handed out can be mutated, so
 an Lts is observably immutable and safe to share.
 
 Names follow the text formats, so what format_lts writes parse_lts reads
-back: states are identifiers, and Action owns the visible-name rule.
+back: states are identifiers, Action owns the visible-name rule, and
+variable_name the rule for the variables of formulas and tests.
 """
 
 import re
@@ -49,6 +50,7 @@ class LtsError(Exception):
 
 
 _STATE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_VARIABLE = re.compile(r"[A-Z][A-Za-z0-9_]*")
 _VISIBLE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _RESERVED = frozenset({"tau", "omega", "w", "tt", "ff", "min", "max", "mu"})
 
@@ -92,15 +94,27 @@ def visible(name: str) -> Action:
     return Action("visible", name)
 
 
-# _image walks the first _DENSE set bits of a mask one at a time, at O(n)
-# big-int work each, and the rest by selectors, O(n) in all: the binary
-# digits of the mask, lowest first and translated to 0/1 bytes, pick the
-# rows, and the targets are marked in a byte per state and read back as
-# one int.  The switch counts set bits as they are walked: by bit_length,
+@cache
+def variable_name(name: str, error) -> str:
+    """name, if it is a variable of formulas, tests and their texts: an
+    identifier with an uppercase first letter, other than Acc.  Any other
+    name raises error.  Cached, as every variable and binder node calls it."""
+    if not isinstance(name, str) or name == "Acc" or not _VARIABLE.fullmatch(name):
+        raise error(f"bad variable name {name!r}")
+    return name
+
+
+# _image walks set bits one at a time, at O(n) big-int work per target,
+# while their rows hold at most _DENSE targets in all (an empty row counts
+# 1), and the rest by selectors, O(n) in all: the binary digits of the
+# mask, lowest first and translated to 0/1 bytes, pick the rows, and the
+# targets are marked in a byte per state and read back as one int.  The
+# budget is charged as bits are walked: a switch by bit_length would make
 # every one-bit delta near the top of a large mask (the Kleene rounds of
-# min X. [a]X on a chain) would pay the O(n) pass, and an up-front
-# int.bit_count costs half a one-bit step on a 100,000-state mask.
-# Selectors win from about 24 set bits at 300 states and 60 at 1000.
+# min X. [a]X on a chain) pay the O(n) pass, an up-front int.bit_count
+# costs half a one-bit step on a 100,000-state mask, and a count of set
+# bits alone would walk a fan's hub at O(n) per predecessor.  Selectors
+# win from about 24 set bits at 300 states and 60 at 1000.
 _DENSE = 32
 _SELECT = bytes.maketrans(b"01", b"\0\1")
 
@@ -110,16 +124,17 @@ def _image(rows, mask: int) -> int:
     out = 0
     left = _DENSE
     while mask:
-        if not left:
+        low = mask & -mask
+        row = rows[low.bit_length() - 1]
+        left -= len(row) or 1
+        if left < 0:
             # marks[j] is the binary digit of bit j, read back in reverse
             marks = bytearray(b"0") * len(rows)
             for row in compress(rows, bin(mask)[:1:-1].encode().translate(_SELECT)):
                 for j in row:
                     marks[j] = 49
             return out | int(marks[::-1], 2)
-        left -= 1
-        low = mask & -mask
-        for j in rows[low.bit_length() - 1]:
+        for j in row:
             out |= 1 << j
         mask ^= low
     return out

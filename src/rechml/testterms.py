@@ -35,7 +35,7 @@ class CapExceeded(TestError):
 
 class Test(Term):
     __slots__ = ()
-    bound_prefix = "B"
+    error = TestError
 
     def __str__(self):
         from .textio import format_test
@@ -266,7 +266,6 @@ def _named(nodes: list[tuple], root: int) -> Test:
     """The canonical Test of an interned closed term: binders named B0, B1,
     ... in preorder.  One walk with its own stack and one scope list of
     the binder names."""
-    prefix = Test.bound_prefix
     scope: list[str] = []  # binder names, innermost last
     count = 0
     built = []
@@ -290,7 +289,7 @@ def _named(nodes: list[tuple], root: int) -> Test:
                 elif tag == "pre":
                     stack.append(shape[2])
                 else:
-                    scope.append(f"{prefix}{count}")
+                    scope.append(f"B{count}")
                     count += 1
                     stack.append(shape[1])
         else:

@@ -1,9 +1,10 @@
 """Text formats: LTS files, formula syntax, test syntax.
 
 LTS files are line based: `lts <name>`, `init <state>`, `state <name>`,
-`<src> <label> <dst>`, with `#` comments, at most one init line.  States
-and labels follow the name rules of lts: a label is tau, omega, or a
-visible action name.
+`<src> <label> <dst>`, with `#` comments, at most one lts line and one
+init line.  States, labels and the variables of formulas and tests
+follow the name rules of lts: a label is tau, omega, or a visible action
+name.
 
 Formulas: tt, ff, Acc{a,b}, <a>phi, [tau]phi, phi \\/ phi, phi /\\ phi,
 min X. phi, max X. phi.  Disjunction binds loosest, then conjunction, then
@@ -20,7 +21,7 @@ import re
 
 from . import formulas as fm
 from . import testterms as tm
-from .lts import OMEGA, TAU, Action, Lts, LtsError, visible
+from .lts import _STATE_NAME, OMEGA, TAU, Action, Lts, LtsError, variable_name, visible
 
 
 class ParseError(Exception):
@@ -28,7 +29,6 @@ class ParseError(Exception):
 
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|0")
-_STATE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
 def _scan(text: str, symbols) -> list[str]:
@@ -81,19 +81,13 @@ class _Tokens:
 _FORMULA_SYMBOLS = ("\\/", "/\\", "<", ">", "[", "]", "{", "}", "(", ")", ".", ",")
 
 
-def _action_token(tok, allow_tau=True) -> Action:
+def _action_token(tok, allow_tau=True, what="action name") -> Action:
     if tok == "tau" and allow_tau:
         return TAU
     try:
         return visible(tok)
     except LtsError:
-        raise ParseError(f"bad action name {tok!r}") from None
-
-
-def _var_token(tok) -> str:
-    if tok is None or not tok[0].isupper() or not _STATE_NAME.match(tok) or tok == "Acc":
-        raise ParseError(f"bad variable name {tok!r}")
-    return tok
+        raise ParseError(f"bad {what} {tok!r}") from None
 
 
 def parse_formula(text: str):
@@ -127,7 +121,7 @@ def parse_formula(text: str):
             return fm.Box(action, p_unary())
         if tok in ("min", "max"):
             ts.take()
-            var = _var_token(ts.take())
+            var = variable_name(ts.take(), ParseError)
             ts.take(".")
             body = p_or()
             return fm.Min(var, body) if tok == "min" else fm.Max(var, body)
@@ -154,7 +148,7 @@ def parse_formula(text: str):
             ts.take(")")
             return out
         if tok[0].isupper():
-            return fm.Var(_var_token(tok))
+            return fm.Var(variable_name(tok, ParseError))
         raise ParseError(f"unexpected token {tok!r}")
 
     out = p_or()
@@ -249,7 +243,7 @@ def parse_test(text: str):
     def p_item():
         if ts.peek() == "mu":
             ts.take()
-            var = _var_token(ts.take())
+            var = variable_name(ts.take(), ParseError)
             ts.take(".")
             return tm.Mu(var, p_sum())
         return p_prefix()
@@ -267,7 +261,7 @@ def parse_test(text: str):
             ts.take(")")
             return out
         if tok[0].isupper():
-            return tm.Var(_var_token(tok))
+            return tm.Var(variable_name(tok, ParseError))
         action = _action_token(tok)
         ts.take(".")
         return tm.Prefix(action, p_item())
@@ -322,13 +316,6 @@ def format_test(term) -> str:
 # -- transition systems -------------------------------------------------------
 
 
-def _visible_at(word: str, lineno: int, what: str) -> Action:
-    try:
-        return visible(word)
-    except LtsError:
-        raise ParseError(f"line {lineno}: bad {what} {word!r}") from None
-
-
 def parse_lts(text: str) -> tuple[Lts, str | None]:
     """Parse the line format; returns the system and its init state (None
     when the file has no init line).  One pass interns each state name and
@@ -336,67 +323,63 @@ def parse_lts(text: str) -> tuple[Lts, str | None]:
     hands the index triples to the Lts build step.  A move line checks its
     source, then its destination, then its label, and the first faulty
     line in the file is the one reported."""
-    name = "lts"
-    init = None
-    order: list[str] = []
-    index: dict[str, int] = {}
+    name = init = None
+    index: dict[str, int] = {}  # the states in interned order, to their positions
     slots: dict[str, int] = {}
     actions: list[Action] = []
     triples = []
     alphabet: list[str] = []
 
-    def intern(state, where):
+    def intern(state):
         i = index.get(state)
         if i is None:
-            if not _STATE_NAME.match(state):
-                raise ParseError(f"line {where}: bad state name {state!r}")
-            i = index[state] = len(order)
-            order.append(state)
+            if not _STATE_NAME.fullmatch(state):
+                raise ParseError(f"bad state name {state!r}")
+            i = index[state] = len(index)
         return i
 
     lines = text.splitlines()
     # comments are cut off up front, and only from a text that has one;
     # an error still quotes the raw line
     bodies = [line.split("#", 1)[0] for line in lines] if "#" in text else lines
-    for lineno, tokens in enumerate(map(str.split, bodies), 1):
-        if not tokens:
-            continue
-        if len(tokens) == 3 and tokens[0] != "alphabet":
-            src, label, dst = tokens
-            # a name seen before is a plain lookup; intern checks a new one
-            i = index.get(src)
-            if i is None:
-                i = intern(src, lineno)
-            j = index.get(dst)
-            if j is None:
-                j = intern(dst, lineno)
-            k = slots.get(label)
-            if k is None:
-                k = slots[label] = len(actions)
-                actions.append(TAU if label == "tau" else OMEGA if label == "omega"
-                               else _visible_at(label, lineno, "label"))
-            triples.append((i, k, j))
-        elif tokens[0] == "lts" and len(tokens) == 2:
-            name = tokens[1]
-        elif tokens[0] == "init" and len(tokens) == 2:
-            if init is not None:
-                raise ParseError(f"line {lineno}: a second init line")
-            intern(tokens[1], lineno)
-            init = tokens[1]
-        elif tokens[0] == "state" and len(tokens) == 2:
-            state = tokens[1]
-            if state not in index:
-                if not _STATE_NAME.match(state):
-                    raise ParseError(f"line {lineno}: bad state name {state!r}")
-                index[state] = len(order)
-                order.append(state)
-        elif tokens[0] == "alphabet":
-            alphabet += [_visible_at(letter, lineno, "letter").name for letter in tokens[1:]]
-        else:
-            raise ParseError(f"line {lineno}: cannot parse {lines[lineno - 1].strip()!r}")
+    try:
+        for lineno, tokens in enumerate(map(str.split, bodies), 1):
+            if not tokens:
+                continue
+            if len(tokens) == 3 and tokens[0] != "alphabet":
+                src, label, dst = tokens
+                # a name seen before is a plain lookup; intern checks a new one
+                i = index.get(src)
+                if i is None:
+                    i = intern(src)
+                j = index.get(dst)
+                if j is None:
+                    j = intern(dst)
+                k = slots.get(label)
+                if k is None:
+                    k = slots[label] = len(actions)
+                    actions.append(OMEGA if label == "omega" else _action_token(label, what="label"))
+                triples.append((i, k, j))
+            elif tokens[0] == "lts" and len(tokens) == 2:
+                if name is not None:
+                    raise ParseError("a second lts line")
+                name = tokens[1]
+            elif tokens[0] == "init" and len(tokens) == 2:
+                if init is not None:
+                    raise ParseError("a second init line")
+                intern(tokens[1])
+                init = tokens[1]
+            elif tokens[0] == "state" and len(tokens) == 2:
+                intern(tokens[1])
+            elif tokens[0] == "alphabet":
+                alphabet += [_action_token(letter, False, "letter").name for letter in tokens[1:]]
+            else:
+                raise ParseError(f"cannot parse {lines[lineno - 1].strip()!r}")
+    except ParseError as err:
+        raise ParseError(f"line {lineno}: {err}") from None
     # the lines go before the build, so the two never peak together
     del lines, bodies
-    return Lts._from_triples(order, index, actions, triples, alphabet, name), init
+    return Lts._from_triples(tuple(index), index, actions, triples, alphabet, name or "lts"), init
 
 
 def format_lts(lts: Lts, init: str | None = None) -> str:

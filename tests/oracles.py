@@ -295,11 +295,11 @@ def graph_counterexample(graph):
 
 def canonical(term):
     """Rename bound variables to P0, P1, ... in traversal order, where P is
-    the family's bound_prefix; two terms are alpha-equivalent exactly when
-    their canonical forms are structurally equal.  One scope dict serves
-    the whole walk: each binder saves the entry it shadows and restores it
-    on the way out."""
-    prefix = term.bound_prefix
+    B for tests (the names testterms gives its canonical terms) and V for
+    formulas; two terms are alpha-equivalent exactly when their canonical
+    forms are structurally equal.  One scope dict serves the whole walk:
+    each binder saves the entry it shadows and restores it on the way out."""
+    prefix = "B" if isinstance(term, tm.Test) else "V"
     counter = [0]
     env: dict[str, str] = {}
 

@@ -1,13 +1,14 @@
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 from rechml import cli
 from rechml import testterms as tm
 from rechml.generators import TrialConfig, generate_lts, generate_test, spawn_rng
-from rechml.lts import _DENSE, OMEGA, TAU, Action, Lts, LtsError, visible
+from rechml.lts import _DENSE, OMEGA, TAU, Action, Lts, LtsError, _image, visible
 from rechml.semantics import interpret
 from rechml.textio import parse_formula
 
@@ -406,10 +407,11 @@ def test_long_chain_builds_in_linear_time():
 
 
 def dense_systems():
-    """Systems of 40-300 states, where masks of _DENSE or more set bits
-    take the selector walk: generated ones, a 203-state a-chain (not a
-    multiple of 8 states), a tau fan whose hub's tau closure and its
-    images are dense, and a tau tangle."""
+    """Systems of 40-300 states, where masks of _DENSE or more set bits,
+    or rows of more than _DENSE targets, take the selector walk: generated
+    ones, a 203-state a-chain (not a multiple of 8 states), a tau fan
+    whose hub's tau closure and its images are dense, a tau tangle, and
+    fans of 40, 150 and 297 a-predecessors of one hub."""
     cfg = TrialConfig(max_states=300)
     drawn = (generate_lts(cfg, spawn_rng(23, "dense", trial)) for trial in range(40))
     systems = [lts for lts in drawn if len(lts.states) >= 40][:4]
@@ -421,6 +423,14 @@ def dense_systems():
     fan += [(f"f{i}", b, "hub") for i in range(0, 45, 3)]
     systems.append(Lts(["hub"], fan, alphabet="ab"))
     systems.append(tau_heavy(random.Random(5), 97))
+    # the hub z moves by b to e; the larger fans add tau moves between
+    # the predecessors, a b-star from e and an a-loop on the hub
+    for k in (40, 150, 297):
+        fan = [(f"s{i}", a, "z") for i in range(k)] + [("z", b, "e")]
+        if k > 40:
+            fan += [(f"s{i}", TAU, f"s{i * 5 % k}") for i in range(0, k, 4)]
+            fan += [("e", b, f"s{i}") for i in range(0, k, 2)] + [("z", a, "z")]
+        systems.append(Lts([], fan, alphabet="ab"))
     return systems
 
 
@@ -438,7 +448,7 @@ DENSE_FORMULAS = ("<a>tt", "[b]ff", "Acc{a,b}", "[tau]<b>tt", "min X. [a]X",
                   "max X. <a>X \\/ <b>tt", "min X. <tau>X \\/ (<a>tt /\\ [b]ff)")
 
 
-@pytest.mark.parametrize("system", range(7))
+@pytest.mark.parametrize("system", range(10))
 def test_dense_masks_match_oracle(system):
     # verify's systems have at most 8 states, so only these reach the
     # selector walk of _image
@@ -448,7 +458,12 @@ def test_dense_masks_match_oracle(system):
     rng = random.Random(system)
     acts = [TAU] + [visible(letter) for letter in lts.alphabet]
     weak = {(s, act): oracles.weak_derivatives(lts, s, act) for s in lts.states for act in acts}
-    for mask in threshold_masks(rng, n):
+    # and the one-bit mask of the state with the most predecessors, whose
+    # row alone can overrun the walk's budget
+    indegree = [0] * n
+    for _, _, dst in lts.transitions:
+        indegree[lts.state_index(dst)] += 1
+    for mask in threshold_masks(rng, n) + [1 << indegree.index(max(indegree))]:
         target = set(lts.names_of(mask))
         for act in acts:
             expected = {s for s in lts.states if weak[s, act] & target}
@@ -460,6 +475,27 @@ def test_dense_masks_match_oracle(system):
     for text in DENSE_FORMULAS:
         phi = parse_formula(text)
         assert interpret(lts, phi) == lts.mask_of(oracles.sat_states(lts, phi)), text
+
+
+def test_a_fan_hub_takes_the_selector_walk():
+    # rows as pre sees them on a fan: the hub (index n) lists its n
+    # predecessors.  That row alone overruns the walk's budget, so the
+    # hub's one-bit mask costs about what the full mask costs; walked one
+    # target at a time it cost about 7 times as much
+    n = 100_000
+    rows = [()] * n + [tuple(range(n))]
+    assert _image(rows, 1 << n) == (1 << n) - 1
+
+    def best(mask):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            _image(rows, mask)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    hub, full = best(1 << n), best((1 << n + 1) - 1)
+    assert hub < 2 * full, (hub, full)
 
 
 def test_build_rows_are_sorted_and_deduped_in_any_order():
@@ -506,17 +542,22 @@ def test_star_builds_in_near_linear_time():
     assert float(done.stdout) < 5, done.stdout
 
 
-# Runs `rechml check` on an n-state a-chain file as its only child process;
-# prints the exit code, stdout, the seconds taken and the child's peak
+# Runs `rechml check` from s0 on an n-state file as its only child process:
+# an a-chain, or a fan (every other state moves by a to z, and z by b to
+# e); prints the exit code, stdout, the seconds taken and the child's peak
 # resident memory in MB.
 _CHECK_CHAIN = """
 import resource, subprocess, sys, time
 
-path, n = sys.argv[1], int(sys.argv[2])
+path, n, shape, formula = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
 with open(path, "w") as out:
-    out.writelines(f"s{i} a s{i + 1}\\n" for i in range(n - 1))
+    if shape == "chain":
+        out.writelines(f"s{i} a s{i + 1}\\n" for i in range(n - 1))
+    else:
+        out.writelines(f"s{i} a z\\n" for i in range(n - 2))
+        out.write("z b e\\n")
 start = time.perf_counter()
-done = subprocess.run([sys.executable, "-m", "rechml", "check", path, "s0", "<a>tt"],
+done = subprocess.run([sys.executable, "-m", "rechml", "check", path, "s0", formula],
                       capture_output=True, text=True)
 took = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
@@ -525,12 +566,14 @@ print(done.returncode, done.stdout.strip(), took, peak / 2**20 if sys.platform =
 
 
 def test_300000_state_chain_answers_in_bounded_memory(tmp_path):
-    # about 1 s at 136 MB; walking the full mask one bit at a time took
-    # about 28 s
-    done = subprocess.run([sys.executable, "-c", _CHECK_CHAIN, str(tmp_path / "chain.lts"), "300000"],
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    code, out, took, peak_mb = done.stdout.split()
-    assert (code, out) == ("0", "sat=true"), done.stdout
-    assert float(peak_mb) < 250, done.stdout
-    assert float(took) < 20, done.stdout
+    # the chain: about 1 s at 136 MB; walking the full mask one bit at a
+    # time took about 28 s.  The fan: about 1 s at 115 MB; walking the
+    # hub's 299,998 a-predecessors one at a time took 0.5 s more
+    for shape, formula in ("chain", "<a>tt"), ("fan", "<a><b>tt"), ("fan", "<a>tt"):
+        done = subprocess.run([sys.executable, "-c", _CHECK_CHAIN, str(tmp_path / f"{shape}.lts"), "300000",
+                               shape, formula], capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        code, out, took, peak_mb = done.stdout.split()
+        assert (code, out) == ("0", "sat=true"), (shape, formula, done.stdout)
+        assert float(peak_mb) < 250, (shape, formula, done.stdout)
+        assert float(took) < 20, (shape, formula, done.stdout)

@@ -261,9 +261,13 @@ def test_a_second_init_line_is_an_error():
         parse_lts("init s0\ns0 a s1\ninit s1\n")
     with pytest.raises(ParseError, match=r"^line 2: a second init line$"):
         parse_lts("init s0\ninit s0\n")
+    # likewise the last lts line used to name the system
+    with pytest.raises(ParseError, match=r"^line 3: a second lts line$"):
+        parse_lts("lts a\ns0 a s1\nlts b\n")
 
 
-# names a caller may hand to visible() or Lts(): each is refused there or round-trips
+# names a caller may hand to visible(), Lts() or a term constructor: each
+# is refused there or round-trips
 NAMES = ("a", "aB_1", "_s", "S0", "Foo", "a b", "my sys", "x#y", "9x", "", "a\n",
          "tau", "omega", "w", "tt", "ff", "min", "max", "mu", "Acc")
 
@@ -272,6 +276,31 @@ NAMES = ("a", "aB_1", "_s", "S0", "Foo", "a b", "my sys", "x#y", "9x", "", "a\n"
 def test_constructors_refuse_names_the_printers_cannot_round_trip(name):
     # each name is refused where it is first given, or prints as text that
     # parses back to an equal formula, test or system
+    # the binders of Max and Mu bind a name their bodies do not use, so
+    # only the binder can refuse it
+    terms = [
+        (lambda: fm.Var(name), format_formula, parse_formula),
+        (lambda: fm.Min(name, fm.Dia(A, fm.Var(name))), format_formula, parse_formula),
+        (lambda: fm.Max(name, fm.Or(fm.Box(A, fm.Tt()), fm.Tt())), format_formula, parse_formula),
+        (lambda: tm.Var(name), format_test, parse_test),
+        (lambda: tm.Mu(name, tm.Sum(tm.Prefix(A, tm.Success()), tm.Nil())), format_test, parse_test),
+    ]
+    for make, fmt, parse in terms:
+        try:
+            term = make()
+        except (fm.FormulaError if fmt is format_formula else tm.TestError) as err:
+            assert str(err) == f"bad variable name {name!r}"
+            continue
+        assert parse(fmt(term)) == term
+    # no body uses the name, so only SimFormula can refuse it before
+    # bekic_eliminate binds it
+    try:
+        sim = fm.SimFormula((name, "Y"), (fm.Dia(A, fm.Var("Y")), fm.Tt()), 0)
+    except fm.FormulaError as err:
+        assert str(err) == f"bad variable name {name!r}"
+    else:
+        phi = fm.bekic_eliminate(sim)
+        assert parse_formula(format_formula(phi)) == phi
     try:
         act = visible(name)
     except LtsError:
