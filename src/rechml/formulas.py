@@ -1,16 +1,15 @@
 """Syntax of recursive Hennessy-Milner logic, and the binder operations
 shared with test terms.
 
-Formula nodes are frozen dataclasses compared structurally.  Functions here
+Formula nodes are immutable values compared structurally.  Functions here
 are purely syntactic: free variables, capture-avoiding substitution,
 fragment membership, finite approximants and elimination of simultaneous
 fixpoints.  Interpretation over an Lts lives in rechml.semantics.
 
-The first two work on any term language built from the marker bases
-Term, Variable and Binder: formulas here and the test terms of
-rechml.testterms, which re-exports them.  They look only at the shape of a
-node (variable, binder or other) and reach other nodes through the
-family's map_children(f).
+A node class joins a family, Formula here or Test in rechml.testterms, and
+a shape base (Leaf, Variable, Pair, Prefixed, Binder) that gives it its
+fields, constructor, children() and map_children(f); substitution looks
+only at shapes, so it serves both languages.
 
 Every node carries its free variables in the slot free, built with the
 node from its children's sets, so no walk recomputes them.  Large
@@ -24,7 +23,7 @@ several parents, so it builds that text once.
 
 from dataclasses import dataclass
 
-from .lts import Action, LtsError, variable_name, visible
+from .lts import LtsError, variable_name, visible
 
 
 class FormulaError(Exception):
@@ -35,155 +34,173 @@ _CLOSED = frozenset()
 
 
 class Term:
-    """Base of a term language with binders.  A family names its exception
-    class in error and defines map_children(f), which rebuilds a node with
-    f applied to each child.  __post_init__ checks the name of every
-    variable and binder node by lts.variable_name and sets free, the
-    node's free variables; free is a slot, not a field, so equality,
-    hashing and repr ignore it and vars() holds only the fields."""
+    """An immutable node.  Its fields are vars(node), set by its shape's
+    __init__; nodes are equal when their types are the same and their
+    fields equal, and repr prints ClassName(field=value, ...).  free, the
+    free variables, is a slot, so vars(), ==, hash and repr ignore it.  A
+    family names its exception class in error and its refusal of an omega
+    prefix in omega_error."""
 
     __slots__ = ("free",)
 
-    def __post_init__(self):
-        if isinstance(self, Variable):
-            free = frozenset((variable_name(self.name, self.error),))
-        elif isinstance(self, Binder):
-            x = variable_name(self.var, self.error)
-            free = self.body.free
-            if x in free:
-                free = free - {x}
-        else:
-            # the children are the fields that hold terms
-            free = _CLOSED
-            for child in vars(self).values():
-                if isinstance(child, Term) and child.free:
-                    free = free | child.free if free else child.free
-        object.__setattr__(self, "free", free)
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete {name!r}: nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def children(self):
+        return ()
+
+    def map_children(self, f):
+        return self
 
 
-class Variable:
-    """Marker for variable nodes; they have a field name."""
+# writes the slot free past the refusing __setattr__
+_set_free = Term.free.__set__
 
+
+class Leaf(Term):
     __slots__ = ()
 
+    def __init__(self):
+        _set_free(self, _CLOSED)
 
-class Binder:
-    """Marker for binder nodes; they have fields var and body, and name the
-    variable class of their family in var_class."""
+
+class Variable(Term):
+    __slots__ = ()
+    __match_args__ = ("name",)
+
+    def __init__(self, name):
+        self.__dict__["name"] = variable_name(name, self.error)
+        _set_free(self, frozenset((name,)))
+
+
+class Pair(Term):
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.__dict__.update(left=left, right=right)
+        # a child that is not a term counts as closed; the evaluator refuses it
+        lf = left.free if isinstance(left, Term) else _CLOSED
+        rf = right.free if isinstance(right, Term) else _CLOSED
+        _set_free(self, lf | rf if lf and rf else lf or rf)
+
+    def children(self):
+        return (self.left, self.right)
+
+    def map_children(self, f):
+        return type(self)(f(self.left), f(self.right))
+
+
+class Prefixed(Term):
+    __slots__ = ()
+    __match_args__ = ("action", "body")
+
+    def __init__(self, action, body):
+        if action.kind == "omega":
+            raise self.error(self.omega_error)
+        self.__dict__.update(action=action, body=body)
+        _set_free(self, body.free)
+
+    def children(self):
+        return (self.body,)
+
+    def map_children(self, f):
+        return type(self)(self.action, f(self.body))
+
+
+class Binder(Term):
+    """Binds var in body; var_class is the family's variable class."""
 
     __slots__ = ()
+    __match_args__ = ("var", "body")
+
+    def __init__(self, var, body):
+        self.__dict__.update(var=variable_name(var, self.error), body=body)
+        _set_free(self, body.free - {var} if var in body.free else body.free)
+
+    def children(self):
+        return (self.body,)
+
+    def map_children(self, f):
+        return type(self)(self.var, f(self.body))
 
 
 class Formula(Term):
     __slots__ = ()
     error = FormulaError
+    omega_error = "omega cannot appear in a modality"
 
     def __str__(self):
         from .textio import format_formula
 
         return format_formula(self)
 
-    def children(self):
-        match self:
-            case Or(l, r) | And(l, r):
-                return (l, r)
-            case _Modality(_, b) | _Fixpoint(_, b):
-                return (b,)
-            case _:
-                return ()
 
-    def map_children(self, f):
-        match self:
-            case Or(l, r):
-                return Or(f(l), f(r))
-            case And(l, r):
-                return And(f(l), f(r))
-            case _Modality(a, b) | _Fixpoint(a, b):
-                return type(self)(a, f(b))
-            case _:
-                return self
-
-
-@dataclass(frozen=True)
-class Tt(Formula):
+class Tt(Formula, Leaf):
     pass
 
 
-@dataclass(frozen=True)
-class Ff(Formula):
+class Ff(Formula, Leaf):
     pass
 
 
-@dataclass(frozen=True)
 class Var(Formula, Variable):
-    name: str
+    pass
 
 
-@dataclass(frozen=True)
-class Acc(Formula):
+class Acc(Formula, Leaf):
     """Acceptance: convergent, and every stable tau-derivative can perform
     one of the given visible actions (weakly)."""
 
-    actions: frozenset[str]
+    __match_args__ = ("actions",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "actions", frozenset(self.actions))
-        object.__setattr__(self, "free", _CLOSED)
-        for a in self.actions:
+    def __init__(self, actions):
+        if isinstance(actions, str):
+            raise FormulaError(f"Acc takes a collection of action names, not the string {actions!r}")
+        actions = frozenset(actions)
+        for a in actions:
             try:
                 visible(a)
             except LtsError as err:
                 raise FormulaError(f"bad action name in Acc: {a!r}") from err
+        self.__dict__["actions"] = actions
+        _set_free(self, _CLOSED)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class _Modality(Formula):
-    action: Action
-    body: Formula
-
-    def __post_init__(self):
-        if self.action.kind == "omega":
-            raise FormulaError("omega cannot appear in a modality")
-        object.__setattr__(self, "free", self.body.free)
-
-
-@dataclass(frozen=True)
-class Dia(_Modality):
+class Or(Formula, Pair):
     pass
 
 
-@dataclass(frozen=True)
-class Box(_Modality):
+class And(Formula, Pair):
     pass
 
 
-@dataclass(frozen=True)
-class _Fixpoint(Formula, Binder):
-    var: str
-    body: Formula
+class Dia(Formula, Prefixed):
+    pass
+
+
+class Box(Formula, Prefixed):
+    pass
+
+
+class Min(Formula, Binder):
     var_class = Var
 
 
-@dataclass(frozen=True)
-class Min(_Fixpoint):
-    pass
-
-
-@dataclass(frozen=True)
-class Max(_Fixpoint):
-    pass
+class Max(Formula, Binder):
+    var_class = Var
 
 
 @dataclass(frozen=True)
@@ -342,10 +359,7 @@ def nesting_depth(formula) -> int:
         got = memo.get(id(node))
         if got is not None:
             return got
-        kids = [walk(c) for c in node.children()]
-        out = max(kids, default=0)
-        if isinstance(node, _Fixpoint):
-            out += 1
+        out = max(map(walk, node.children()), default=0) + isinstance(node, Binder)
         memo[id(node)] = out
         return out
 
@@ -416,19 +430,25 @@ def sim_free_vars(sim: SimFormula) -> frozenset[str]:
 def bekic_eliminate(sim: SimFormula) -> Formula:
     """Collapse a simultaneous least fixpoint to a single-variable formula.
 
-    The projected variable is moved to the front, then the remaining
-    variables are eliminated last-first: close the final equation with its
-    own min binder and substitute it into every earlier body it is free
-    in.  The result is semantically the requested projection.
+    Only the equations the projected variable reaches through free
+    variables can enter the result, so the others are dropped first.  The
+    projected variable is moved to the front, then the remaining variables
+    are eliminated last-first: close the final equation with its own min
+    binder and substitute it into every earlier body it is free in.  The
+    result is semantically the requested projection.
     """
     leftover = sim_free_vars(sim)
     if leftover:
         names = ", ".join(sorted(leftover))
         raise FormulaError(f"open simultaneous formula; free: {names}")
-    variables = list(sim.variables)
-    bodies = list(sim.bodies)
-    variables.insert(0, variables.pop(sim.index))
-    bodies.insert(0, bodies.pop(sim.index))
+    body_of = dict(zip(sim.variables, sim.bodies))
+    root = sim.variables[sim.index]
+    variables, reached = [root], {root}
+    for x in variables:  # grows as it goes: a breadth-first search
+        variables += body_of[x].free - reached
+        reached |= body_of[x].free
+    variables[1:] = [x for x in sim.variables if x in reached and x != root]
+    bodies = [body_of[x] for x in variables]
     # the positions of the bodies each variable is free in; substituting a
     # closed binder brings its free variables into the bodies it enters.
     # An entry may point at a body eliminated since, which is skipped.

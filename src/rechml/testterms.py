@@ -6,20 +6,19 @@ way omega enters a test.  The step relation follows the usual rules: a
 prefix fires its action, a sum commits to one side, and recursion unfolds
 in a single tau step.
 
-Free variables and substitution are the shared binder operations of
-rechml.formulas, re-exported here.  Exploration does not use them: it
-converts the root once to de Bruijn nodes interned to ints (de Bruijn
-1972), steps and substitutes on those ids, and tells states apart by id.
-The conversion dispatches on the exact type of each node, like the
-formula evaluator, so a subclass of a node class is not a test term.
-The named canonical term of a state is built only when a caller reads
-it.
+Test nodes are built from the shape bases of rechml.formulas, so free
+variables and substitution are the binder operations of that module,
+re-exported here.  Exploration does not use them: it converts the root
+once to de Bruijn nodes interned to ints (de Bruijn 1972), steps and
+substitutes on those ids, and tells states apart by id.  The conversion
+dispatches on the exact type of each node, like the formula evaluator,
+so a subclass of a node class is not a test term.  The named canonical
+term of a state is built only when a caller reads it.
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
-from .formulas import Binder, Term, Variable, free_vars, substitute
+from .formulas import Binder, Leaf, Pair, Prefixed, Term, Variable, free_vars, substitute
 from .lts import OMEGA, TAU, Action, Lts
 
 
@@ -36,60 +35,35 @@ class CapExceeded(TestError):
 class Test(Term):
     __slots__ = ()
     error = TestError
+    omega_error = "omega prefixes only nil; use Success"
 
     def __str__(self):
         from .textio import format_test
 
         return format_test(self)
 
-    def map_children(self, f):
-        match self:
-            case Sum(l, r):
-                return Sum(f(l), f(r))
-            case Prefix(a, b):
-                return Prefix(a, f(b))
-            case Mu(x, b):
-                return Mu(x, f(b))
-            case _:
-                return self
 
-
-@dataclass(frozen=True)
-class Nil(Test):
+class Nil(Test, Leaf):
     pass
 
 
-@dataclass(frozen=True)
-class Success(Test):
+class Success(Test, Leaf):
     """The test omega.0: report success, then stop."""
 
 
-@dataclass(frozen=True)
-class Prefix(Test):
-    action: Action
-    body: Test
-
-    def __post_init__(self):
-        if self.action.kind == "omega":
-            raise TestError("omega prefixes only nil; use Success")
-        object.__setattr__(self, "free", self.body.free)
+class Prefix(Test, Prefixed):
+    pass
 
 
-@dataclass(frozen=True)
 class Var(Test, Variable):
-    name: str
+    pass
 
 
-@dataclass(frozen=True)
-class Sum(Test):
-    left: Test
-    right: Test
+class Sum(Test, Pair):
+    pass
 
 
-@dataclass(frozen=True)
 class Mu(Test, Binder):
-    var: str
-    body: Test
     var_class = Var
 
 

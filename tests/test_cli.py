@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -259,6 +260,39 @@ def test_limits_exit_cleanly(tmp_path):
     done = run_cli("compile-test", "--mode", "must", "--test", path["dense.lts"], "--show-system")
     assert done.returncode == 3
     assert len(done.stdout.splitlines()) == 8
+
+
+def success_root_dense_lts(n, seed):
+    """A seeded dense test system of n states whose root q0 succeeds: each
+    ordered pair of states gets an a or b move with probability 1/2, and
+    each other state succeeds with probability 3/10 and gets one tau move
+    with probability 3/10."""
+    rng = random.Random(seed)
+    lines = ["lts dense", "init q0", "q0 omega q0"]
+    for i in range(n):
+        lines += [f"q{i} {rng.choice('ab')} q{j}" for j in range(n) if rng.random() < 0.5]
+        if i and rng.random() < 0.3:
+            lines.append(f"q{i} omega q{i}")
+        if rng.random() < 0.3:
+            lines.append(f"q{i} tau q{rng.randrange(n)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_success_root_skips_the_other_equations(tmp_path):
+    # the root's equation is tt, so no other equation enters the result;
+    # eliminating the other 29 ran past a minute before they were dropped
+    path = tmp_path / "dense.lts"
+    path.write_text(success_root_dense_lts(30, 1))
+    for mode in ("must", "may"):
+        done = subprocess.run(
+            [sys.executable, "-m", "rechml", "compile-test", "--mode", mode, "--test", str(path)],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "min X_q0. tt\n", "")
+    # --show-system still prints every equation
+    done = run_cli("compile-test", "--mode", "must", "--test", str(path), "--show-system")
+    assert done.returncode == 0
+    assert len(done.stdout.splitlines()) == 31
 
 
 def test_nested_binders_hit_the_cap(tmp_path):

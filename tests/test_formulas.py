@@ -28,6 +28,9 @@ def test_acc_normalizes_to_frozenset():
     for name in ("w", "tau", "omega", "", 3):
         with pytest.raises(fm.FormulaError):
             fm.Acc([name])
+    # a bare string is one name, not a set of one-letter names
+    with pytest.raises(fm.FormulaError, match="not the string 'ab'"):
+        fm.Acc("ab")
 
 
 def test_free_vars():
@@ -230,6 +233,38 @@ def test_bekic_substitutes_where_free(monkeypatch):
         assert node.var == z and isinstance(node.body, fm.Box)
         node = node.body.body
     assert node == fm.Min(names[-1], fm.Tt())
+
+
+def test_bekic_drops_unreached_equations(monkeypatch):
+    # U refers to X and Z is free in U, but X never reaches U, W or Z (the
+    # Z in Y's body is bound there), so their equations cannot enter the
+    # result: it equals the elimination of the reached equations alone, and
+    # no substitution goes into an unreached body
+    X, Y, Z, U, W = (fm.Var(v) for v in "XYZUW")
+    bodies = {
+        "X": fm.Or(fm.Dia(A, Y), fm.Box(B, X)),
+        "Z": fm.Dia(A, U),
+        "U": fm.Or(X, Z),
+        "Y": fm.And(fm.Dia(B, X), fm.Min("Z", fm.Dia(A, Z))),
+        "W": fm.Dia(A, fm.And(W, Z)),
+    }
+    calls = []
+    original = fm.substitute
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(fm, "substitute", counted)
+    for root in "XY":
+        full = fm.SimFormula(tuple(bodies), tuple(bodies.values()), list(bodies).index(root))
+        reached = {v: b for v, b in bodies.items() if v in "XY"}
+        kept = fm.SimFormula(tuple(reached), tuple(reached.values()), list(reached).index(root))
+        calls.clear()
+        out = fm.bekic_eliminate(full)
+        assert set(calls) <= {"X", "Y"}
+        assert out == fm.bekic_eliminate(kept)
+        assert out.var == root and not out.free
 
 
 def test_fresh_name_probes_suffixes():
