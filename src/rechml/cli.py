@@ -13,9 +13,7 @@ recursion limit once, to a depth the running Python survives.
 """
 
 import argparse
-import dataclasses
 import functools
-import json
 import os
 import sys
 
@@ -44,6 +42,12 @@ MAX_PRINTED_NODES = 1_000_000
 
 def _bool(value) -> str:
     return "true" if value else "false"
+
+
+def _print_json(payload):
+    import json  # loaded only when a verb prints json
+
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _source(value: str) -> str:
@@ -78,12 +82,12 @@ def _cmd_check(args) -> int:
     mask = interpret(lts, formula)
     verdict = bool(mask & (1 << lts.state_index(args.state)))
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "command": "check",
             "state": args.state,
             "formula": format_formula(formula),
             "verdict": verdict,
-        }, sort_keys=True))
+        })
     else:
         print(f"sat={_bool(verdict)}")
     return 0 if verdict else 1
@@ -123,7 +127,7 @@ def _cmd_testing(args) -> int:
                     "loops_to": loop,
                 }
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         print("\n".join(lines))
     verdict = may if args.command == "may" else must
@@ -134,12 +138,12 @@ def _cmd_compile_formula(args) -> int:
     formula = parse_formula(_source(args.formula))
     compiled = formula_to_must_test(formula) if args.mode == "must" else formula_to_may_test(formula)
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "command": "compile-formula",
             "mode": args.mode,
             "formula": format_formula(formula),
             "test": format_test(compiled),
-        }, sort_keys=True))
+        })
     else:
         print(format_test(compiled))
     return 0
@@ -171,14 +175,14 @@ def _cmd_compile_test(args) -> int:
                 for v, b in zip(system.variables, system.bodies)
             ]
             payload["index"] = system.index
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         print(format_formula(formula))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    cfg = TrialConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrialConfig)})
+    cfg = TrialConfig(**{name: getattr(args, name) for name in TrialConfig._fields})
     report = verify_theorems(cfg, mutate=args.self_test_mutation)
     if args.format == "json":
         sys.stdout.write(report_json(report))
@@ -240,8 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compile_test)
 
     p = sub.add_parser("verify", help="machine-check the theorems on random instances")
-    for f in dataclasses.fields(TrialConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+    for name, default in TrialConfig._fields.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--self-test-mutation", action="store_true",
                    help="corrupt the must compiler on purpose; failures expected")
     add_format(p)

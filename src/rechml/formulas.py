@@ -21,8 +21,6 @@ rechml.textio.format_formula, keeps one more: the text of each node with
 several parents, so it builds that text once.
 """
 
-from dataclasses import dataclass
-
 from .lts import LtsError, variable_name, visible
 
 
@@ -33,25 +31,61 @@ class FormulaError(Exception):
 _CLOSED = frozenset()
 
 
-class Term:
-    """An immutable node.  Its fields are vars(node), set by its shape's
-    __init__; nodes are equal when their types are the same and their
-    fields equal, and repr prints ClassName(field=value, ...).  free, the
-    free variables, is a slot, so vars(), ==, hash and repr ignore it.  A
-    family names its exception class in error and its refusal of an omega
-    prefix in omega_error."""
+class Record:
+    """A value whose fields are vars(self), in order: records are equal
+    when their types are the same and their fields equal, repr prints
+    ClassName(field=value, ...), and copy and pickle rebuild them from
+    their fields.  A record class lists its fields with their defaults
+    (... for none) in _fields, which __init__ takes by position or keyword
+    before it calls __post_init__."""
 
-    __slots__ = ("free",)
+    __slots__ = ()
+    _fields = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args))
+        if len(args) > len(fields) or values.keys() & kwargs or not kwargs.keys() <= fields.keys():
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}, each once")
+        for name, default in fields.items():
+            value = values.get(name, kwargs.get(name, default))
+            if value is ...:
+                raise TypeError(f"{type(self).__name__}() is missing the field {name!r}")
+            # not through __dict__: reading it makes CPython keep a real dict,
+            # which doubles the cost of EvalStats' count per evaluation
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def asdict(self) -> dict:
+        return dict(vars(self))
+
+    def replace(self, **changes):
+        return type(self)(**{**vars(self), **changes})
 
     def __eq__(self, other):
         return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
-
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
         return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(vars(self).values())
+
+
+class Term(Record):
+    """An immutable node, a record whose fields its shape's __init__ sets.
+    free, the free variables, is a slot, so vars(), ==, hash and repr
+    ignore it.  A family names its exception class in error and its
+    refusal of an omega prefix in omega_error."""
+
+    __slots__ = ("free",)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete {name!r}: nodes are immutable")
@@ -203,18 +237,16 @@ class Max(Formula, Binder):
     var_class = Var
 
 
-@dataclass(frozen=True)
-class SimFormula:
+class SimFormula(Record):
     """A simultaneous least fixpoint: variables, one body per variable and
     the projected component (0-based)."""
 
-    variables: tuple[str, ...]
-    bodies: tuple[Formula, ...]
-    index: int
+    _fields = {"variables": ..., "bodies": ..., "index": ...}
+    __setattr__ = __delattr__ = Term.__setattr__
+    __hash__ = Term.__hash__
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "bodies", tuple(self.bodies))
+        self.__dict__.update(variables=tuple(self.variables), bodies=tuple(self.bodies))
         if len(self.variables) != len(self.bodies):
             raise FormulaError("variable/body count mismatch")
         if not self.variables:
@@ -241,8 +273,19 @@ def fresh_name(base: str, avoid) -> str:
     return f"{base}{k}"
 
 
-def _substitute_many(term, mapping: dict[str, Term]) -> Term:
-    memo: dict[tuple, Term] = {}
+# bekic_eliminate builds at most this many nodes, counted as the memo
+# entries of its substitutions (each builds at most one node).  A node
+# costs about 0.45 KB and 9 us, so a runaway elimination (seeded dense
+# tests from about 26 states) stops within about 3 s and 140 MB.  A
+# recursive test of n prefixes builds 3n nodes for must, so one of 30,000
+# (90,000 nodes) still compiles; tier-1 and benchmark inputs build at most
+# 891.
+MAX_ELIMINATION_NODES = 300_000
+
+
+def _substitute_many(term, mapping: dict[str, Term], memo, cap=float("inf")) -> Term:
+    """substitute, memoised in the caller's memo; raises CapExceeded once
+    it holds more than cap entries."""
 
     def sub(node, mapping):
         fv = node.free
@@ -276,6 +319,10 @@ def _substitute_many(term, mapping: dict[str, Term]) -> Term:
             case _:
                 out = node.map_children(lambda child: sub(child, live))
         memo[key] = out
+        if len(memo) > cap:
+            from .testterms import CapExceeded  # testterms imports this module
+
+            raise CapExceeded(f"Bekic elimination needs more than {MAX_ELIMINATION_NODES} formula nodes")
         return out
 
     return sub(term, mapping)
@@ -285,7 +332,7 @@ def substitute(term, var: str, replacement) -> Term:
     """Capture-avoiding substitution of replacement for free occurrences of
     var.  Bound variables are renamed (with a numeric suffix) only when a
     free variable of the replacement would otherwise be captured."""
-    return _substitute_many(term, {var: replacement})
+    return _substitute_many(term, {var: replacement}, {})
 
 
 def _offender(formula, allowed):
@@ -435,7 +482,9 @@ def bekic_eliminate(sim: SimFormula) -> Formula:
     projected variable is moved to the front, then the remaining variables
     are eliminated last-first: close the final equation with its own min
     binder and substitute it into every earlier body it is free in.  The
-    result is semantically the requested projection.
+    result is semantically the requested projection.  An elimination that
+    would build more than MAX_ELIMINATION_NODES nodes raises
+    rechml.testterms.CapExceeded.
     """
     leftover = sim_free_vars(sim)
     if leftover:
@@ -456,12 +505,15 @@ def bekic_eliminate(sim: SimFormula) -> Formula:
     for i, b in enumerate(bodies):
         for v in b.free:
             users[v].add(i)
+    built = 0
     while len(variables) > 1:
         x = variables.pop()
         closed = Min(x, bodies.pop())
         for i in users.pop(x):
             if i < len(bodies):
-                bodies[i] = substitute(bodies[i], x, closed)
+                memo = {}
+                bodies[i] = _substitute_many(bodies[i], {x: closed}, memo, MAX_ELIMINATION_NODES - built)
+                built += len(memo)
                 for v in closed.free:
                     users[v].add(i)
     return Min(variables[0], bodies[0])

@@ -16,9 +16,7 @@ of tests/test_generators.py pin every draw.  Letters and actions are
 read from shared module tables, not from lists built per call.
 """
 
-import hashlib
 import random
-from dataclasses import dataclass
 
 from . import formulas as fm
 from . import testterms as tm
@@ -27,9 +25,9 @@ from .lts import TAU, Lts, visible
 _LETTERS = "abcdefghijklmnopqrstuvxyz"  # no w: reserved for success
 
 
-@dataclass
-class TrialConfig:
-    """Knobs for the randomized checks.
+class TrialConfig(fm.Record):
+    """Knobs for the randomized checks, a record whose field table gives
+    the options of rechml verify and the settings of its report.
 
     trials drives the representation theorems; property_trials the
     algebraic properties (fixpoints, approximants, equivalences).
@@ -38,16 +36,9 @@ class TrialConfig:
     is silent.
     """
 
-    seed: int = 0
-    trials: int = 500
-    property_trials: int = 200
-    max_states: int = 8
-    alphabet_size: int = 3
-    max_formula_depth: int = 5
-    max_test_depth: int = 5
-    max_sim_vars: int = 4
-    tau_density: float = 0.3
-    divergence_bias: float = 0.5
+    _fields = {"seed": 0, "trials": 500, "property_trials": 200, "max_states": 8,
+               "alphabet_size": 3, "max_formula_depth": 5, "max_test_depth": 5,
+               "max_sim_vars": 4, "tau_density": 0.3, "divergence_bias": 0.5}
 
     def __post_init__(self):
         if not 1 <= self.alphabet_size <= len(_LETTERS):
@@ -69,6 +60,8 @@ class TrialConfig:
 
 def spawn_rng(seed: int, *path) -> random.Random:
     """Independent generator for (seed, path), stable across processes."""
+    import hashlib  # loaded on first use: most processes never draw
+
     key = ":".join([str(seed), *map(str, path)])
     digest = hashlib.sha256(key.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))

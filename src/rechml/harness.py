@@ -17,9 +17,6 @@ failures; it exists so a silent-green harness can be told apart from one
 that cannot see anything.
 """
 
-import json
-from dataclasses import asdict, dataclass, field, replace
-
 from . import formulas as fm
 from . import testterms as tm
 from .experiments import compose_all, may_states, must_states
@@ -33,26 +30,17 @@ from .translate import (_must_test, formula_to_may_test, formula_to_must_test,
                         test_lts_to_may_system, test_lts_to_must_system)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    trials: int
-    failures: int
-    counterexample: dict | None
-    fixpoint_iterations: int
-    max_fixpoint_iterations: int
-    divergent_trials: int = 0
+class CheckResult(fm.Record):
+    _fields = {"name": ..., "trials": ..., "failures": ..., "counterexample": ...,
+               "fixpoint_iterations": ..., "max_fixpoint_iterations": ..., "divergent_trials": 0}
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
 
-@dataclass
-class TrialReport:
-    config: TrialConfig
-    mutation: bool
-    checks: list[CheckResult] = field(default_factory=list)
+class TrialReport(fm.Record):
+    _fields = {"config": ..., "mutation": ..., "checks": ()}
 
     @property
     def failures(self) -> int:
@@ -119,7 +107,7 @@ class _Harness:
         # the Bekic check reads the same systems in every trial
         self.bekic_pool = [generate_lts(cfg, spawn_rng(cfg.seed, "bekic_pool", member))
                            for member in range(20)]
-        self.report = TrialReport(cfg, mutate)
+        self.report = TrialReport(cfg, mutate, [])
         self._divergent = 0
 
     def run(self, only=None) -> TrialReport:
@@ -307,7 +295,7 @@ class _Harness:
         return None
 
     def check_approximants(self, trial, rng, stats):
-        small = replace(self.cfg, max_states=min(self.cfg.max_states, 6))
+        small = self.cfg.replace(max_states=min(self.cfg.max_states, 6))
         lts = generate_lts(small, rng) if trial else _deadlock_lts(small)
         formula = generate_formula(self.cfg, rng, "must")
         target = interpret(lts, formula, stats=stats)
@@ -434,7 +422,9 @@ def verify_theorems(cfg: TrialConfig, mutate: bool = False, only=None) -> TrialR
 
 
 def report_text(report: TrialReport) -> str:
-    settings = "".join(f" {k}={v}" for k, v in asdict(report.config).items())
+    import json  # loaded by the two report printers only
+
+    settings = "".join(f" {k}={v}" for k, v in report.config.asdict().items())
     lines = [f"verify{settings} mutation={'on' if report.mutation else 'off'}"]
     for check in report.checks:
         lines.append(
@@ -461,10 +451,12 @@ def report_text(report: TrialReport) -> str:
 
 
 def report_json(report: TrialReport) -> str:
+    import json
+
     payload = {
-        "config": asdict(report.config),
+        "config": report.config.asdict(),
         "mutation": report.mutation,
-        "checks": [asdict(c) for c in report.checks],
+        "checks": [c.asdict() for c in report.checks],
         "summary": {
             "checks": len(report.checks),
             "failures": report.failures,

@@ -40,7 +40,6 @@ variable_name the rule for the variables of formulas and tests.
 """
 
 import re
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress
 
@@ -55,42 +54,61 @@ _VISIBLE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _RESERVED = frozenset({"tau", "omega", "w", "tt", "ff", "min", "max", "mu"})
 
 
-@dataclass(frozen=True)
 class Action:
     """A transition label: the silent action, a visible action or omega.
 
     kind is one of "tau", "visible" or "omega"; name is empty except for
     visible actions, where it is a lowercase-initial identifier that is no
-    word of the text formats.  Actions compare equal by kind and name;
-    they have no order.
+    word of the text formats.  Actions are interned: Action(kind, name)
+    validates a pair once and returns its one instance ever after, also
+    from copy and pickle, so actions compare and hash by identity.  They
+    are immutable and have no order.
     """
 
-    kind: str
-    name: str = ""
+    __slots__ = ("kind", "name")
 
-    def __post_init__(self):
-        if self.kind not in ("tau", "visible", "omega"):
-            raise LtsError(f"unknown action kind {self.kind!r}")
-        if self.kind == "visible":
-            if not isinstance(self.name, str) or not _VISIBLE.fullmatch(self.name):
-                raise LtsError(f"bad action name {self.name!r}")
-            if self.name in _RESERVED:
-                raise LtsError(f"action name {self.name!r} is reserved")
-        elif self.name:
-            raise LtsError(f"{self.kind} carries no name")
+    def __new__(cls, kind, name=""):
+        try:
+            return _ACTIONS[kind, name]
+        except (KeyError, TypeError):
+            pass
+        if kind not in ("tau", "visible", "omega"):
+            raise LtsError(f"unknown action kind {kind!r}")
+        if kind == "visible":
+            if not isinstance(name, str) or not _VISIBLE.fullmatch(name):
+                raise LtsError(f"bad action name {name!r}")
+            if name in _RESERVED:
+                raise LtsError(f"action name {name!r} is reserved")
+        elif name != "":
+            raise LtsError(f"{kind} carries no name")
+        self = _ACTIONS[kind, name] = object.__new__(cls)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "name", name)
+        return self
+
+    def __setattr__(self, attr, value=None):
+        raise AttributeError(f"cannot assign to or delete {attr!r}: actions are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Action, (self.kind, self.name)
+
+    def __repr__(self):
+        return f"Action(kind={self.kind!r}, name={self.name!r})"
 
     def __str__(self):
         return self.name if self.kind == "visible" else self.kind
 
 
+_ACTIONS: dict[tuple[str, str], Action] = {}
 TAU = Action("tau")
 OMEGA = Action("omega")
 
 
 @cache
 def visible(name: str) -> Action:
-    """The visible action called name.  Actions are frozen, so every call
-    with one name returns the same instance, validated once."""
+    """The visible action called name, the one Action("visible", name)."""
     return Action("visible", name)
 
 

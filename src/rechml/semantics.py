@@ -41,8 +41,6 @@ per kind would add a Python frame per nesting level of the recursion,
 and so roughly halve the deepest formula that can be interpreted.
 """
 
-from dataclasses import dataclass
-
 from .formulas import (
     Acc,
     And,
@@ -54,6 +52,7 @@ from .formulas import (
     Max,
     Min,
     Or,
+    Record,
     SimFormula,
     Tt,
     Var,
@@ -62,14 +61,11 @@ from .formulas import (
 from .lts import TAU, Lts, LtsError, visible
 
 
-@dataclass
-class EvalStats:
+class EvalStats(Record):
     """Fixpoint iteration counters, accumulated across calls that share the
     instance."""
 
-    fixpoint_iterations: int = 0
-    max_fixpoint_iterations: int = 0
-    evaluations: int = 0
+    _fields = {"fixpoint_iterations": 0, "max_fixpoint_iterations": 0, "evaluations": 0}
 
     def record(self, iterations: int):
         self.fixpoint_iterations += iterations

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -6,6 +8,7 @@ import sys
 import pytest
 
 from rechml import cli
+from rechml import formulas as fm
 
 PROC = """\
 lts demo
@@ -206,6 +209,40 @@ def test_verify_json_format():
     assert payload["summary"]["verdict"] == "pass"
 
 
+def test_verify_help_frozen():
+    # sha256 of the verify help at 80 columns, recorded while the options
+    # were read from TrialConfig as a dataclass
+    done = subprocess.run([sys.executable, "-m", "rechml", "verify", "--help"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "COLUMNS": "80"})
+    assert done.returncode == 0
+    digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+    assert digest == "a2469b98301797b6f0f2f4fde1a2db3dc0c40c9d838ccf406705f4e39dd112c3"
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # these cost about 16 ms to import in a fresh process; the CLI loads
+    # json and hashlib only where it uses them, and defines no dataclass
+    code = ("import rechml.cli, sys; "
+            "print([m for m in ('dataclasses', 'inspect', 'hashlib', 'json') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_lazily_loaded_outputs_frozen(proc_file):
+    # recorded while json and hashlib were imported with the package
+    done = run_cli("check", proc_file, "p0", "<a><b>tt", "--format", "json")
+    assert done.stdout == '{"command": "check", "formula": "<a><b>tt", "state": "p0", "verdict": true}\n'
+    expected = {
+        "text": "b4429cb0e7e811b43a191a4efceb7f9777093041fbd7f05255dc85d72de48761",
+        "json": "ce7e26a9dd126b4cf8bbb45bd06df280c5d54ee697dcc2608553c882af3fedbe",
+    }
+    for fmt, digest in expected.items():
+        done = run_cli("verify", "--trials", "1", "--property-trials", "1", "--format", fmt)
+        assert done.returncode == 0
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest, fmt
+
+
 def test_verify_mutation_exits_three():
     done = run_cli("verify", "--trials", "40", "--property-trials", "2",
                    "--self-test-mutation")
@@ -293,6 +330,29 @@ def test_success_root_skips_the_other_equations(tmp_path):
     done = run_cli("compile-test", "--mode", "must", "--test", str(path), "--show-system")
     assert done.returncode == 0
     assert len(done.stdout.splitlines()) == 31
+
+
+def test_elimination_cap_ends_a_dense_test(tmp_path, monkeypatch, capsys):
+    # without the root's success its equation reaches the other 35, and
+    # eliminating them ran past timeout 60 before elimination was capped
+    path = tmp_path / "dense.lts"
+    path.write_text(success_root_dense_lts(36, 1).replace("q0 omega q0\n", ""))
+    for mode in ("must", "may"):
+        done = subprocess.run(
+            [sys.executable, "-m", "rechml", "compile-test", "--mode", mode, "--test", str(path)],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode in (0, 3), done.stderr[-500:]
+        if done.returncode == 3:
+            assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    # the cap ends the elimination, not the printing of the system before it
+    monkeypatch.setattr(fm, "MAX_ELIMINATION_NODES", 1000)
+    code = cli.main(["compile-test", "--mode", "must", "--test", str(path), "--show-system"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == "error: Bekic elimination needs more than 1000 formula nodes\n"
+    variables = [line.split(" = ")[0] for line in out.splitlines()]
+    assert sorted(variables) == sorted(f"X_q{i}" for i in range(36))
 
 
 def test_nested_binders_hit_the_cap(tmp_path):

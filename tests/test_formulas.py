@@ -2,6 +2,7 @@ import weakref
 
 import pytest
 
+import rechml
 from rechml import formulas as fm
 from rechml import testterms as tm
 from rechml.generators import TrialConfig, generate_formula, spawn_rng
@@ -216,13 +217,13 @@ def test_bekic_substitutes_where_free(monkeypatch):
     # Z_i = [a]Z_{i+1}: each eliminated variable is free in one body only,
     # so it is substituted there and nowhere else
     calls = [0]
-    original = fm.substitute
+    original = fm._substitute_many
 
     def counted(*args):
         calls[0] += 1
         return original(*args)
 
-    monkeypatch.setattr(fm, "substitute", counted)
+    monkeypatch.setattr(fm, "_substitute_many", counted)
     n = 300
     names = tuple(f"Z{i}" for i in range(n))
     bodies = tuple(fm.Box(A, fm.Var(z)) for z in names[1:]) + (fm.Tt(),)
@@ -249,13 +250,13 @@ def test_bekic_drops_unreached_equations(monkeypatch):
         "W": fm.Dia(A, fm.And(W, Z)),
     }
     calls = []
-    original = fm.substitute
+    original = fm._substitute_many
 
     def counted(*args):
-        calls.append(args[1])
+        calls.extend(args[1])  # the substituted variables
         return original(*args)
 
-    monkeypatch.setattr(fm, "substitute", counted)
+    monkeypatch.setattr(fm, "_substitute_many", counted)
     for root in "XY":
         full = fm.SimFormula(tuple(bodies), tuple(bodies.values()), list(bodies).index(root))
         reached = {v: b for v, b in bodies.items() if v in "XY"}
@@ -265,6 +266,20 @@ def test_bekic_drops_unreached_equations(monkeypatch):
         assert set(calls) <= {"X", "Y"}
         assert out == fm.bekic_eliminate(kept)
         assert out.var == root and not out.free
+
+
+def test_bekic_elimination_is_capped(monkeypatch):
+    # the cap counts the memo entries of the substitutions, two per step
+    # here: the variable replaced and the box above it
+    X0, X1, X2 = (fm.Var(v) for v in ("X0", "X1", "X2"))
+    sim = fm.SimFormula(("X0", "X1", "X2"), (fm.Box(A, X1), fm.Box(A, X2), fm.And(X0, X1)), 0)
+    monkeypatch.setattr(fm, "MAX_ELIMINATION_NODES", 4)
+    assert fm.bekic_eliminate(sim) == fm.Min("X0", fm.Box(A, fm.Min("X1", fm.Box(A, fm.Min(
+        "X2", fm.And(X0, X1))))))
+    monkeypatch.setattr(fm, "MAX_ELIMINATION_NODES", 3)
+    with pytest.raises(tm.CapExceeded, match="^Bekic elimination needs more than 3 formula nodes$"):
+        fm.bekic_eliminate(sim)
+    assert rechml.CapExceeded is tm.CapExceeded
 
 
 def test_fresh_name_probes_suffixes():

@@ -114,6 +114,19 @@ def test_report_digests_frozen():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, mutate
 
 
+def test_report_json_digests_frozen():
+    # sha256 of report_json, recorded while TrialConfig and the harness
+    # records were dataclasses; the plain records must print the same bytes
+    cfg = TrialConfig(seed=5, trials=40, property_trials=10)
+    expected = {
+        False: "e047bb345ff90ab6dac74977028761426fa7a81ffd857e77c7af5809d00801e5",
+        True: "cf8d1387e7bc5d952b5f315212cd83f91d8d5172eb46a2be140f0d96d8bd3fd8",
+    }
+    for mutate, digest in expected.items():
+        text = report_json(verify_theorems(cfg, mutate=mutate))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, mutate
+
+
 def test_mutation_is_detected():
     report = verify_theorems(small_config(trials=60, property_trials=2), mutate=True)
     assert not report.passed
