@@ -9,7 +9,16 @@ fixpoints.  Interpretation over an Lts lives in rechml.semantics.
 A node class joins a family, Formula here or Test in rechml.testterms, and
 a shape base (Leaf, Variable, Pair, Prefixed, Binder) that gives it its
 fields, constructor, children() and map_children(f); substitution looks
-only at shapes, so it serves both languages.
+only at shapes (the class attribute shape), so it serves both languages.
+
+The walks that tell nodes apart (substitution, approximant, the evaluator,
+the printers, the compilers and explore) test the exact type of a node, or
+its shape, by identity, the commonest kinds first: a match statement would
+pay an isinstance test and a __match_args__ lookup for every case that
+fails.  So a subclass of a node class is no node to them but to
+substitution, and each refuses it with its module's error.  A recursive
+walk is a module-level function handed its memo, which leaves no
+reference cycle to the collector.
 
 Every node carries its free variables in the slot free, built with the
 node from its children's sets, so no walk recomputes them.  Large
@@ -171,6 +180,10 @@ class Binder(Term):
         return type(self)(self.var, f(self.body))
 
 
+# the shape base of every node class, which substitution dispatches on
+Leaf.shape, Variable.shape, Pair.shape, Prefixed.shape, Binder.shape = Leaf, Variable, Pair, Prefixed, Binder
+
+
 class Formula(Term):
     __slots__ = ()
     error = FormulaError
@@ -286,46 +299,51 @@ MAX_ELIMINATION_NODES = 300_000
 def _substitute_many(term, mapping: dict[str, Term], memo, cap=float("inf")) -> Term:
     """substitute, memoised in the caller's memo; raises CapExceeded once
     it holds more than cap entries."""
+    return _substituted(term, mapping, memo, cap)
 
-    def sub(node, mapping):
-        fv = node.free
-        if len(mapping) == 1:
-            # every Bekic step and unfolding substitutes one variable
-            [(v, r)] = mapping.items()
-            if v not in fv:
-                return node
-            live, key = mapping, (id(node), v, id(r))
-        else:
-            live = {v: r for v, r in mapping.items() if v in fv}
-            if not live:
-                return node
-            key = (id(node), *sorted((v, id(r)) for v, r in live.items()))
-        got = memo.get(key)
-        if got is not None:
-            return got
-        match node:
-            case Variable(name=name):
-                out = live[name]
-            case Binder(var=x, body=b):
-                # x is bound here, so it is never among the live variables
-                incoming = frozenset()
-                for r in live.values():
-                    incoming |= r.free
-                if x in incoming:
-                    x2 = fresh_name(x, fv | incoming | {x})
-                    live = {**live, x: node.var_class(x2)}  # live may be the caller's
-                    x = x2
-                out = type(node)(x, sub(b, live))
-            case _:
-                out = node.map_children(lambda child: sub(child, live))
-        memo[key] = out
-        if len(memo) > cap:
-            from .testterms import CapExceeded  # testterms imports this module
 
-            raise CapExceeded(f"Bekic elimination needs more than {MAX_ELIMINATION_NODES} formula nodes")
-        return out
+def _substituted(node, mapping, memo, cap):
+    fv = node.free
+    if len(mapping) == 1:
+        # every Bekic step and unfolding substitutes one variable
+        [(v, r)] = mapping.items()
+        if v not in fv:
+            return node
+        key = (id(node), v, id(r))
+    else:
+        mapping = {v: r for v, r in mapping.items() if v in fv}
+        if not mapping:
+            return node
+        key = (id(node), *sorted((v, id(r)) for v, r in mapping.items()))
+    got = memo.get(key)
+    if got is not None:
+        return got
+    # a node with a mapped free variable is no leaf
+    shape = node.shape
+    if shape is Prefixed:
+        out = type(node)(node.action, _substituted(node.body, mapping, memo, cap))
+    elif shape is Pair:
+        out = type(node)(_substituted(node.left, mapping, memo, cap),
+                         _substituted(node.right, mapping, memo, cap))
+    elif shape is Variable:
+        out = mapping[node.name]
+    else:
+        # a binder: x is bound here, so it is never among the mapped variables
+        x = node.var
+        incoming = frozenset()
+        for r in mapping.values():
+            incoming |= r.free
+        if x in incoming:
+            x2 = fresh_name(x, fv | incoming | {x})
+            mapping = {**mapping, x: node.var_class(x2)}  # mapping may be the caller's
+            x = x2
+        out = type(node)(x, _substituted(node.body, mapping, memo, cap))
+    memo[key] = out
+    if len(memo) > cap:
+        from .testterms import CapExceeded  # testterms imports this module
 
-    return sub(term, mapping)
+        raise CapExceeded(f"Bekic elimination needs more than {MAX_ELIMINATION_NODES} formula nodes")
+    return out
 
 
 def substitute(term, var: str, replacement) -> Term:
@@ -337,23 +355,20 @@ def substitute(term, var: str, replacement) -> Term:
 
 def _offender(formula, allowed):
     """First subterm (preorder) whose node type is not in allowed, or None."""
-    memo: dict[int, Formula | None] = {}
+    return _first_outside(formula, allowed, {})
 
-    def walk(node):
-        if id(node) in memo:
-            return memo[id(node)]
-        if not isinstance(node, allowed):
-            out = node
-        else:
-            out = None
-            for child in node.children():
-                out = walk(child)
-                if out is not None:
-                    break
-        memo[id(node)] = out
-        return out
 
-    return walk(formula)
+def _first_outside(node, allowed, memo):
+    if id(node) in memo:
+        return memo[id(node)]
+    out = None if isinstance(node, allowed) else node
+    if out is None:
+        for child in node.children():
+            out = _first_outside(child, allowed, memo)
+            if out is not None:
+                break
+    memo[id(node)] = out
+    return out
 
 
 _MAY_NODES = (Tt, Ff, Var, Dia, Or, Min)
@@ -400,34 +415,33 @@ def is_tt_grammar(formula) -> bool:
 
 def nesting_depth(formula) -> int:
     """Maximum number of nested fixpoint binders."""
-    memo: dict[int, int] = {}
+    return _depth(formula, {})
 
-    def walk(node):
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        out = max(map(walk, node.children()), default=0) + isinstance(node, Binder)
-        memo[id(node)] = out
-        return out
 
-    return walk(formula)
+def _depth(node, memo):
+    got = memo.get(id(node))
+    if got is None:
+        got = 0
+        for child in node.children():
+            got = max(got, _depth(child, memo))
+        got = memo[id(node)] = got + isinstance(node, Binder)
+    return got
 
 
 def tree_size(formula) -> int:
     """Number of nodes of the formula printed as a tree, counted over its
     shared subterms in time linear in the distinct nodes."""
-    memo: dict[int, int] = {}
+    return _size(formula, {})
 
-    def walk(node):
-        got = memo.get(id(node))
-        if got is None:
-            got = 1
-            for child in node.children():
-                got += walk(child)
-            memo[id(node)] = got
-        return got
 
-    return walk(formula)
+def _size(node, memo):
+    got = memo.get(id(node))
+    if got is None:
+        got = 1
+        for child in node.children():
+            got += _size(child, memo)
+        memo[id(node)] = got
+    return got
 
 
 def approximant(formula, k: int) -> Formula:
@@ -442,32 +456,30 @@ def approximant(formula, k: int) -> Formula:
         raise FormulaError("approximant level must be nonnegative")
     if not is_musthml(formula):
         raise FormulaError("approximant is defined on the closed must fragment")
-    memo: dict[tuple[int, int], Formula] = {}
-    unfolded = []  # keeps every unfolding alive, so no id in memo is reused
+    return _approximant(formula, k, {}, [])  # the list keeps every unfolding alive, so no id is reused
 
-    def appr(node, k):
-        if k == 0:
-            return Ff()
-        key = (id(node), k)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        match node:
-            case Tt() | Ff() | Acc():
-                out = node
-            case Box(a, b):
-                out = Box(a, appr(b, k))
-            case And(l, r):
-                out = And(appr(l, k), appr(r, k))
-            case Min(x, b):
-                unfolded.append(substitute(b, x, node))
-                out = appr(unfolded[-1], k - 1)
-            case _:
-                raise FormulaError(f"approximant hit unexpected node {node!r}")
-        memo[key] = out
-        return out
 
-    return appr(formula, k)
+def _approximant(node, k, memo, unfolded):
+    if k == 0:
+        return Ff()
+    key = (id(node), k)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    kind = type(node)
+    if kind is Box:
+        out = Box(node.action, _approximant(node.body, k, memo, unfolded))
+    elif kind is And:
+        out = And(_approximant(node.left, k, memo, unfolded), _approximant(node.right, k, memo, unfolded))
+    elif kind is Min:
+        unfolded.append(substitute(node.body, node.var, node))
+        out = _approximant(unfolded[-1], k - 1, memo, unfolded)
+    elif kind is Tt or kind is Ff or kind is Acc:
+        out = node
+    else:
+        raise FormulaError(f"approximant hit unexpected node {node!r}")
+    memo[key] = out
+    return out
 
 
 def sim_free_vars(sim: SimFormula) -> frozenset[str]:

@@ -241,9 +241,9 @@ class Lts:
         n = len(states)
         # rows are filled in construction order: a state's first target for
         # an action is a 1-tuple, and only a state with several targets for
-        # one action gets a list, sorted and deduped below, so targets end in
-        # index order without a sort of all the triples; a state with no
-        # moves keeps the shared ()
+        # one action gets a list, sorted, deduped and made a tuple below, so
+        # targets end in index order without a sort of all the triples; a
+        # state with no moves keeps the shared ()
         rows: list[list | None] = [None] * len(actions)
         several = []
         for i, k, j in triples:
@@ -259,7 +259,7 @@ class Lts:
                 row[i] = [got[0], j]
                 several.append((row, i))
         for row, i in several:
-            row[i] = sorted(set(row[i]))
+            row[i] = tuple(sorted(set(row[i])))
         self._actions = actions
         self._triples = triples
         self.full_mask: int = (1 << n) - 1
@@ -272,8 +272,7 @@ class Lts:
         for act, row in zip(actions, rows):
             if row is None:
                 continue
-            # via a list: tuple() of a map over-allocates and shrinks, churn that raises peak RSS
-            row = strong[act] = tuple([*map(tuple, row)])
+            row = strong[act] = tuple(row)
             kind = act.kind
             if kind == "visible":
                 names.add(act.name)

@@ -33,12 +33,12 @@ pre-image of the new input, so the iterates and their counts are those
 of plain Kleene iteration.  Closed subformulas are evaluated once and
 need no update.
 
-eval dispatches on the exact type of a node, tested in the order of how
+eval dispatches on the exact type of a node, as the walks of
+rechml.formulas do (its docstring says why), tested in the order of how
 often each kind occurs (variables and modalities first, constants and
-Acc last).  A match statement would pay an isinstance test and a
-__match_args__ lookup for every case that fails.  A table of one method
-per kind would add a Python frame per nesting level of the recursion,
-and so roughly halve the deepest formula that can be interpreted.
+Acc last).  A table of one method per kind would add a Python frame per
+nesting level of the recursion, and so roughly halve the deepest formula
+that can be interpreted.
 """
 
 from .formulas import (

@@ -11,8 +11,9 @@ variables and substitution are the binder operations of that module,
 re-exported here.  Exploration does not use them: it converts the root
 once to de Bruijn nodes interned to ints (de Bruijn 1972), steps and
 substitutes on those ids, and tells states apart by id.  The conversion
-dispatches on the exact type of each node, like the formula evaluator,
-so a subclass of a node class is not a test term.  The named canonical
+dispatches on the exact type of each node, as the walks of
+rechml.formulas do (its docstring says why), so a subclass of a node
+class is not a test term.  The named canonical
 term of a state is built only when a caller reads it.
 """
 
@@ -115,10 +116,8 @@ class _Table:
     def convert(self, term) -> int:
         """Intern a closed Test; one walk with its own stack and one scope
         dict, whose shadowed entry each binder saves and restores.  A node
-        is dispatched on its exact type, as the evaluator does, and a
-        tuple on the stack marks a node whose children are interned: a
-        match statement would pay an isinstance test and a __match_args__
-        lookup for every case that fails.  Any other object is a
+        is dispatched on its exact type, and a tuple on the stack marks a
+        node whose children are interned.  Any other object is a
         TestError."""
         _require_closed(term)
         intern = self.intern

@@ -18,6 +18,7 @@ equal term.
 """
 
 import re
+from functools import cache
 
 from . import formulas as fm
 from . import testterms as tm
@@ -28,29 +29,22 @@ class ParseError(Exception):
     pass
 
 
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|0")
+@cache
+def _token_pattern(symbols):
+    """One pattern for a text over symbols: blanks, then a symbol (the first
+    listed that fits), a word, or as group 2 one bad non-blank character;
+    compiled on first use, as a process reads formulas or tests or neither."""
+    words = "|".join(map(re.escape, symbols))
+    return re.compile(rf"\s*(?:({words}|[A-Za-z_][A-Za-z0-9_]*|0)|(\S))")
 
 
-def _scan(text: str, symbols) -> list[str]:
+def _scan(text: str, pattern) -> list[str]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        for sym in symbols:
-            if text.startswith(sym, i):
-                tokens.append(sym)
-                i += len(sym)
-                break
-        else:
-            m = _WORD.match(text, i)
-            if not m:
-                raise ParseError(f"unexpected character {c!r} at offset {i}")
-            tokens.append(m.group())
-            i = m.end()
+    for m in pattern.finditer(text):
+        tok = m[1]
+        if tok is None:
+            raise ParseError(f"unexpected character {m[2]!r} at offset {m.start(2)}")
+        tokens.append(tok)
     return tokens
 
 
@@ -91,7 +85,7 @@ def _action_token(tok, allow_tau=True, what="action name") -> Action:
 
 
 def parse_formula(text: str):
-    ts = _Tokens(_scan(text, _FORMULA_SYMBOLS))
+    ts = _Tokens(_scan(text, _token_pattern(_FORMULA_SYMBOLS)))
 
     def p_or():
         left = p_and()
@@ -173,56 +167,56 @@ def _shared_nodes(formula) -> set[int]:
 
 
 def format_formula(formula) -> str:
-    # precedence levels: 0 disjunction, 1 conjunction, 2 modalities, 3 atoms.
-    # A binder's body runs to the end of the enclosing expression, so a
-    # binder prints bare only in tail position.
     # Elimination shares subformula objects, so the printed tree can be far
     # larger than the graph.  The text of a shared node is built once per
     # (level, tail) and reused; the root keeps every node alive, so the ids
     # are stable.  Unshared nodes are not kept: each would hold its whole
     # subtree's text, quadratic in the depth.
-    shared = _shared_nodes(formula)
-    memo: dict[tuple[int, int, bool], str] = {}
+    return _formula_text(formula, 0, True, _shared_nodes(formula), {})
 
-    def go(node, level, tail):
-        key = (id(node), level, tail) if id(node) in shared else None
-        if key is not None:
-            text = memo.get(key)
-            if text is not None:
-                return text
-        match node:
-            case fm.Tt():
-                text = "tt"
-            case fm.Ff():
-                text = "ff"
-            case fm.Var(name):
-                text = name
-            case fm.Acc(actions):
-                text = "Acc{" + ",".join(sorted(actions)) + "}"
-            case fm.Or(l, r):
-                text = f"{go(l, 0, False)} \\/ {go(r, 1, tail)}"
-                if level > 0:
-                    text = f"({text})"
-            case fm.And(l, r):
-                text = f"{go(l, 1, False)} /\\ {go(r, 2, tail)}"
-                if level > 1:
-                    text = f"({text})"
-            case fm.Dia(a, b):
-                text = f"<{a}>{go(b, 2, tail)}"
-            case fm.Box(a, b):
-                text = f"[{a}]{go(b, 2, tail)}"
-            case fm.Min(x, b) | fm.Max(x, b):
-                word = "min" if isinstance(node, fm.Min) else "max"
-                text = f"{word} {x}. {go(b, 0, True)}"
-                if not tail:
-                    text = f"({text})"
-            case _:
-                raise ValueError(f"cannot format {node!r}")
-        if key is not None:
-            memo[key] = text
-        return text
 
-    return go(formula, 0, True)
+def _formula_text(node, level, tail, shared, memo):
+    """The text of node at a precedence level (0 disjunction, 1 conjunction,
+    2 modalities, 3 atoms); a binder's body runs to the end of the enclosing
+    expression, so a binder prints bare only in tail position."""
+    key = (id(node), level, tail) if id(node) in shared else None
+    if key is not None:
+        text = memo.get(key)
+        if text is not None:
+            return text
+    kind = type(node)
+    if kind is fm.Box:
+        text = f"[{node.action}]{_formula_text(node.body, 2, tail, shared, memo)}"
+    elif kind is fm.Dia:
+        text = f"<{node.action}>{_formula_text(node.body, 2, tail, shared, memo)}"
+    elif kind is fm.Var:
+        text = node.name
+    elif kind is fm.And:
+        text = (f"{_formula_text(node.left, 1, False, shared, memo)} /\\ "
+                f"{_formula_text(node.right, 2, tail, shared, memo)}")
+        if level > 1:
+            text = f"({text})"
+    elif kind is fm.Or:
+        text = (f"{_formula_text(node.left, 0, False, shared, memo)} \\/ "
+                f"{_formula_text(node.right, 1, tail, shared, memo)}")
+        if level > 0:
+            text = f"({text})"
+    elif kind is fm.Min or kind is fm.Max:
+        word = "min" if kind is fm.Min else "max"
+        text = f"{word} {node.var}. {_formula_text(node.body, 0, True, shared, memo)}"
+        if not tail:
+            text = f"({text})"
+    elif kind is fm.Acc:
+        text = "Acc{" + ",".join(sorted(node.actions)) + "}"
+    elif kind is fm.Tt:
+        text = "tt"
+    elif kind is fm.Ff:
+        text = "ff"
+    else:
+        raise ValueError(f"cannot format {node!r}")
+    if key is not None:
+        memo[key] = text
+    return text
 
 
 # -- tests ------------------------------------------------------------------
@@ -231,7 +225,7 @@ _TEST_SYMBOLS = ("+", ".", "(", ")")
 
 
 def parse_test(text: str):
-    ts = _Tokens(_scan(text, _TEST_SYMBOLS))
+    ts = _Tokens(_scan(text, _token_pattern(_TEST_SYMBOLS)))
 
     def p_sum():
         left = p_item()
@@ -285,31 +279,31 @@ def format_test(term) -> str:
             out.append(item)
             continue
         node, level, tail = item
-        match node:
-            case tm.Nil():
-                out.append("0")
-            case tm.Success():
-                out.append("w.0")
-            case tm.Var(name):
-                out.append(name)
-            case tm.Prefix(action, body):
-                out.append(f"{action}.")
-                stack.append((body, 1, tail))
-            case tm.Sum(l, r):
-                if level:
-                    out.append("(")
-                    stack.append(")")
-                stack.append((r, 1, tail))
-                stack.append(" + ")
-                stack.append((l, 0, False))
-            case tm.Mu(x, b):
-                if not tail:
-                    out.append("(")
-                    stack.append(")")
-                out.append(f"mu {x}. ")
-                stack.append((b, 0, True))
-            case _:
-                raise ValueError(f"cannot format {node!r}")
+        kind = type(node)
+        if kind is tm.Prefix:
+            out.append(f"{node.action}.")
+            stack.append((node.body, 1, tail))
+        elif kind is tm.Sum:
+            if level:
+                out.append("(")
+                stack.append(")")
+            stack.append((node.right, 1, tail))
+            stack.append(" + ")
+            stack.append((node.left, 0, False))
+        elif kind is tm.Var:
+            out.append(node.name)
+        elif kind is tm.Success:
+            out.append("w.0")
+        elif kind is tm.Nil:
+            out.append("0")
+        elif kind is tm.Mu:
+            if not tail:
+                out.append("(")
+                stack.append(")")
+            out.append(f"mu {node.var}. ")
+            stack.append((node.body, 0, True))
+        else:
+            raise ValueError(f"cannot format {node!r}")
     return "".join(out)
 
 
@@ -329,51 +323,48 @@ def parse_lts(text: str) -> tuple[Lts, str | None]:
     actions: list[Action] = []
     triples = []
     alphabet: list[str] = []
-
-    def intern(state):
-        i = index.get(state)
-        if i is None:
-            if not _STATE_NAME.fullmatch(state):
-                raise ParseError(f"bad state name {state!r}")
-            i = index[state] = len(index)
-        return i
-
     lines = text.splitlines()
     # comments are cut off up front, and only from a text that has one;
     # an error still quotes the raw line
     bodies = [line.split("#", 1)[0] for line in lines] if "#" in text else lines
     try:
         for lineno, tokens in enumerate(map(str.split, bodies), 1):
-            if not tokens:
-                continue
-            if len(tokens) == 3 and tokens[0] != "alphabet":
+            n = len(tokens)
+            if n == 3 and tokens[0] != "alphabet":
                 src, label, dst = tokens
-                # a name seen before is a plain lookup; intern checks a new one
+                # a name seen before is a plain lookup; a new one is checked
                 i = index.get(src)
                 if i is None:
-                    i = intern(src)
+                    if not _STATE_NAME.fullmatch(src):
+                        raise ParseError(f"bad state name {src!r}")
+                    i = index[src] = len(index)
                 j = index.get(dst)
                 if j is None:
-                    j = intern(dst)
+                    if not _STATE_NAME.fullmatch(dst):
+                        raise ParseError(f"bad state name {dst!r}")
+                    j = index[dst] = len(index)
                 k = slots.get(label)
                 if k is None:
                     k = slots[label] = len(actions)
                     actions.append(OMEGA if label == "omega" else _action_token(label, what="label"))
                 triples.append((i, k, j))
-            elif tokens[0] == "lts" and len(tokens) == 2:
+            elif n == 2 and tokens[0] == "lts":
                 if name is not None:
                     raise ParseError("a second lts line")
                 name = tokens[1]
-            elif tokens[0] == "init" and len(tokens) == 2:
-                if init is not None:
-                    raise ParseError("a second init line")
-                intern(tokens[1])
-                init = tokens[1]
-            elif tokens[0] == "state" and len(tokens) == 2:
-                intern(tokens[1])
-            elif tokens[0] == "alphabet":
+            elif n == 2 and tokens[0] in ("state", "init"):
+                word, state = tokens
+                if word == "init":
+                    if init is not None:
+                        raise ParseError("a second init line")
+                    init = state
+                if state not in index:
+                    if not _STATE_NAME.fullmatch(state):
+                        raise ParseError(f"bad state name {state!r}")
+                    index[state] = len(index)
+            elif n and tokens[0] == "alphabet":
                 alphabet += [_action_token(letter, False, "letter").name for letter in tokens[1:]]
-            else:
+            elif n:
                 raise ParseError(f"cannot parse {lines[lineno - 1].strip()!r}")
     except ParseError as err:
         raise ParseError(f"line {lineno}: {err}") from None

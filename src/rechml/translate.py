@@ -53,91 +53,89 @@ def _must_test(formula: Formula, escape: bool) -> Test:
     deadlocked processes.  verify --self-test-mutation runs that variant
     to show that the harness can see a broken translation."""
     _require_fragment(formula, "must", "formula_to_must_test")
+    return _must(formula, escape)
 
-    def conv(node) -> Test:
-        match node:
-            case fm.Tt():
-                return tm.Success()
-            case fm.Ff():
-                return tm.Nil()
-            case fm.Acc(actions):
-                offers = [tm.Prefix(visible(a), tm.Success()) for a in sorted(actions)]
-                return _fold(tm.Sum, offers, tm.Nil())
-            case fm.Var(name):
-                return tm.Var(name)
-            case fm.Box(action, body):
-                step = tm.Prefix(action, conv(body))
-                if action.kind == "tau" or not escape:
-                    return step
-                return tm.Sum(step, tm.Prefix(TAU, tm.Success()))
-            case fm.And(left, right):
-                # isinstance, not ==: comparing two large equal tests is deep
-                lt, rt = conv(left), conv(right)
-                if isinstance(lt, tm.Success) and isinstance(rt, tm.Success):
-                    return tm.Success()
-                return tm.Sum(tm.Prefix(TAU, lt), tm.Prefix(TAU, rt))
-            case fm.Min(var, body):
-                if not body.free:
-                    return conv(body)
-                return tm.Mu(var, conv(body))
-            case _:
-                raise FormulaError(f"not in the must fragment: {node}")
 
-    return conv(formula)
+def _must(node, escape: bool) -> Test:
+    kind = type(node)
+    if kind is fm.Box:
+        action = node.action
+        step = tm.Prefix(action, _must(node.body, escape))
+        if action is TAU or not escape:
+            return step
+        return tm.Sum(step, tm.Prefix(TAU, tm.Success()))
+    if kind is fm.And:
+        # a type test, not ==: comparing two large equal tests is deep
+        lt, rt = _must(node.left, escape), _must(node.right, escape)
+        if type(lt) is tm.Success and type(rt) is tm.Success:
+            return tm.Success()
+        return tm.Sum(tm.Prefix(TAU, lt), tm.Prefix(TAU, rt))
+    if kind is fm.Var:
+        return tm.Var(node.name)
+    if kind is fm.Min:
+        body = _must(node.body, escape)
+        return tm.Mu(node.var, body) if node.body.free else body
+    if kind is fm.Acc:
+        return _fold(tm.Sum, [tm.Prefix(visible(a), tm.Success()) for a in sorted(node.actions)], tm.Nil())
+    if kind is fm.Tt:
+        return tm.Success()
+    if kind is fm.Ff:
+        return tm.Nil()
+    raise FormulaError(f"not in the must fragment: {node!r}")
 
 
 def formula_to_may_test(formula: Formula) -> Test:
     """Compile a closed may formula to a test characterizing it under
     may-passing."""
     _require_fragment(formula, "may", "formula_to_may_test")
+    return _may(formula)
 
-    def conv(node) -> Test:
-        match node:
-            case fm.Tt():
-                return tm.Success()
-            case fm.Ff():
-                return tm.Nil()
-            case fm.Var(name):
-                return tm.Var(name)
-            case fm.Dia(action, body):
-                return tm.Prefix(action, conv(body))
-            case fm.Or(left, right):
-                return tm.Sum(tm.Prefix(TAU, conv(left)), tm.Prefix(TAU, conv(right)))
-            case fm.Min(var, body):
-                return tm.Mu(var, conv(body))
-            case _:
-                raise FormulaError(f"not in the may fragment: {node}")
 
-    return conv(formula)
+def _may(node) -> Test:
+    kind = type(node)
+    if kind is fm.Dia:
+        return tm.Prefix(node.action, _may(node.body))
+    if kind is fm.Or:
+        return tm.Sum(tm.Prefix(TAU, _may(node.left)), tm.Prefix(TAU, _may(node.right)))
+    if kind is fm.Var:
+        return tm.Var(node.name)
+    if kind is fm.Min:
+        return tm.Mu(node.var, _may(node.body))
+    if kind is fm.Tt:
+        return tm.Success()
+    if kind is fm.Ff:
+        return tm.Nil()
+    raise FormulaError(f"not in the may fragment: {node!r}")
 
 
 def _system(lts: Lts, root: str, moves) -> SimFormula:
     """The simultaneous system with the variable X_s for each test state
     s: success now gives tt, no moves gives ff, and otherwise the body is
     moves(taus, vis), where taus and vis list the (action, successor
-    variable) pairs of the tau and of the visible moves."""
-    var_of = {state: f"X_{state}" for state in lts.states}
+    variable) pairs of the tau and of the visible moves in construction
+    order, read off the build's deduped index triples."""
+    variables = [f"X_{state}" for state in lts.states]
+    actions = lts._actions
+    by_state = [[] for _ in variables]
+    for i, k, j in dict.fromkeys(lts._triples):
+        by_state[i].append((actions[k], j))
     bodies = []
-    for state in lts.states:
+    for state_moves in by_state:
         taus = []
         vis = []
         success = False
-        for _, action, dst in lts.outgoing(state):
-            if action == OMEGA:
+        for action, j in state_moves:
+            if action is OMEGA:
                 success = True
             else:
-                (taus if action == TAU else vis).append((action, fm.Var(var_of[dst])))
+                (taus if action is TAU else vis).append((action, fm.Var(variables[j])))
         if success:
             bodies.append(fm.Tt())
         elif not taus and not vis:
             bodies.append(fm.Ff())
         else:
             bodies.append(moves(taus, vis))
-    return SimFormula(
-        tuple(var_of[s] for s in lts.states),
-        tuple(bodies),
-        lts.state_index(root),
-    )
+    return SimFormula(variables, bodies, lts.state_index(root))
 
 
 def _must_moves(taus, vis) -> Formula:

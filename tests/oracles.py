@@ -8,6 +8,7 @@ where the package searches depth-first.  Slow is fine; these run on
 small inputs only.
 """
 
+import re
 from collections import deque
 from functools import cache
 from itertools import chain, combinations
@@ -16,7 +17,36 @@ from rechml import formulas as fm
 from rechml.formulas import Binder, Variable
 from rechml import testterms as tm
 from rechml.lts import OMEGA, TAU
-from rechml.textio import format_test
+from rechml.textio import ParseError, format_test
+
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|0")
+
+
+def scan(text, symbols):
+    """The tokens of a formula or test text, one character at a time:
+    blanks are skipped, then the first of symbols that starts here, else
+    a word, else the character is an error."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        for sym in symbols:
+            if text.startswith(sym, i):
+                tokens.append(sym)
+                i += len(sym)
+                break
+        else:
+            m = _WORD.match(text, i)
+            if not m:
+                raise ParseError(f"unexpected character {c!r} at offset {i}")
+            tokens.append(m.group())
+            i = m.end()
+    return tokens
 
 
 def tau_closure(lts, state):

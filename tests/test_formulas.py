@@ -1,10 +1,13 @@
+import gc
 import weakref
+from functools import cache
 
 import pytest
 
 import rechml
 from rechml import formulas as fm
 from rechml import testterms as tm
+from rechml import textio, translate
 from rechml.generators import TrialConfig, generate_formula, spawn_rng
 from rechml.lts import TAU, OMEGA, visible
 
@@ -286,3 +289,64 @@ def test_fresh_name_probes_suffixes():
     assert fm.fresh_name("X", set()) == "X"
     assert fm.fresh_name("X", {"X"}) == "X1"
     assert fm.fresh_name("X", {"X", "X1", "X2"}) == "X3"
+
+
+def _nested_recursion(depth, chain, letters):
+    # level i: mu Xi. (chain letters.(level i+1 + X(i//2)) + two letters.exit),
+    # exit w.0 on even levels and Xi on odd ones, as in the compile-test
+    # terms of the cli benchmark
+    def prefixes(n, tail):
+        for k in range(n):
+            tail = tm.Prefix(visible(letters[k % len(letters)]), tail)
+        return tail
+
+    def level(i):
+        back = tm.Var(f"X{i // 2}")
+        inner = tm.Sum(back, tm.Success()) if i == depth - 1 else tm.Sum(level(i + 1), back)
+        exit_ = tm.Success() if i % 2 == 0 else tm.Var(f"X{i}")
+        return tm.Mu(f"X{i}", tm.Sum(prefixes(chain, inner), prefixes(2, exit_)))
+
+    return level(0)
+
+
+@cache
+def _walks():
+    test = _nested_recursion(4, 12, "abcab")
+    lts, root = tm.reachable_lts(test)
+    assert len(lts.states) == 60
+    sim = translate.test_lts_to_must_system(lts, root)
+    must = fm.bekic_eliminate(sim)
+    may = translate.test_to_may_formula(test)
+    return {
+        "bekic_eliminate": lambda: fm.bekic_eliminate(sim),
+        "approximant": lambda: fm.approximant(must, 3),
+        "formula_to_must_test": lambda: translate.formula_to_must_test(must),
+        "formula_to_may_test": lambda: translate.formula_to_may_test(may),
+        "format_formula": lambda: textio.format_formula(must),
+        "format_test": lambda: textio.format_test(test),
+        "tree_size": lambda: fm.tree_size(must),
+        "nesting_depth": lambda: fm.nesting_depth(must),
+        "is_musthml": lambda: fm.is_musthml(must),
+        "is_mayhml": lambda: fm.is_mayhml(may),
+        "substitute": lambda: fm.substitute(must.body, must.var, must),
+    }
+
+
+@pytest.mark.parametrize("walk", [
+    "approximant", "bekic_eliminate", "format_formula", "format_test", "formula_to_may_test",
+    "formula_to_must_test", "is_mayhml", "is_musthml", "nesting_depth", "substitute", "tree_size",
+])
+def test_walks_leave_no_reference_cycle(walk):
+    # a recursive walk defined as a nested function that calls itself
+    # leaves the function, its closure cells and its memo to the cycle
+    # collector on every call
+    call = _walks()[walk]
+    call()  # fills the caches of names and actions
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0, left

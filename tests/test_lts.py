@@ -7,10 +7,11 @@ import pytest
 
 from rechml import cli
 from rechml import testterms as tm
+from rechml import translate
 from rechml.generators import TrialConfig, generate_lts, generate_test, spawn_rng
 from rechml.lts import _DENSE, OMEGA, TAU, Action, Lts, LtsError, _image, visible
 from rechml.semantics import interpret
-from rechml.textio import parse_formula
+from rechml.textio import parse_formula, parse_test
 
 import oracles
 
@@ -288,6 +289,15 @@ def test_testing_query_leaves_transitions_unbuilt(tmp_path, monkeypatch):
     assert "transitions" in vars(lts) and "divergent_mask" not in vars(lts)
     assert lts.divergent_mask == lts.mask_of(["p1", "p2"])
     assert "_back_tau" in vars(lts)
+
+
+def test_system_builders_leave_transitions_unbuilt():
+    # compile-test reads each test state's moves off the build's index
+    # triples, not off the named transitions and outgoing lists
+    lts, root = tm.reachable_lts(parse_test("mu X. a.(X + tau.b.w.0) + c.0"))
+    for build in (translate.test_lts_to_must_system, translate.test_lts_to_may_system):
+        build(lts, root)
+        assert not {"transitions", "_outgoing"} & set(vars(lts))
 
 
 def no_tau(rng, n):

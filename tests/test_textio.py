@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import tracemalloc
 from functools import reduce
@@ -6,7 +7,15 @@ import pytest
 
 from rechml import formulas as fm
 from rechml import testterms as tm
-from rechml.generators import TrialConfig, generate_formula, generate_lts, generate_test, spawn_rng
+from rechml import textio
+from rechml.generators import (
+    TrialConfig,
+    generate_formula,
+    generate_lts,
+    generate_sim_system,
+    generate_test,
+    spawn_rng,
+)
 from rechml.lts import OMEGA, TAU, Lts, LtsError, visible
 from rechml.textio import (
     ParseError,
@@ -17,9 +26,48 @@ from rechml.textio import (
     parse_lts,
     parse_test,
 )
+from rechml.translate import _must_test
+
+import oracles
 
 A = visible("a")
 B = visible("b")
+
+
+# -- tokens ------------------------------------------------------------------
+
+SYMBOL_SETS = (textio._FORMULA_SYMBOLS, textio._TEST_SYMBOLS)
+
+
+def scanned(scan, text, symbols):
+    try:
+        return scan(text, symbols)
+    except ParseError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("text", [
+    # blanks to str.isspace, among them the separators and the C1 next line
+    "a\x1cb\x1dc\x1ed\x1fe", "<a>\x85tt", "tt\xa0/\\\xa0ff", "a\u2028.0", "mu\u3000X.\u3000X",
+    "01", "$", "a\\//\\b", "  <a>tt  ", "\t\n w.0 \r\n", "", "   ", "Acc{a,b}", "a.w.0 %",
+])
+def test_scanner_matches_the_character_loop(text):
+    for symbols in SYMBOL_SETS:
+        pattern = textio._token_pattern(symbols)
+        assert scanned(textio._scan, text, pattern) == scanned(oracles.scan, text, symbols)
+
+
+def test_scanner_matches_the_character_loop_on_random_texts():
+    pieces = sorted(set("".join(textio._FORMULA_SYMBOLS + textio._TEST_SYMBOLS)))
+    pieces += list("aZ_w9017") + ["tt", "mu", "Acc", "X1"]
+    pieces += [" ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+    pieces += list("$%-!é\x00\u200b")
+    rng = spawn_rng(28, "scanner")
+    for _ in range(2000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
+        for symbols in SYMBOL_SETS:
+            pattern = textio._token_pattern(symbols)
+            assert scanned(textio._scan, text, pattern) == scanned(oracles.scan, text, symbols), text
 
 
 # -- formulas ----------------------------------------------------------------
@@ -134,6 +182,46 @@ def test_printing_a_deep_unshared_formula_keeps_memory_linear():
         sys.setrecursionlimit(old)
     assert text.startswith("min X0. [a](X0 /\\ min X1. [a](X1 /\\ ")
     assert peak < 16 * 2**20, peak
+
+
+# sha256 of the printed text, recorded before the printers dispatched on
+# exact node types: a round trip alone would pass a printer that added
+# parentheses
+PRINTER_DIGEST = "b8cdb9062d130b5fa4b146df4b5696e80622ceffbd9ef52d26a89c16a5581c49"
+
+
+def test_printer_output_frozen():
+    # full-logic formulas, eliminated systems (shared nodes in every
+    # precedence and tail position), approximants up to level 3, test
+    # terms and compiled must tests
+    cfg = TrialConfig(max_formula_depth=6)
+    h = hashlib.sha256()
+    for trial in range(1000):
+        rng = spawn_rng(28, "printer", trial)
+        must = generate_formula(cfg, rng, "must")
+        texts = [format_formula(generate_formula(cfg, rng, "full")),
+                 format_formula(fm.bekic_eliminate(generate_sim_system(cfg, rng)))]
+        texts += [format_formula(fm.approximant(must, k)) for k in range(4)]
+        texts += [format_test(generate_test(cfg, rng)), format_test(_must_test(must, escape=False))]
+        for text in texts:
+            h.update(f"{len(text)}:{text}".encode())
+    assert h.hexdigest() == PRINTER_DIGEST
+
+
+class _Dia(fm.Dia):
+    pass
+
+
+class _Success(tm.Success):
+    pass
+
+
+def test_printers_refuse_a_subclass_of_a_node_class():
+    # the printers dispatch on exact node types, as the evaluator does
+    with pytest.raises(ValueError, match=r"^cannot format _Dia\("):
+        format_formula(fm.Or(fm.Tt(), _Dia(A, fm.Tt())))
+    with pytest.raises(ValueError, match=r"^cannot format _Success\("):
+        format_test(tm.Prefix(A, _Success()))
 
 
 # -- tests -------------------------------------------------------------------
@@ -341,6 +429,31 @@ def test_bad_state_name_is_reported_where_it_first_appears():
 def parsed_as(text):
     lts, init = parse_lts(text)
     return lts.name, lts.states, lts.transitions, lts.alphabet, init
+
+
+@pytest.mark.parametrize("text, expected", [
+    # an alphabet line of any length; two tokens make an lts, state or init
+    # line, three a move from a state of that name
+    ("alphabet a\n", ("lts", (), (), ("a",), None)),
+    ("alphabet\n", ("lts", (), (), (), None)),
+    ("lts a b\n", ("lts", ("lts", "b"), (("lts", A, "b"),), ("a",), None)),
+    ("lts\n", "line 1: cannot parse 'lts'"),
+    ("state 9x\n", "line 1: bad state name '9x'"),
+    ("state a b\n", ("lts", ("state", "b"), (("state", A, "b"),), ("a",), None)),
+    ("init p0\ninit p0\n", "line 2: a second init line"),
+    ("init 9x\n", "line 1: bad state name '9x'"),
+    ("p0 a p1 p2\n", "line 1: cannot parse 'p0 a p1 p2'"),
+    ("p0 a\n", "line 1: cannot parse 'p0 a'"),
+    # a bad destination is reported before a bad label
+    ("p0 B 9x\n", "line 1: bad state name '9x'"),
+])
+def test_reader_line_table(text, expected):
+    # recorded before parse_lts dispatched on the token count
+    try:
+        got = parsed_as(text)
+    except ParseError as err:
+        got = str(err)
+    assert got == expected
 
 
 @pytest.mark.parametrize("commented, stripped", [

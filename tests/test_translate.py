@@ -294,3 +294,23 @@ def test_must_compiler_walks_once(monkeypatch):
         calls.update(_offender=0)
         formula_to_must_test(phi)
         assert calls["_offender"] <= 2, calls
+
+
+class _Box(fm.Box):
+    pass
+
+
+class _Tt(fm.Tt):
+    pass
+
+
+@pytest.mark.parametrize("compile_, formula", [
+    (formula_to_must_test, fm.And(fm.Tt(), _Box(A, fm.Tt()))),
+    (formula_to_must_test, fm.Min("X", fm.Box(A, fm.And(fm.Var("X"), _Tt())))),
+    (formula_to_may_test, fm.Or(fm.Ff(), fm.Dia(A, _Tt()))),
+    (lambda phi: fm.approximant(phi, 2), fm.Box(A, _Tt())),
+])
+def test_compilers_refuse_a_subclass_of_a_node_class(compile_, formula):
+    # the compilers dispatch on exact node types, as the evaluator does
+    with pytest.raises(FormulaError, match=r"^(not in the m(ust|ay) fragment|approximant hit unexpected node):? _"):
+        compile_(formula)
