@@ -159,10 +159,9 @@ def _cmd_compile_test(args) -> int:
     formula = bekic_eliminate(system)
     size = tree_size(formula)
     if size > MAX_PRINTED_NODES:
-        print(f"error: the eliminated formula has {size} nodes as a tree, more than "
-              f"the {MAX_PRINTED_NODES} that are printed; --show-system with text "
-              "format still prints the equation system", file=sys.stderr)
-        return 3
+        raise CapExceeded(f"the eliminated formula has {size} nodes as a tree, more than "
+                          f"the {MAX_PRINTED_NODES} that are printed; --show-system with text "
+                          "format still prints the equation system")
     if args.format == "json":
         payload = {
             "command": "compile-test",

@@ -8,8 +8,8 @@ fixpoints.  Interpretation over an Lts lives in rechml.semantics.
 
 A node class joins a family, Formula here or Test in rechml.testterms, and
 a shape base (Leaf, Variable, Pair, Prefixed, Binder) that gives it its
-fields, constructor, children() and map_children(f); substitution looks
-only at shapes (the class attribute shape), so it serves both languages.
+fields, constructor and children(); substitution looks only at shapes
+(the class attribute shape), so it serves both languages.
 
 The walks that tell nodes apart (substitution, approximant, the evaluator,
 the printers, the compilers and explore) test the exact type of a node, or
@@ -18,7 +18,8 @@ pay an isinstance test and a __match_args__ lookup for every case that
 fails.  So a subclass of a node class is no node to them but to
 substitution, and each refuses it with its module's error.  A recursive
 walk is a module-level function handed its memo, which leaves no
-reference cycle to the collector.
+reference cycle to the collector; so is each grammar rule of the parsers
+of rechml.textio, handed the token cursor.
 
 Every node carries its free variables in the slot free, built with the
 node from its children's sets, so no walk recomputes them.  Large
@@ -104,9 +105,6 @@ class Term(Record):
     def children(self):
         return ()
 
-    def map_children(self, f):
-        return self
-
 
 # writes the slot free past the refusing __setattr__
 _set_free = Term.free.__set__
@@ -142,9 +140,6 @@ class Pair(Term):
     def children(self):
         return (self.left, self.right)
 
-    def map_children(self, f):
-        return type(self)(f(self.left), f(self.right))
-
 
 class Prefixed(Term):
     __slots__ = ()
@@ -159,9 +154,6 @@ class Prefixed(Term):
     def children(self):
         return (self.body,)
 
-    def map_children(self, f):
-        return type(self)(self.action, f(self.body))
-
 
 class Binder(Term):
     """Binds var in body; var_class is the family's variable class."""
@@ -175,9 +167,6 @@ class Binder(Term):
 
     def children(self):
         return (self.body,)
-
-    def map_children(self, f):
-        return type(self)(self.var, f(self.body))
 
 
 # the shape base of every node class, which substitution dispatches on

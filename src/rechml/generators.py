@@ -96,9 +96,8 @@ def generate_lts(cfg: TrialConfig, rng: random.Random, name: str = "g") -> Lts:
     if rng.random() < cfg.divergence_bias:
         looper = _below(rng, n)
         triples.append((looper, 0, looper))
-    states = [f"s{i}" for i in range(n)]
-    return Lts._from_triples(states, dict(zip(states, range(n))), _ACTIONS[: size + 1], triples,
-                             _LETTERS[:size], name)
+    index = {f"s{i}": i for i in range(n)}
+    return Lts._from_triples(index, _ACTIONS[: size + 1], triples, _LETTERS[:size], name)
 
 
 def _action(cfg, rng):

@@ -4,13 +4,14 @@ States are interned to dense integer indices.  The transition relation is
 kept once: for each action, the strong successors of every state as a
 tuple of target indices in index order, so memory is linear in the
 transitions.  Sets of states are integer bit masks keyed by the state
-order.  Every Lts comes from one build step fed by interned states and
-(i, k, j) index triples over a table of distinct actions; the public
-constructor interns its arguments into them.  The step does only what
-every reader needs: it fills the successor lists in construction order,
-without a sort of all the triples (only a state with several targets for
-one action has them sorted and deduped), and in one pass over the actions
-the alphabet, the tau row and the omega_mask attribute.  Everything else
+order.  Every Lts comes from one build step fed by a state index (each
+name to its position, in order) and (i, k, j) index triples over a table
+of distinct actions; the public constructor interns its arguments into
+them.  The step does only what every reader needs: it fills the successor
+lists in construction order, without a sort of all the triples (only a
+state with several targets for one action has them sorted and deduped),
+and in one pass over the actions the alphabet, the tau row and the
+omega_mask attribute.  Everything else
 is built on first read, because many systems never need it (an experiment
 reads neither the tau predecessors nor divergence of its process or its
 explored test):
@@ -19,7 +20,7 @@ explored test):
 - divergent_mask, by peeling: a state converges once all its tau
   successors have, counted down per state, so no tau closure is built; a
   system without tau moves diverges nowhere and is not peeled;
-- the named transitions and outgoing lists, from the triples;
+- the named transitions, from the deduped moves;
 - the predecessor lists of a visible action, when pre first needs them;
 - the pre-image of the full state set under a visible action (the states
   that can weakly perform it, read by every Acc, <a>tt and [a]ff).
@@ -198,7 +199,6 @@ class Lts:
         if not isinstance(name, str) or name.split() != [name] or "#" in name:
             raise LtsError(f"bad system name {name!r}")
         alphabet = [visible(letter).name for letter in alphabet]
-        order: list[str] = []
         index: dict[str, int] = {}
 
         def intern(state):
@@ -206,8 +206,7 @@ class Lts:
                 raise LtsError(f"bad state name {state!r}")
             i = index.get(state)
             if i is None:
-                i = index[state] = len(order)
-                order.append(state)
+                i = index[state] = len(index)
             return i
 
         for s in states:
@@ -218,27 +217,28 @@ class Lts:
             if not isinstance(act, Action):
                 raise LtsError(f"bad action {act!r}")
             triples.append((intern(src), slots.setdefault(act, len(slots)), intern(dst)))
-        self._build(order, index, list(slots), triples, alphabet, name)
+        self._build(index, list(slots), triples, alphabet, name)
 
     @classmethod
-    def _from_triples(cls, states, index, actions, triples, alphabet=(), name="lts"):
-        """The build step: index maps each of the states to its position,
-        and (i, k, j) is a move of states[i] by actions[k] to states[j]."""
+    def _from_triples(cls, index, actions, triples, alphabet=(), name="lts"):
+        """The build step: index maps each state name to its position, in
+        that order, and (i, k, j) is a move of state i by actions[k] to
+        state j."""
         lts = cls.__new__(cls)
-        lts._build(states, index, actions, triples, alphabet, name)
+        lts._build(index, actions, triples, alphabet, name)
         return lts
 
     def _with(self, i: int, act: Action, j: int) -> "Lts":
         """This system plus a move of state i by act to state j."""
         actions = self._actions if act in self._actions else [*self._actions, act]
         triples = self._triples + [(i, actions.index(act), j)]
-        return Lts._from_triples(self.states, self._index, actions, triples, self.alphabet, self.name)
+        return Lts._from_triples(self._index, actions, triples, self.alphabet, self.name)
 
-    def _build(self, states, index, actions, triples, alphabet, name):
+    def _build(self, index, actions, triples, alphabet, name):
         self.name = name
-        self.states: tuple[str, ...] = tuple(states)
+        self.states: tuple[str, ...] = tuple(index)
         self._index = index
-        n = len(states)
+        n = len(index)
         # rows are filled in construction order: a state's first target for
         # an action is a 1-tuple, and only a state with several targets for
         # one action gets a list, sorted, deduped and made a tuple below, so
@@ -317,18 +317,16 @@ class Lts:
                     peeled.append(i)
         return self.full_mask & ~converging
 
+    def _moves(self) -> list[tuple[int, Action, int]]:
+        """(i, Action, j) moves by state index, deduped, in construction order."""
+        actions = self._actions
+        return [(i, actions[k], j) for i, k, j in dict.fromkeys(self._triples)]
+
     @cached_property
     def transitions(self) -> tuple[tuple[str, Action, str], ...]:
         """(source, Action, target) triples, deduped, in construction order."""
-        states, actions = self.states, self._actions
-        return tuple((states[i], actions[k], states[j]) for i, k, j in dict.fromkeys(self._triples))
-
-    @cached_property
-    def _outgoing(self) -> dict[str, list[tuple[str, Action, str]]]:
-        out: dict[str, list[tuple[str, Action, str]]] = {}
-        for triple in self.transitions:
-            out.setdefault(triple[0], []).append(triple)
-        return out
+        states = self.states
+        return tuple((states[i], act, states[j]) for i, act, j in self._moves())
 
     # -- interning helpers ------------------------------------------------
 
@@ -400,10 +398,6 @@ class Lts:
     def converges(self, state: str) -> bool:
         """True when no infinite tau run starts at the state."""
         return not self.divergent_mask & (1 << self.state_index(state))
-
-    def outgoing(self, state: str):
-        """Transitions leaving the state, in construction order."""
-        return list(self._outgoing.get(state, ()))
 
     def __repr__(self):
         return (f"Lts({self.name!r}, {len(self.states)} states, "

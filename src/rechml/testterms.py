@@ -323,7 +323,6 @@ def explore(term, max_states: int = 100_000):
     table = _Table()
     queue = [table.convert(term)]
     index = {queue[0]: 0}
-    names = ["t0"]
     slots: dict[Action, int] = {}
     triples = []
     at = 0
@@ -345,10 +344,10 @@ def explore(term, max_states: int = 100_000):
                     )
                 i = index[target] = len(queue)
                 queue.append(target)
-                names.append(f"t{i}")
             triples.append((source, slots.setdefault(action, len(slots)), i))
-    lts = Lts._from_triples(names, dict(zip(names, range(len(names)))), list(slots), triples, name="test")
-    return lts, "t0", _Terms(table.nodes, dict(zip(names, queue)))
+    states = {f"t{i}": i for i in range(len(queue))}
+    lts = Lts._from_triples(states, list(slots), triples, name="test")
+    return lts, "t0", _Terms(table.nodes, dict(zip(states, queue)))
 
 
 def reachable_lts(term, max_states: int = 100_000) -> tuple[Lts, str]:

@@ -86,68 +86,70 @@ def _action_token(tok, allow_tau=True, what="action name") -> Action:
 
 def parse_formula(text: str):
     ts = _Tokens(_scan(text, _token_pattern(_FORMULA_SYMBOLS)))
-
-    def p_or():
-        left = p_and()
-        while ts.peek() == "\\/":
-            ts.take()
-            left = fm.Or(left, p_and())
-        return left
-
-    def p_and():
-        left = p_unary()
-        while ts.peek() == "/\\":
-            ts.take()
-            left = fm.And(left, p_unary())
-        return left
-
-    def p_unary():
-        tok = ts.peek()
-        if tok == "<":
-            ts.take()
-            action = _action_token(ts.take())
-            ts.take(">")
-            return fm.Dia(action, p_unary())
-        if tok == "[":
-            ts.take()
-            action = _action_token(ts.take())
-            ts.take("]")
-            return fm.Box(action, p_unary())
-        if tok in ("min", "max"):
-            ts.take()
-            var = variable_name(ts.take(), ParseError)
-            ts.take(".")
-            body = p_or()
-            return fm.Min(var, body) if tok == "min" else fm.Max(var, body)
-        return p_atom()
-
-    def p_atom():
-        tok = ts.take()
-        if tok == "tt":
-            return fm.Tt()
-        if tok == "ff":
-            return fm.Ff()
-        if tok == "Acc":
-            ts.take("{")
-            names = []
-            if ts.peek() != "}":
-                names.append(_action_token(ts.take(), allow_tau=False).name)
-                while ts.peek() == ",":
-                    ts.take()
-                    names.append(_action_token(ts.take(), allow_tau=False).name)
-            ts.take("}")
-            return fm.Acc(frozenset(names))
-        if tok == "(":
-            out = p_or()
-            ts.take(")")
-            return out
-        if tok[0].isupper():
-            return fm.Var(variable_name(tok, ParseError))
-        raise ParseError(f"unexpected token {tok!r}")
-
-    out = p_or()
+    out = _disjunction(ts)
     ts.done()
     return out
+
+
+# The grammar rules are module-level functions handed the token cursor,
+# one frame per nesting level, as the walks of rechml.formulas are.
+
+
+def _disjunction(ts):
+    left = _conjunction(ts)
+    while ts.peek() == "\\/":
+        ts.take()
+        left = fm.Or(left, _conjunction(ts))
+    return left
+
+
+def _conjunction(ts):
+    left = _unary(ts)
+    while ts.peek() == "/\\":
+        ts.take()
+        left = fm.And(left, _unary(ts))
+    return left
+
+
+def _unary(ts):
+    tok = ts.peek()
+    if tok == "<" or tok == "[":
+        ts.take()
+        action = _action_token(ts.take())
+        ts.take(">" if tok == "<" else "]")
+        return (fm.Dia if tok == "<" else fm.Box)(action, _unary(ts))
+    if tok in ("min", "max"):
+        ts.take()
+        var = variable_name(ts.take(), ParseError)
+        ts.take(".")
+        body = _disjunction(ts)
+        return fm.Min(var, body) if tok == "min" else fm.Max(var, body)
+    return _atom(ts)
+
+
+def _atom(ts):
+    tok = ts.take()
+    if tok == "tt":
+        return fm.Tt()
+    if tok == "ff":
+        return fm.Ff()
+    if tok == "Acc":
+        ts.take("{")
+        names = []
+        if ts.peek() != "}":
+            names.append(_action_token(ts.take(), allow_tau=False).name)
+            while ts.peek() == ",":
+                ts.take()
+                names.append(_action_token(ts.take(), allow_tau=False).name)
+        ts.take("}")
+        return fm.Acc(frozenset(names))
+    if tok == "(":
+        out = _disjunction(ts)
+        ts.take(")")
+        return out
+    if tok[0].isupper():
+        return fm.Var(variable_name(tok, ParseError))
+    raise ParseError(f"unexpected token {tok!r}")
 
 
 def _shared_nodes(formula) -> set[int]:
@@ -226,43 +228,45 @@ _TEST_SYMBOLS = ("+", ".", "(", ")")
 
 def parse_test(text: str):
     ts = _Tokens(_scan(text, _token_pattern(_TEST_SYMBOLS)))
-
-    def p_sum():
-        left = p_item()
-        while ts.peek() == "+":
-            ts.take()
-            left = tm.Sum(left, p_item())
-        return left
-
-    def p_item():
-        if ts.peek() == "mu":
-            ts.take()
-            var = variable_name(ts.take(), ParseError)
-            ts.take(".")
-            return tm.Mu(var, p_sum())
-        return p_prefix()
-
-    def p_prefix():
-        tok = ts.take()
-        if tok == "0":
-            return tm.Nil()
-        if tok == "w":
-            ts.take(".")
-            ts.take("0")
-            return tm.Success()
-        if tok == "(":
-            out = p_sum()
-            ts.take(")")
-            return out
-        if tok[0].isupper():
-            return tm.Var(variable_name(tok, ParseError))
-        action = _action_token(tok)
-        ts.take(".")
-        return tm.Prefix(action, p_item())
-
-    out = p_sum()
+    out = _sum(ts)
     ts.done()
     return out
+
+
+def _sum(ts):
+    left = _item(ts)
+    while ts.peek() == "+":
+        ts.take()
+        left = tm.Sum(left, _item(ts))
+    return left
+
+
+def _item(ts):
+    if ts.peek() == "mu":
+        ts.take()
+        var = variable_name(ts.take(), ParseError)
+        ts.take(".")
+        return tm.Mu(var, _sum(ts))
+    return _prefix(ts)
+
+
+def _prefix(ts):
+    tok = ts.take()
+    if tok == "0":
+        return tm.Nil()
+    if tok == "w":
+        ts.take(".")
+        ts.take("0")
+        return tm.Success()
+    if tok == "(":
+        out = _sum(ts)
+        ts.take(")")
+        return out
+    if tok[0].isupper():
+        return tm.Var(variable_name(tok, ParseError))
+    action = _action_token(tok)
+    ts.take(".")
+    return tm.Prefix(action, _item(ts))
 
 
 def format_test(term) -> str:
@@ -370,7 +374,7 @@ def parse_lts(text: str) -> tuple[Lts, str | None]:
         raise ParseError(f"line {lineno}: {err}") from None
     # the lines go before the build, so the two never peak together
     del lines, bodies
-    return Lts._from_triples(tuple(index), index, actions, triples, alphabet, name or "lts"), init
+    return Lts._from_triples(index, actions, triples, alphabet, name or "lts"), init
 
 
 def format_lts(lts: Lts, init: str | None = None) -> str:

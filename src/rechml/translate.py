@@ -37,7 +37,11 @@ def _require_fragment(formula, fragment: str, who: str):
         raise FormulaError(f"{who} expects a closed formula")
     bad = fm.fragment_offender(formula, fragment)
     if bad is not None:
-        raise FormulaError(f"{who}: subformula outside the {fragment} fragment: {bad}")
+        try:
+            text = str(bad)
+        except ValueError:  # the printer refuses a subclass of a node class below it
+            text = repr(bad)
+        raise FormulaError(f"{who}: subformula outside the {fragment} fragment: {text}")
 
 
 def formula_to_must_test(formula: Formula) -> Test:
@@ -113,12 +117,11 @@ def _system(lts: Lts, root: str, moves) -> SimFormula:
     s: success now gives tt, no moves gives ff, and otherwise the body is
     moves(taus, vis), where taus and vis list the (action, successor
     variable) pairs of the tau and of the visible moves in construction
-    order, read off the build's deduped index triples."""
+    order, read off the system's deduped moves by index."""
     variables = [f"X_{state}" for state in lts.states]
-    actions = lts._actions
     by_state = [[] for _ in variables]
-    for i, k, j in dict.fromkeys(lts._triples):
-        by_state[i].append((actions[k], j))
+    for i, action, j in lts._moves():
+        by_state[i].append((action, j))
     bodies = []
     for state_moves in by_state:
         taus = []

@@ -9,12 +9,13 @@ small inputs only.
 """
 
 import re
+import weakref
 from collections import deque
 from functools import cache
 from itertools import chain, combinations
 
 from rechml import formulas as fm
-from rechml.formulas import Binder, Variable
+from rechml.formulas import Binder, Pair, Prefixed, Variable
 from rechml import testterms as tm
 from rechml.lts import OMEGA, TAU
 from rechml.textio import ParseError, format_test
@@ -49,12 +50,27 @@ def scan(text, symbols):
     return tokens
 
 
+_OUTGOING = weakref.WeakKeyDictionary()  # system -> its named transitions by source
+
+
+def outgoing(lts, state):
+    """The named transitions leaving state, in construction order.  The
+    grouping by source is built once per system, as oracles on large
+    systems ask for every state's moves many times."""
+    by_source = _OUTGOING.get(lts)
+    if by_source is None:
+        by_source = _OUTGOING[lts] = {}
+        for move in lts.transitions:
+            by_source.setdefault(move[0], []).append(move)
+    return list(by_source.get(state, ()))
+
+
 def tau_closure(lts, state):
     seen = {state}
     frontier = [state]
     while frontier:
         s = frontier.pop()
-        for _, act, dst in lts.outgoing(s):
+        for _, act, dst in outgoing(lts, s):
             if act == TAU and dst not in seen:
                 seen.add(dst)
                 frontier.append(dst)
@@ -67,7 +83,7 @@ def weak_derivatives(lts, state, action):
         return tau_closure(lts, state)
     mid = set()
     for s in tau_closure(lts, state):
-        for _, act, dst in lts.outgoing(s):
+        for _, act, dst in outgoing(lts, s):
             if act == action:
                 mid.add(dst)
     out = set()
@@ -79,7 +95,7 @@ def weak_derivatives(lts, state, action):
 def diverges(lts, state):
     """Is some tau-cycle reachable from state along tau steps?"""
     def tau_succ(s):
-        return [dst for _, act, dst in lts.outgoing(s) if act == TAU]
+        return [dst for _, act, dst in outgoing(lts, s) if act == TAU]
 
     for start in tau_closure(lts, state):
         stack = [start]
@@ -192,24 +208,24 @@ def compose(proc, tlts, p, troot):
     def moves(cfg):
         s, t = cfg
         out = []
-        for _, act, dst in proc.outgoing(s):
+        for _, act, dst in outgoing(proc, s):
             if act == TAU:
                 out.append((dst, t))
-        for _, act, dst in tlts.outgoing(t):
+        for _, act, dst in outgoing(tlts, t):
             if act == TAU:
                 out.append((s, dst))
         for a in shared:
             va = lts_visible(a)
-            for _, act, pd in proc.outgoing(s):
+            for _, act, pd in outgoing(proc, s):
                 if act != va:
                     continue
-                for _, tact, td in tlts.outgoing(t):
+                for _, tact, td in outgoing(tlts, t):
                     if tact == va:
                         out.append((pd, td))
         return out
 
     def success(cfg):
-        return any(act == OMEGA for _, act, _ in tlts.outgoing(cfg[1]))
+        return any(act == OMEGA for _, act, _ in outgoing(tlts, cfg[1]))
 
     configs = {(p, troot)}
     frontier = [(p, troot)]
@@ -348,8 +364,12 @@ def canonical(term):
                 else:
                     env[x] = shadowed
                 return type(node)(name, body)
+            case Pair(left=left, right=right):
+                return type(node)(walk(left), walk(right))
+            case Prefixed(action=action, body=body):
+                return type(node)(action, walk(body))
             case _:
-                return node.map_children(walk)
+                return node
 
     return walk(term)
 

@@ -317,6 +317,8 @@ def _walks():
     sim = translate.test_lts_to_must_system(lts, root)
     must = fm.bekic_eliminate(sim)
     may = translate.test_to_may_formula(test)
+    formula_text, test_text = textio.format_formula(may), textio.format_test(test)
+    lts_text = textio.format_lts(lts, root)
     return {
         "bekic_eliminate": lambda: fm.bekic_eliminate(sim),
         "approximant": lambda: fm.approximant(must, 3),
@@ -329,12 +331,16 @@ def _walks():
         "is_musthml": lambda: fm.is_musthml(must),
         "is_mayhml": lambda: fm.is_mayhml(may),
         "substitute": lambda: fm.substitute(must.body, must.var, must),
+        "parse_formula": lambda: textio.parse_formula(formula_text),
+        "parse_test": lambda: textio.parse_test(test_text),
+        "parse_lts": lambda: textio.parse_lts(lts_text),
     }
 
 
 @pytest.mark.parametrize("walk", [
     "approximant", "bekic_eliminate", "format_formula", "format_test", "formula_to_may_test",
-    "formula_to_must_test", "is_mayhml", "is_musthml", "nesting_depth", "substitute", "tree_size",
+    "formula_to_must_test", "is_mayhml", "is_musthml", "nesting_depth", "parse_formula", "parse_lts",
+    "parse_test", "substitute", "tree_size",
 ])
 def test_walks_leave_no_reference_cycle(walk):
     # a recursive walk defined as a nested function that calls itself

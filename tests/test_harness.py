@@ -14,6 +14,8 @@ from rechml.semantics import satisfies
 from rechml.testterms import reachable_lts
 from rechml.textio import parse_formula, parse_lts, parse_test
 
+import oracles
+
 CHECK_NAMES = [
     "must_formula_agreement",
     "must_test_agreement",
@@ -86,7 +88,7 @@ def test_fixture_has_the_awkward_shapes():
     assert not lts.converges("div")
     assert not lts.converges("divfork")
     assert lts.converges("dead")
-    assert lts.outgoing("dead") == []
+    assert oracles.outgoing(lts, "dead") == []
 
 
 def test_report_text_shape():

@@ -11,7 +11,7 @@ from rechml import translate
 from rechml.generators import TrialConfig, generate_lts, generate_test, spawn_rng
 from rechml.lts import _DENSE, OMEGA, TAU, Action, Lts, LtsError, _image, visible
 from rechml.semantics import interpret
-from rechml.textio import parse_formula, parse_test
+from rechml.textio import parse_formula, parse_lts, parse_test
 
 import oracles
 
@@ -255,13 +255,13 @@ def test_long_tau_chain_builds_without_closures():
     assert float(done.stdout) < 5, done.stdout
 
 
-LAZY = ("transitions", "_outgoing", "_back_tau", "divergent_mask")
+LAZY = ("transitions", "_back_tau", "divergent_mask")
 
 
 def test_testing_query_leaves_transitions_unbuilt(tmp_path, monkeypatch):
-    # the named transitions, outgoing lists, tau predecessors and divergence
-    # are built on first read, and neither a may nor a must query reads
-    # them on the process or on the explored test
+    # the named transitions, tau predecessors and divergence are built on
+    # first read, and neither a may nor a must query reads them on the
+    # process or on the explored test
     built = []
 
     def parse_and_keep(text):
@@ -285,19 +285,52 @@ def test_testing_query_leaves_transitions_unbuilt(tmp_path, monkeypatch):
     for lts in built:
         assert not set(LAZY) & set(vars(lts)), lts
     lts = built[0]
-    assert lts.outgoing("p1") == [("p1", visible("b"), "p0"), ("p1", TAU, "p2")]
+    assert oracles.outgoing(lts, "p1") == [("p1", visible("b"), "p0"), ("p1", TAU, "p2")]
     assert "transitions" in vars(lts) and "divergent_mask" not in vars(lts)
     assert lts.divergent_mask == lts.mask_of(["p1", "p2"])
     assert "_back_tau" in vars(lts)
 
 
 def test_system_builders_leave_transitions_unbuilt():
-    # compile-test reads each test state's moves off the build's index
-    # triples, not off the named transitions and outgoing lists
+    # compile-test reads each test state's moves by index, not off the
+    # named transitions
     lts, root = tm.reachable_lts(parse_test("mu X. a.(X + tau.b.w.0) + c.0"))
     for build in (translate.test_lts_to_must_system, translate.test_lts_to_may_system):
         build(lts, root)
-        assert not {"transitions", "_outgoing"} & set(vars(lts))
+        assert "transitions" not in vars(lts)
+
+
+def _produced_systems():
+    """Systems from each producer of the build step, each with a move
+    given twice: parse_lts, explore, generate_lts, Lts(...) and _with."""
+    a, b, c = visible("a"), visible("b"), visible("c")
+    parsed, _ = parse_lts("p a q\nq tau p\np a q\nstate r\nq b p\nq tau p\n")
+    assert parsed.transitions == (("p", a, "q"), ("q", TAU, "p"), ("q", b, "p"))
+    public = Lts(["r"], [("p", a, "q"), ("q", TAU, "p"), ("p", a, "q")], alphabet="c")
+    assert public.transitions == (("p", a, "q"), ("q", TAU, "p"))
+    extended = public._with(1, a, 2)._with(2, c, 0)._with(2, c, 0)
+    assert extended.transitions == (("p", a, "q"), ("q", TAU, "p"), ("q", c, "r"))
+    systems = [
+        parsed, public, extended,
+        tm.explore(parse_test("a.w.0 + a.w.0 + b.(mu X. tau.X + tau.X)"))[0],
+    ]
+    cfg = TrialConfig(max_states=2, alphabet_size=1)
+    generated = [generate_lts(cfg, spawn_rng(61, "repeats", trial)) for trial in range(40)]
+    systems += [lts for lts in generated if len(set(lts._triples)) < len(lts._triples)][:3]
+    assert len(systems) == 7
+    return systems
+
+
+def test_every_producer_builds_from_its_index_and_dedupes_moves_once():
+    for lts in _produced_systems():
+        assert len(set(lts._triples)) < len(lts._triples), lts
+        assert lts.states == tuple(lts._index)
+        assert [lts._index[s] for s in lts.states] == list(range(len(lts.states)))
+        moves = lts._moves()
+        assert len(set(moves)) == len(moves) == len(set(lts._triples))
+        assert all(type(act) is Action for _, act, _ in moves)
+        states = lts.states
+        assert lts.transitions == tuple((states[i], act, states[j]) for i, act, j in moves)
 
 
 def no_tau(rng, n):

@@ -49,8 +49,7 @@ def product_without_test_taus(monkeypatch):
 
     def without_test_taus(proc, test):
         kept = [t for t in test._triples if test._actions[t[1]] != TAU]
-        stripped = Lts._from_triples(test.states, test._index, test._actions, kept,
-                                     test.alphabet, test.name)
+        stripped = Lts._from_triples(test._index, test._actions, kept, test.alphabet, test.name)
         return product(proc, stripped)
 
     monkeypatch.setattr(experiments, "_product", without_test_taus)

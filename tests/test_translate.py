@@ -314,3 +314,20 @@ def test_compilers_refuse_a_subclass_of_a_node_class(compile_, formula):
     # the compilers dispatch on exact node types, as the evaluator does
     with pytest.raises(FormulaError, match=r"^(not in the m(ust|ay) fragment|approximant hit unexpected node):? _"):
         compile_(formula)
+
+
+@pytest.mark.parametrize("compile_, formula, fragment", [
+    (formula_to_must_test, fm.Dia(A, _Tt()), "must"),
+    (formula_to_may_test, fm.Box(A, _Tt()), "may"),
+])
+def test_an_unprintable_offender_is_named_by_repr(compile_, formula, fragment):
+    # the printer refuses the subclass below the offender, so the message
+    # falls back to its repr and the error class stays FormulaError
+    with pytest.raises(FormulaError) as err:
+        compile_(formula)
+    assert str(err.value) == (f"{compile_.__name__}: subformula outside the {fragment} fragment: "
+                              f"{formula!r}")
+    printable = type(formula)(A, fm.Tt())
+    with pytest.raises(FormulaError) as err:
+        compile_(printable)
+    assert str(err.value).endswith(f"outside the {fragment} fragment: {printable}")
