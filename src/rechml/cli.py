@@ -25,7 +25,8 @@ from .harness import report_json, report_text, verify_theorems
 from .lts import LtsError
 from .semantics import interpret
 from .testterms import CapExceeded, TestError, reachable_lts
-from .textio import ParseError, format_formula, format_test, parse_formula, parse_lts, parse_test
+from .textio import (ParseError, format_equations, format_formula, format_test, parse_formula, parse_lts,
+                     parse_test)
 from .translate import (
     formula_to_may_test,
     formula_to_must_test,
@@ -68,6 +69,8 @@ def _load_test_side(value: str, cap: int):
     """A test argument is either an .lts file (its init is the root) or a
     test term, literal or in a file.  No test term ends in .lts (the token
     lts must be followed by .), so a missing .lts file is reported as one."""
+    if cap < 1:
+        raise ValueError(f"max_states must be at least 1, got {cap}")
     if value.endswith(".lts"):
         lts, init = _load_lts_file(value)
         if init is None:
@@ -154,8 +157,7 @@ def _cmd_compile_test(args) -> int:
     build = test_lts_to_must_system if args.mode == "must" else test_lts_to_may_system
     system = build(test_lts, root)
     if args.show_system and args.format == "text":
-        for v, b in zip(system.variables, system.bodies):
-            print(f"{v} = {format_formula(b)}")
+        print("\n".join(format_equations(system)))
     formula = bekic_eliminate(system)
     size = tree_size(formula)
     if size > MAX_PRINTED_NODES:

@@ -12,7 +12,7 @@ fields, constructor and children(); substitution looks only at shapes
 (the class attribute shape), so it serves both languages.
 
 The walks that tell nodes apart (substitution, approximant, the evaluator,
-the printers, the compilers and explore) test the exact type of a node, or
+the printer, the compilers and explore) test the exact type of a node, or
 its shape, by identity, the commonest kinds first: a match statement would
 pay an isinstance test and a __match_args__ lookup for every case that
 fails.  So a subclass of a node class is no node to them but to
@@ -26,9 +26,9 @@ node from its children's sets, so no walk recomputes them.  Large
 formulas produced by substitution share subterm objects, so the only
 identity memos left, those of substitution itself, tree_size,
 nesting_depth, _offender and approximant, keep those walks linear in the
-size of the shared graph rather than the unfolded tree.  The printer,
-rechml.textio.format_formula, keeps one more: the text of each node with
-several parents, so it builds that text once.
+size of the shared graph rather than the unfolded tree.  The printer of
+rechml.textio, which serves formulas and tests alike, keeps one more: the
+text of each node with several parents, so it builds that text once.
 """
 
 from .lts import LtsError, variable_name, visible

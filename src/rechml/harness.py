@@ -25,7 +25,7 @@ from .generators import TrialConfig, generate_formula, generate_lts, generate_si
 from .lts import TAU, Lts, LtsError, visible
 from .semantics import EvalStats, interpret, interpret_simultaneous_vector
 from .testterms import reachable_lts
-from .textio import format_formula, format_lts, format_test
+from .textio import format_equations, format_formula, format_lts, format_test
 from .translate import (_must_test, formula_to_may_test, formula_to_must_test,
                         test_lts_to_may_system, test_lts_to_must_system)
 
@@ -412,8 +412,7 @@ class _Harness:
 
 
 def _format_system(sim: fm.SimFormula) -> str:
-    parts = [f"{v} = {format_formula(b)}" for v, b in zip(sim.variables, sim.bodies)]
-    return f"min[{sim.index}] {{ " + " ; ".join(parts) + " }"
+    return f"min[{sim.index}] {{ " + " ; ".join(format_equations(sim)) + " }"
 
 
 def verify_theorems(cfg: TrialConfig, mutate: bool = False, only=None) -> TrialReport:

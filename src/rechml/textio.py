@@ -13,8 +13,9 @@ modalities; a binder's body extends as far right as possible.
 Tests: 0, w.0, a.t, tau.t, t + t, mu X. t.  Prefixing binds tighter than
 sum; a recursion's body extends as far right as possible.
 
-Both pretty-printers emit text the corresponding parser reads back to an
-equal term.
+One printer serves both languages, with a table per language, and emits
+text the language's parser reads back to an equal term.  The equations
+of a simultaneous system print as `X = body` lines (format_equations).
 """
 
 import re
@@ -22,6 +23,7 @@ from functools import cache
 
 from . import formulas as fm
 from . import testterms as tm
+from .formulas import Binder, Pair, Prefixed
 from .lts import _STATE_NAME, OMEGA, TAU, Action, Lts, LtsError, variable_name, visible
 
 
@@ -152,75 +154,6 @@ def _atom(ts):
     raise ParseError(f"unexpected token {tok!r}")
 
 
-def _shared_nodes(formula) -> set[int]:
-    """The ids of the nodes that have more than one parent in the graph of
-    subformula objects, found by one walk over its distinct nodes."""
-    seen = {id(formula)}
-    shared = set()
-    stack = [formula]
-    while stack:
-        for child in stack.pop().children():
-            if id(child) in seen:
-                shared.add(id(child))
-            else:
-                seen.add(id(child))
-                stack.append(child)
-    return shared
-
-
-def format_formula(formula) -> str:
-    # Elimination shares subformula objects, so the printed tree can be far
-    # larger than the graph.  The text of a shared node is built once per
-    # (level, tail) and reused; the root keeps every node alive, so the ids
-    # are stable.  Unshared nodes are not kept: each would hold its whole
-    # subtree's text, quadratic in the depth.
-    return _formula_text(formula, 0, True, _shared_nodes(formula), {})
-
-
-def _formula_text(node, level, tail, shared, memo):
-    """The text of node at a precedence level (0 disjunction, 1 conjunction,
-    2 modalities, 3 atoms); a binder's body runs to the end of the enclosing
-    expression, so a binder prints bare only in tail position."""
-    key = (id(node), level, tail) if id(node) in shared else None
-    if key is not None:
-        text = memo.get(key)
-        if text is not None:
-            return text
-    kind = type(node)
-    if kind is fm.Box:
-        text = f"[{node.action}]{_formula_text(node.body, 2, tail, shared, memo)}"
-    elif kind is fm.Dia:
-        text = f"<{node.action}>{_formula_text(node.body, 2, tail, shared, memo)}"
-    elif kind is fm.Var:
-        text = node.name
-    elif kind is fm.And:
-        text = (f"{_formula_text(node.left, 1, False, shared, memo)} /\\ "
-                f"{_formula_text(node.right, 2, tail, shared, memo)}")
-        if level > 1:
-            text = f"({text})"
-    elif kind is fm.Or:
-        text = (f"{_formula_text(node.left, 0, False, shared, memo)} \\/ "
-                f"{_formula_text(node.right, 1, tail, shared, memo)}")
-        if level > 0:
-            text = f"({text})"
-    elif kind is fm.Min or kind is fm.Max:
-        word = "min" if kind is fm.Min else "max"
-        text = f"{word} {node.var}. {_formula_text(node.body, 0, True, shared, memo)}"
-        if not tail:
-            text = f"({text})"
-    elif kind is fm.Acc:
-        text = "Acc{" + ",".join(sorted(node.actions)) + "}"
-    elif kind is fm.Tt:
-        text = "tt"
-    elif kind is fm.Ff:
-        text = "ff"
-    else:
-        raise ValueError(f"cannot format {node!r}")
-    if key is not None:
-        memo[key] = text
-    return text
-
-
 # -- tests ------------------------------------------------------------------
 
 _TEST_SYMBOLS = ("+", ".", "(", ")")
@@ -269,12 +202,53 @@ def _prefix(ts):
     return tm.Prefix(action, _item(ts))
 
 
-def format_test(term) -> str:
-    # precedence levels: 0 sum, 1 prefix; a prefix is never parenthesised,
-    # and mu prints bare only in tail position, like the formula binders.
-    # One walk with its own stack, so a term of any depth prints (the
-    # frontier sample of explore's cap prints terms nobody parsed); a str
-    # on the stack is text that follows a subterm.
+# -- printing -----------------------------------------------------------------
+
+# The printer's table of each language, keyed by exact node class, so each
+# printer refuses the other's nodes and any subclass node.  Precedence
+# levels: formulas 0 disjunction, 1 conjunction, 2 modalities; tests 0
+# sum, 1 prefix.  A pair is its symbol, the level above which it is
+# parenthesised, and its left and right levels; a prefix is the text
+# around its action and its body's level; a binder is its word; a leaf is
+# its text, or the function of the node that gives it.
+_FORMULA_TABLE = {
+    fm.Box: ("[", "]", 2), fm.Dia: ("<", ">", 2), fm.And: (" /\\ ", 1, 1, 2), fm.Or: (" \\/ ", 0, 0, 1),
+    fm.Min: "min", fm.Max: "max", fm.Tt: "tt", fm.Ff: "ff", fm.Var: lambda node: node.name,
+    fm.Acc: lambda node: "Acc{" + ",".join(sorted(node.actions)) + "}",
+}
+_TEST_TABLE = {tm.Prefix: ("", ".", 1), tm.Sum: (" + ", 0, 0, 1), tm.Mu: "mu", tm.Success: "w.0",
+               tm.Nil: "0", tm.Var: lambda node: node.name}
+
+
+def _shared_nodes(term, table) -> set[int]:
+    """The ids of the nodes that have more than one parent in the graph of
+    subterm objects, found by one walk over its distinct nodes; the walk
+    stops at a node outside the table, which the printer refuses."""
+    seen = set()
+    shared = set()
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            shared.add(id(node))
+        elif type(node) in table:
+            seen.add(id(node))
+            stack += node.children()
+    return shared
+
+
+def _format(term, table) -> str:
+    # One walk with its own stack, so a term of any depth prints; a str on
+    # the stack is text that follows a subterm.  A binder's body runs to
+    # the end of the enclosing expression, so a binder prints bare only in
+    # tail position.  Elimination shares subterm objects, so the printed
+    # tree can be far larger than the graph: the text of a shared node is
+    # built once per (level, tail), its end marked on the stack by a list,
+    # and reused.  The root keeps every node alive, so the ids are stable.
+    # Unshared nodes are not kept: each would hold its whole subtree's
+    # text, quadratic in the depth.
+    shared = _shared_nodes(term, table)
+    memo = {}
     out = []
     stack: list = [(term, 0, True)]
     while stack:
@@ -282,33 +256,53 @@ def format_test(term) -> str:
         if type(item) is str:
             out.append(item)
             continue
+        if type(item) is list:
+            key, start = item
+            memo[key] = text = "".join(out[start:])
+            out[start:] = (text,)
+            continue
         node, level, tail = item
-        kind = type(node)
-        if kind is tm.Prefix:
-            out.append(f"{node.action}.")
-            stack.append((node.body, 1, tail))
-        elif kind is tm.Sum:
-            if level:
+        if id(node) in shared:
+            key = (id(node), level, tail)
+            if key in memo:
+                out.append(memo[key])
+                continue
+            stack.append([key, len(out)])
+        entry = table.get(type(node))
+        if entry is None:
+            raise ValueError(f"cannot format {node!r}")
+        shape = node.shape
+        if shape is Prefixed:
+            out.append(f"{entry[0]}{node.action}{entry[1]}")
+            stack.append((node.body, entry[2], tail))
+        elif shape is Pair:
+            symbol, loosest, left_level, right_level = entry
+            if level > loosest:
                 out.append("(")
                 stack.append(")")
-            stack.append((node.right, 1, tail))
-            stack.append(" + ")
-            stack.append((node.left, 0, False))
-        elif kind is tm.Var:
-            out.append(node.name)
-        elif kind is tm.Success:
-            out.append("w.0")
-        elif kind is tm.Nil:
-            out.append("0")
-        elif kind is tm.Mu:
+            stack += ((node.right, right_level, tail), symbol, (node.left, left_level, False))
+        elif shape is Binder:
             if not tail:
                 out.append("(")
                 stack.append(")")
-            out.append(f"mu {node.var}. ")
+            out.append(f"{entry} {node.var}. ")
             stack.append((node.body, 0, True))
         else:
-            raise ValueError(f"cannot format {node!r}")
+            out.append(entry if type(entry) is str else entry(node))
     return "".join(out)
+
+
+def format_formula(formula) -> str:
+    return _format(formula, _FORMULA_TABLE)
+
+
+def format_test(term) -> str:
+    return _format(term, _TEST_TABLE)
+
+
+def format_equations(system) -> list[str]:
+    """The equations of a simultaneous system, one `X = body` line each."""
+    return [f"{v} = {format_formula(b)}" for v, b in zip(system.variables, system.bodies)]
 
 
 # -- transition systems -------------------------------------------------------

@@ -159,11 +159,21 @@ def test_config_cap_exits_three(tmp_path):
     assert done.stderr == "error: max_configs must be at least 1, got 0\n"
 
 
-def test_nonpositive_test_state_cap_exits_two(proc_file):
+def test_nonpositive_test_state_cap_exits_two(proc_file, tmp_path):
     done = run_cli("must", proc_file, "p0", "a.w.0", "--max-test-states", "0")
     assert done.returncode == 2
     assert "max_states" in done.stderr
     assert done.stdout == ""
+    # a test .lts file is not explored, but the cap is checked all the same
+    test_file = tmp_path / "t.lts"
+    test_file.write_text("init t0\nt0 a t1\nt1 omega t1\n")
+    for argv in (("must", proc_file, "p0", str(test_file), "--max-test-states", "0"),
+                 ("may", proc_file, "p0", str(test_file), "--max-test-states", "-5"),
+                 ("compile-test", "--mode", "must", "--test", str(test_file), "--max-test-states", "0")):
+        done = run_cli(*argv)
+        cap = argv[-1]
+        assert (done.returncode, done.stdout) == (2, ""), argv
+        assert done.stderr == f"error: max_states must be at least 1, got {cap}\n", argv
 
 
 def test_deep_nesting_exits_three(proc_file, tmp_path):

@@ -136,8 +136,11 @@ def test_formula_round_trip_random(trial):
 
 
 def _in_every_position(make):
-    # make() gives the subformula; it occurs left of \/, under <a> and
-    # [b], left and right of /\, in a binder's body, and in tail position
+    # make() gives the subterm.  A formula occurs left of \/, under <a> and
+    # [b], left and right of /\, in a binder's body, and in tail position;
+    # a test left and right of +, under a prefix, and in tail position
+    if isinstance(make(), tm.Test):
+        return tm.Sum(tm.Sum(tm.Sum(make(), make()), tm.Prefix(A, make())), tm.Prefix(B, make()))
     return fm.Or(
         fm.Or(make(), fm.And(fm.Dia(A, make()), make())),
         fm.Max("Y", fm.And(make(), fm.And(fm.Box(B, make()), make()))),
@@ -148,19 +151,23 @@ def _in_every_position(make):
     lambda: fm.Min("X", fm.Or(fm.Dia(A, fm.Var("X")), fm.Tt())),
     lambda: fm.Or(fm.Tt(), fm.Box(A, fm.Ff())),
     lambda: fm.And(fm.Acc({"a"}), fm.Min("Z", fm.Box(TAU, fm.Var("Z")))),
+    lambda: tm.Mu("X", tm.Prefix(A, tm.Var("X"))),
 ])
 def test_shared_subformula_prints_as_its_unshared_copy(make):
     # the text of a shared node depends on where it stands: a binder is
-    # parenthesized except in tail position, a disjunction except at the
-    # top level, so one text per node object would be wrong
+    # parenthesized except in tail position, a disjunction or a sum except
+    # at the top level, so one text per node object would be wrong
     node = make()
     shared = _in_every_position(lambda: node)
     unshared = _in_every_position(make)
-    printed = format_formula(shared)
-    assert printed == format_formula(unshared)
-    assert parse_formula(printed) == unshared
+    fmt, parse = (format_test, parse_test) if isinstance(node, tm.Test) else (format_formula, parse_formula)
+    printed = fmt(shared)
+    assert printed == fmt(unshared)
+    assert parse(printed) == unshared
     if isinstance(node, fm.Min):
         assert printed.count("(min X. ") == 5 and printed.endswith("/\\ min X. <a>X \\/ tt)")
+    if isinstance(node, tm.Mu):
+        assert printed == "(mu X. a.X) + (mu X. a.X) + a.(mu X. a.X) + b.mu X. a.X"
 
 
 def test_printing_a_deep_unshared_formula_keeps_memory_linear():
@@ -217,7 +224,16 @@ class _Success(tm.Success):
 
 
 def test_printers_refuse_a_subclass_of_a_node_class():
-    # the printers dispatch on exact node types, as the evaluator does
+    # the printers dispatch on exact node types, as the evaluator does, so
+    # each also refuses the other language's nodes and a child that is no node
+    with pytest.raises(ValueError, match=r"^cannot format 'x'"):
+        format_formula(fm.Or(fm.Tt(), "x"))
+    with pytest.raises(ValueError, match=r"^cannot format 'x'"):
+        format_test(tm.Sum(tm.Nil(), "x"))
+    with pytest.raises(ValueError, match=r"^cannot format Tt\(\)"):
+        format_test(fm.Tt())
+    with pytest.raises(ValueError, match=r"^cannot format Nil\(\)"):
+        format_formula(tm.Nil())
     with pytest.raises(ValueError, match=r"^cannot format _Dia\("):
         format_formula(fm.Or(fm.Tt(), _Dia(A, fm.Tt())))
     with pytest.raises(ValueError, match=r"^cannot format _Success\("):
@@ -255,16 +271,21 @@ def test_mu_on_the_left_needs_parentheses():
 
 def test_format_test_prints_deep_terms():
     # the printer keeps its own stack: 5000 summands nest 5000 sums deep
-    # on the left, and a chain of 5000 prefixes under mu as deep
+    # on the left, and a chain of 5000 prefixes under mu as deep; likewise
+    # for formulas, with format_formula and str
+    boxes = reduce(lambda body, _: fm.Box(A, body), range(5000), fm.Tt())
+    disjuncts = reduce(fm.Or, [fm.Dia(A, fm.Tt()) for _ in range(5000)])
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         summands = format_test(reduce(tm.Sum, [tm.Prefix(A, tm.Nil())] * 5000))
         chain = format_test(tm.Mu("X", reduce(lambda body, _: tm.Prefix(A, body), range(5000), tm.Var("X"))))
+        formulas = [format_formula(boxes), str(boxes), format_formula(disjuncts), str(disjuncts)]
     finally:
         sys.setrecursionlimit(old)
     assert summands == " + ".join(["a.0"] * 5000)
     assert chain == "mu X. " + "a." * 5000 + "X"
+    assert formulas == ["[a]" * 5000 + "tt"] * 2 + [" \\/ ".join(["<a>tt"] * 5000)] * 2
 
 
 def test_test_parse_errors():
