@@ -39,10 +39,9 @@ may_states, a backward search from the success configurations of the
 whole graph.
 """
 
-from functools import cached_property
 from itertools import islice
 
-from .lts import TAU, Lts, LtsError, visible
+from .lts import TAU, Lts, LtsError, lazy, visible
 from .testterms import CapExceeded
 
 
@@ -158,19 +157,19 @@ class Experiment:
         self._search(False)
         return len(self._keys)
 
-    @cached_property
+    @lazy
     def edges(self) -> list[list[int]]:
         self._search(False)
         index, memo = self._index, self._moves
         return [[index[target] for target in memo[key]] for key in self._keys]
 
-    @cached_property
+    @lazy
     def success(self) -> list[bool]:
         self._search(False)
         omega, n = self.test.omega_mask, self._n
         return [bool(omega >> key % n & 1) for key in self._keys]
 
-    @cached_property
+    @lazy
     def configs(self) -> list[tuple[str, str]]:
         self._search(False)
         return self._names(self._keys)

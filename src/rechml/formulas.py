@@ -211,7 +211,10 @@ class Acc(Formula, Leaf):
                 visible(a)
             except LtsError as err:
                 raise FormulaError(f"bad action name in Acc: {a!r}") from err
-        self.__dict__["actions"] = actions
+        # filled in sorted order, so that a copy, rebuilt from this node's
+        # set, lays out and iterates (and so reprs) its set alike under
+        # every hash seed
+        self.__dict__["actions"] = frozenset(sorted(actions))
         _set_free(self, _CLOSED)
 
 

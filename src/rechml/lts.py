@@ -16,24 +16,34 @@ is built on first read, because many systems never need it (an experiment
 reads neither the tau predecessors nor divergence of its process or its
 explored test):
 - the tau-predecessor lists, read by pre and by the peel; a system without
-  tau moves has no tau row, and pre and reaches skip its tau closures;
+  tau moves has no tau row, and pre and post skip its tau closures;
 - divergent_mask, by peeling: a state converges once all its tau
   successors have, counted down per state, so no tau closure is built; a
   system without tau moves diverges nowhere and is not peeled;
 - the named transitions, from the deduped moves;
 - the predecessor lists of a visible action, when pre first needs them;
 - the pre-image of the full state set under a visible action (the states
-  that can weakly perform it, read by every Acc, <a>tt and [a]ff).
+  that can weakly perform it, read by every Acc, <a>tt and [a]ff);
+- the denotation of Acc A per action set, which rechml.semantics keeps
+  here, so every formula asked of one system shares it.
 
-pre is a backward search over predecessor lists, and reaches (does one
-state have a weak derivative in a mask) a forward search over the
-successor lists; pre rejects a mask with bits outside the system.  Both
-take pre-images one set bit of a mask at a time, at O(n) big-int work per
-target, while the walked rows hold at most 32 targets, and the rest by
-selectors, O(n) in all, so a one-bit delta near the top of a large mask
-and the hub of a fan both stay cheap.  Those caches only memoise
-functions of the transitions, and nothing handed out can be mutated, so
-an Lts is observably immutable and safe to share.
+The first three are lazy attributes: the value is computed on first read
+and stored in the instance __dict__, where every later read finds it
+without a call.  functools.cached_property does the same, but on Python
+3.10 and 3.11 it takes a lock on every first read, and the harness reads
+thousands of them; lazy takes none.  Two threads that read an attribute
+first at once may both compute it, which is harmless: every lazy value
+and every memo is a function of the transitions.
+
+pre is a backward search over predecessor lists, and post (the weak
+derivatives of a mask) a forward search over the successor lists; both
+reject a mask with bits outside the system.  Both take images one set
+bit of a mask at a time, at O(n) big-int work per target, while the
+walked rows hold at most 32 targets, and the rest by selectors, O(n) in
+all, so a one-bit delta near the top of a large mask and the hub of a
+fan both stay cheap.  Those caches only memoise functions of the
+transitions, and nothing handed out can be mutated, so an Lts is
+observably immutable and safe to share.
 
 Names follow the text formats, so what format_lts writes parse_lts reads
 back: states are identifiers, Action owns the visible-name rule, and
@@ -41,12 +51,32 @@ variable_name the rule for the variables of formulas and tests.
 """
 
 import re
-from functools import cache, cached_property
+from functools import cache
 from itertools import compress
 
 
 class LtsError(Exception):
     """Raised for malformed systems, unknown states or unknown actions."""
+
+
+class lazy:
+    """An attribute computed by the decorated method on first read and
+    stored in the instance __dict__.  It is a non-data descriptor, so the
+    stored value answers every later read; read on the class it is the
+    descriptor itself, which carries the method's docstring."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 _STATE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -173,12 +203,11 @@ def _transpose(rows) -> list:
     return out
 
 
-def _reach(rows, mask: int, stop: int = 0) -> int:
+def _reach(rows, mask: int) -> int:
     """The states reachable from mask in zero or more row steps (none for
-    rows None); each reached state is expanded once.  The search ends
-    early, with only part of the answer, once it has reached a state in stop."""
+    rows None); each reached state is expanded once."""
     seen = frontier = mask
-    while rows and frontier and not frontier & stop:
+    while rows and frontier:
         frontier = _image(rows, frontier) & ~seen
         seen |= frontier
     return seen
@@ -290,13 +319,15 @@ class Lts:
         self._back: dict[str, list] = {}
         # visible action name -> pre of the full mask, memoised by pre
         self._can: dict[str, int] = {}
+        # Acc action set -> its denotation, memoised by rechml.semantics
+        self._acc: dict[frozenset, int] = {}
 
-    @cached_property
+    @lazy
     def _back_tau(self) -> list:
         """The tau-predecessor lists, transposed on first read."""
         return _transpose(self._tau)
 
-    @cached_property
+    @lazy
     def divergent_mask(self) -> int:
         """The states with an infinite tau run, found by peeling convergent
         states: a state converges once all its tau successors have (a tau
@@ -322,7 +353,7 @@ class Lts:
         actions = self._actions
         return [(i, actions[k], j) for i, k, j in dict.fromkeys(self._triples)]
 
-    @cached_property
+    @lazy
     def transitions(self) -> tuple[tuple[str, Action, str], ...]:
         """(source, Action, target) triples, deduped, in construction order."""
         states = self.states
@@ -381,17 +412,19 @@ class Lts:
             self._can[act.name] = out
         return out
 
-    def reaches(self, act: Action, i: int, mask: int) -> bool:
-        """Whether state i has some weak act-derivative in the mask, by a
-        forward search: its tau closure, then for a visible action one act
-        step and the tau closure of that, which ends early once it meets
-        the mask."""
+    def post(self, act: Action, mask: int) -> int:
+        """The weak act-derivatives of the states in the mask, by a forward
+        search: the tau closure of the mask, then for a visible action its
+        act-successors and their tau closure.  Masks outside the system
+        are refused as by pre."""
+        if mask < 0 or mask > self.full_mask:
+            raise LtsError(f"mask names states outside the system of {len(self.states)} states")
         if act.kind == "omega":
             raise LtsError("omega has no weak derivatives")
-        start = 1 << i
+        out = _reach(self._tau, mask)
         if act.kind != "tau":
-            start = _image(self.strong_row(act), _reach(self._tau, start))
-        return bool(_reach(self._tau, start, mask) & mask)
+            out = _reach(self._tau, _image(self.strong_row(act), out))
+        return out
 
     # -- name-level queries ------------------------------------------------
 

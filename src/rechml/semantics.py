@@ -26,19 +26,24 @@ keeps its last input and pre-image and is updated from the difference,
 as in semi-naive evaluation: pre distributes over union, so a grown
 input adds the pre-image of the added states; when the input dropped
 fewer states than it kept, only the weak predecessors of the dropped
-states can have left the pre-image, and each is rechecked by a forward
-search that stops at the first weak derivative still in the input.  Any
+states, the suspects, can have left the pre-image, and every weak
+derivative of a suspect lies in their post-image, so one pre-image of
+the input cut down to that post-image tells which suspects stay.  Any
 other input is recomputed in full.  Every update yields exactly the
 pre-image of the new input, so the iterates and their counts are those
-of plain Kleene iteration.  Closed subformulas are evaluated once and
-need no update.
+of plain Kleene iteration.  Closed subformulas are evaluated once per
+evaluator and need no update, and Acc A, a function of the system
+alone, is memoised on the Lts per action set, so every formula asked of
+one system shares it.
 
 eval dispatches on the exact type of a node, as the walks of
 rechml.formulas do (its docstring says why), tested in the order of how
 often each kind occurs (variables and modalities first, constants and
-Acc last).  A table of one method per kind would add a Python frame per
-nesting level of the recursion, and so roughly halve the deepest formula
-that can be interpreted.
+Acc last).  A variable, the commonest node of a fixpoint body, is
+answered before that chain, right after the count of evaluations.  A
+table of one method per kind would add a Python frame per nesting level
+of the recursion, and so roughly halve the deepest formula that can be
+interpreted.
 """
 
 from .formulas import (
@@ -95,14 +100,14 @@ class _Evaluator:
                 return got
         if self.stats is not None:
             self.stats.evaluations += 1
-        lts = self.lts
         kind = type(node)
         if kind is Var:
             try:
-                out = env[node.name]
+                return env[node.name]
             except KeyError:
                 raise FormulaError(f"unbound variable {node.name}") from None
-        elif kind is Dia:
+        lts = self.lts
+        if kind is Dia:
             act, p = node.action, self.eval(node.body, env)
             out = self._pre(node, act, p) if fv else lts.pre(act, p)
         elif kind is Box:
@@ -143,26 +148,26 @@ class _Evaluator:
                 out |= lts.pre(act, mask & ~old)
             elif not mask & ~old and gone.bit_count() < mask.bit_count():
                 # only predecessors of the removed states can have lost
-                # their last weak derivative in the mask; a forward search
-                # from one of them soon meets a mask that kept most states
+                # their last weak derivative in the mask, and all their
+                # weak derivatives lie in the post-image of the suspects
                 suspects = out & lts.pre(act, gone)
-                while suspects:
-                    low = suspects & -suspects
-                    suspects ^= low
-                    if not lts.reaches(act, low.bit_length() - 1, mask):
-                        out &= ~low
+                out &= ~suspects | lts.pre(act, mask & lts.post(act, suspects))
             else:
                 out = lts.pre(act, mask)
         self.last_pre[id(node)] = (mask, out)
         return out
 
     def _acc(self, actions) -> int:
-        # convergent, and no tau-reachable state is stuck outside A
+        # convergent, and no tau-reachable state is stuck outside A; memoised
+        # on the system, whose transitions alone fix it
         lts = self.lts
-        can_some = 0
-        for a in sorted(actions):
-            can_some |= lts.pre(visible(a), lts.full_mask)
-        return self.converging & ~lts.pre(TAU, lts.full_mask & ~can_some)
+        out = lts._acc.get(actions)
+        if out is None:
+            can_some = 0
+            for a in sorted(actions):
+                can_some |= lts.pre(visible(a), lts.full_mask)
+            out = lts._acc[actions] = self.converging & ~lts.pre(TAU, lts.full_mask & ~can_some)
+        return out
 
     def _fixpoint(self, node, env, fv) -> int:
         least = type(node) is Min
@@ -211,8 +216,12 @@ class _Evaluator:
             del env[var]
         else:
             env[var] = shadowed
-        if self.stats is not None:
-            self.stats.record(iterations)
+        stats = self.stats
+        if stats is not None:
+            # EvalStats.record, inlined: this runs once per binder evaluation
+            stats.fixpoint_iterations += iterations
+            if iterations > stats.max_fixpoint_iterations:
+                stats.max_fixpoint_iterations = iterations
         self.resume[id(node)] = (sig, current)
         return current
 

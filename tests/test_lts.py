@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from rechml import cli
 from rechml import testterms as tm
 from rechml import translate
 from rechml.generators import TrialConfig, generate_lts, generate_test, spawn_rng
-from rechml.lts import _DENSE, OMEGA, TAU, Action, Lts, LtsError, _image, visible
+from rechml.lts import _DENSE, OMEGA, TAU, Action, Lts, LtsError, _image, lazy, visible
 from rechml.semantics import interpret
 from rechml.textio import parse_formula, parse_lts, parse_test
 
@@ -70,10 +72,9 @@ def test_duplicate_transitions_collapse():
 
 
 def reached(lts, state, act):
-    """The weak act-derivatives of a state, asking Lts.reaches of one
-    target state at a time."""
-    i = lts.state_index(state)
-    return {s for j, s in enumerate(lts.states) if lts.reaches(act, i, 1 << j)}
+    """The weak act-derivatives of a state, from Lts.post of its one-bit
+    mask."""
+    return set(lts.names_of(lts.post(act, 1 << lts.state_index(state))))
 
 
 def pre_of(lts, act, mask):
@@ -82,7 +83,7 @@ def pre_of(lts, act, mask):
 
 
 def assert_matches_oracle(lts):
-    """reaches and pre at every state and action against the oracle's tau
+    """post and pre at every state and action against the oracle's tau
     closures and weak derivatives, and convergence against its divergence
     search."""
     for state in lts.states:
@@ -127,10 +128,10 @@ def test_weak_queries_reject_omega_and_unknown_actions():
     with pytest.raises(LtsError):
         lts.pre(OMEGA, lts.full_mask)
     with pytest.raises(LtsError):
-        lts.reaches(OMEGA, 0, lts.full_mask)
+        lts.post(OMEGA, 1)
     # an action with no transitions anywhere has no weak derivatives
     assert lts.pre(visible("zz"), lts.full_mask) == 0
-    assert not lts.reaches(visible("zz"), 0, lts.full_mask)
+    assert not lts.post(visible("zz"), 1)
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -222,7 +223,7 @@ def test_peeled_divergence_and_backward_pre_match_oracle(trial):
             expected = {s for s in lts.states if oracles.weak_derivatives(lts, s, act) & target}
             assert set(lts.names_of(lts.pre(act, mask))) == expected
             for i, state in enumerate(lts.states):
-                assert lts.reaches(act, i, mask) == (state in expected)
+                assert bool(lts.post(act, 1 << i) & mask) == (state in expected)
 
 
 # Builds a 4000-state tau chain whose last state offers a back to the first,
@@ -384,10 +385,50 @@ def test_lazy_relations_match_oracle_in_either_order(trial):
     assert quiet.divergent_mask == 0 and "_back_tau" not in vars(quiet)
 
 
+def test_lazy_attribute_is_computed_once_per_instance():
+    calls = []
+
+    class Holder:
+        @lazy
+        def value(self):
+            """The number of first reads so far."""
+            calls.append(self)
+            return len(calls)
+
+    one, two = Holder(), Holder()
+    assert [one.value, one.value, two.value, one.value, two.value] == [1, 1, 2, 1, 2]
+    assert calls == [one, two]
+    assert vars(one) == {"value": 1} and vars(two) == {"value": 2}
+    assert isinstance(Holder.value, lazy) and Holder.value.__doc__ == "The number of first reads so far."
+    for name in ("_back_tau", "divergent_mask", "transitions"):
+        attribute = getattr(Lts, name)
+        assert attribute is vars(Lts)[name] and attribute.__doc__ == attribute.compute.__doc__
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_copies_after_lazy_reads_answer_alike(trial):
+    # the lazy attributes and the memos land in the instance __dict__, so
+    # a copy carries them, and they must still answer as the original
+    lts = generate_lts(TrialConfig(max_states=7), spawn_rng(53, "copy", trial))
+    acts = [TAU] + [visible(letter) for letter in lts.alphabet]
+    acc = parse_formula(r"Acc{a} \/ [b]Acc{b,c}")
+    answers = (lts.divergent_mask, lts.transitions, interpret(lts, acc),
+               [lts.pre(act, mask) for act in acts for mask in (lts.full_mask, 1)])
+    assert {"divergent_mask", "transitions"} <= vars(lts).keys() and lts._acc
+    assert ("_back_tau" in vars(lts)) == bool(lts._tau)
+    for copied in (copy.deepcopy(lts), pickle.loads(pickle.dumps(lts))):
+        assert vars(copied).keys() == vars(lts).keys()
+        assert answers == (copied.divergent_mask, copied.transitions, interpret(copied, acc),
+                           [copied.pre(act, mask) for act in acts for mask in (copied.full_mask, 1)])
+        for i in range(len(lts.states)):
+            for act in acts:
+                assert copied.pre(act, 1 << i) == lts.pre(act, 1 << i)
+
+
 @pytest.mark.parametrize("trial", range(4))
 def test_tau_free_system_answers_without_tau_closures(trial):
     # without tau moves a weak derivative is a strong one, or for tau the
-    # state itself, so pre and reaches never build the tau-predecessor lists
+    # state itself, so pre and post never build the tau-predecessor lists
     rng = random.Random(trial)
     lts = no_tau(rng, 9)
     masks = [rng.getrandbits(len(lts.states)) for _ in range(6)] + [lts.full_mask]
@@ -398,7 +439,7 @@ def test_tau_free_system_answers_without_tau_closures(trial):
             expected = {s for s in lts.states if weak[s] & target}
             assert set(lts.names_of(lts.pre(act, mask))) == expected
             for i, state in enumerate(lts.states):
-                assert lts.reaches(act, i, mask) == (state in expected)
+                assert bool(lts.post(act, 1 << i) & mask) == (state in expected)
     assert "_back_tau" not in vars(lts)
 
 
@@ -408,7 +449,9 @@ def test_pre_rejects_masks_outside_the_system():
         for mask in (-1, ~lts.full_mask, lts.full_mask + 1, 1 << len(lts.states)):
             with pytest.raises(LtsError, match="outside the system"):
                 lts.pre(act, mask)
-        assert lts.pre(act, 0) == 0
+            with pytest.raises(LtsError, match="outside the system"):
+                lts.post(act, mask)
+        assert lts.pre(act, 0) == 0 and lts.post(act, 0) == 0
 
 
 # Builds an n-state a-chain through parse_lts and then through Lts(...),
@@ -512,7 +555,7 @@ def test_dense_masks_match_oracle(system):
             expected = {s for s in lts.states if weak[s, act] & target}
             assert set(lts.names_of(lts.pre(act, mask))) == expected
             for i, state in enumerate(lts.states):
-                assert lts.reaches(act, i, mask) == (state in expected)
+                assert bool(lts.post(act, 1 << i) & mask) == (state in expected)
         phi = parse_formula("<a>X \\/ [tau]X")
         assert interpret(lts, phi, {"X": mask}) == lts.mask_of(oracles.sat_states(lts, phi, {"X": target}))
     for text in DENSE_FORMULAS:

@@ -68,8 +68,21 @@ def acc_ignores_divergence(monkeypatch):
 
 
 def shrink_never_rechecks(monkeypatch):
-    # when a modality's input shrinks, no state leaves its pre-image
-    monkeypatch.setattr(Lts, "reaches", lambda self, act, i, mask: True)
+    # when a modality's input drops fewer states than it keeps, every
+    # suspect stays in its pre-image: the update keeps the old one
+    update = semantics._Evaluator._pre
+
+    def keep_suspects(self, node, act, mask):
+        last = self.last_pre.get(id(node))
+        out = update(self, node, act, mask)
+        if last is not None:
+            old, kept = last
+            if not mask & ~old and (old & ~mask).bit_count() < mask.bit_count():
+                out = kept
+                self.last_pre[id(node)] = (mask, out)
+        return out
+
+    monkeypatch.setattr(semantics._Evaluator, "_pre", keep_suspects)
 
 
 def box_ignores_divergence(monkeypatch):

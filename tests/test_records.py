@@ -3,7 +3,10 @@ CheckResult, TrialReport, and the term nodes) and of the interned
 Action."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -180,3 +183,21 @@ def test_term_nodes_copy_and_pickle():
     for out in (copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
         assert out == phi and out.free == phi.free and repr(out) == repr(phi)
     assert copy.deepcopy(phi).body.left.left.action is visible("a")
+
+
+_ACC_COPIES = """
+import copy, pickle
+from rechml.textio import parse_formula
+phi = parse_formula("Acc{a, b}")
+assert repr(copy.deepcopy(phi)) == repr(pickle.loads(pickle.dumps(phi))) == repr(phi)
+"""
+
+
+@pytest.mark.parametrize("seed", ["24", "46"])
+def test_acc_copies_repr_alike_under_every_hash_seed(seed):
+    # a set rebuilt from another's iteration order may lay out, and so
+    # iterate and repr, its members differently; under these hash seeds
+    # Acc{a, b} did so while its set kept the parser's insertion order
+    done = subprocess.run([sys.executable, "-c", _ACC_COPIES], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONHASHSEED": seed}, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -5,9 +5,10 @@ import sys
 import pytest
 
 from rechml import formulas as fm
+from rechml import lts as lts_module
 from rechml.generators import TrialConfig, generate_formula, generate_lts, spawn_rng
 from rechml.lts import TAU, Lts, LtsError, visible
-from rechml.textio import format_formula, parse_formula
+from rechml.textio import format_formula, format_lts, parse_formula, parse_lts
 from rechml.semantics import (
     EvalStats,
     _Evaluator,
@@ -308,21 +309,36 @@ def _replay(lts, node, masks):
     """Evaluates node under X = each mask in turn with one evaluator, so
     that each Dia or Box is updated from its previous input; checks every
     result against a fresh evaluation and the oracle, and returns the
-    masks passed to lts.pre and the states passed to lts.reaches."""
-    pre_masks, rechecked = [], []
-    pre, reaches = lts.pre, lts.reaches
+    masks passed to lts.pre and those passed to lts.post."""
+    pre_masks, post_masks = [], []
+    pre, post = lts.pre, lts.post
     lts.pre = lambda act, mask: pre_masks.append(mask) or pre(act, mask)
-    lts.reaches = lambda act, i, mask: rechecked.append(i) or reaches(act, i, mask)
+    lts.post = lambda act, mask: post_masks.append(mask) or post(act, mask)
     ev = _Evaluator(lts, None)
     try:
         got = [ev.eval(node, {"X": mask}) for mask in masks]
     finally:
-        del lts.pre, lts.reaches
+        del lts.pre, lts.post
     for mask, out in zip(masks, got):
         assert out == interpret(lts, node, {"X": mask})
         env = {"X": set(lts.names_of(mask))}
         assert set(lts.names_of(out)) == oracles.sat_states(lts, node, env)
-    return pre_masks, rechecked
+    return pre_masks, post_masks
+
+
+def _shrinking(lts, act, inputs):
+    """The masks passed to lts.pre and to lts.post while a modality's input
+    shrinks along inputs by fewer states than it keeps: a full pre-image
+    of the first; then for each later one the pre-image of the dropped
+    states, the post-image of the suspects (the old pre-image's states in
+    it), and the pre-image of the input cut down to that post-image."""
+    pre_masks, post_masks = inputs[:1], []
+    for old, new in zip(inputs, inputs[1:]):
+        gone = old & ~new
+        suspects = lts.pre(act, old) & lts.pre(act, gone)
+        pre_masks += [gone, new & lts.post(act, suspects)]
+        post_masks.append(suspects)
+    return pre_masks, post_masks
 
 
 def _chain(rng, lts, density, steps, grow):
@@ -355,8 +371,8 @@ def test_delta_dia_growing(act):
     rng = random.Random(6)
     lts = tangle(rng, 120, 8)
     masks = _chain(rng, lts, 0.1, 12, grow=True)
-    pre_masks, rechecked = _replay(lts, fm.Dia(act, fm.Var("X")), masks)
-    assert pre_masks == masks[:1] + _added(masks) and not rechecked
+    pre_masks, post_masks = _replay(lts, fm.Dia(act, fm.Var("X")), masks)
+    assert pre_masks == masks[:1] + _added(masks) and not post_masks
 
 
 @pytest.mark.parametrize("act", [A, TAU])
@@ -365,10 +381,12 @@ def test_delta_dia_shrinking(act):
     lts = tangle(rng, 120, 8)
     masks = _chain(rng, lts, 0.9, 12, grow=False)
     lowest = masks[-1] & -masks[-1]
-    pre_masks, rechecked = _replay(lts, fm.Dia(act, fm.Var("X")), masks + [lowest])
-    # a few dropped states: recheck their predecessors one at a time;
-    # most of the mask dropped: the pre-image of what is left
-    assert pre_masks == masks[:1] + _dropped(masks) + [lowest] and rechecked
+    pre_masks, post_masks = _replay(lts, fm.Dia(act, fm.Var("X")), masks + [lowest])
+    # a few dropped states: recheck their predecessors as one set; most
+    # of the mask dropped: the pre-image of what is left
+    expected_pre, expected_post = _shrinking(lts, act, masks)
+    assert pre_masks == expected_pre + [lowest] and post_masks == expected_post
+    assert any(expected_post)
 
 
 @pytest.mark.parametrize("act", [A, TAU])
@@ -376,8 +394,10 @@ def test_delta_box_growing(act):
     rng = random.Random(6)
     lts = tangle(rng, 120, 8)
     masks = _chain(rng, lts, 0.1, 12, grow=True)
-    pre_masks, rechecked = _replay(lts, fm.Box(act, fm.Var("X")), masks)
-    assert pre_masks == [lts.full_mask & ~masks[0]] + _added(masks) and rechecked
+    pre_masks, post_masks = _replay(lts, fm.Box(act, fm.Var("X")), masks)
+    # the box's input, the complement of its body, shrinks
+    expected = _shrinking(lts, act, [lts.full_mask & ~mask for mask in masks])
+    assert (pre_masks, post_masks) == expected and any(expected[1])
 
 
 @pytest.mark.parametrize("act", [A, TAU])
@@ -385,8 +405,8 @@ def test_delta_box_shrinking(act):
     rng = random.Random(6)
     lts = tangle(rng, 120, 8)
     masks = _chain(rng, lts, 0.9, 12, grow=False)
-    pre_masks, rechecked = _replay(lts, fm.Box(act, fm.Var("X")), masks)
-    assert pre_masks == [lts.full_mask & ~masks[0]] + _dropped(masks) and not rechecked
+    pre_masks, post_masks = _replay(lts, fm.Box(act, fm.Var("X")), masks)
+    assert pre_masks == [lts.full_mask & ~masks[0]] + _dropped(masks) and not post_masks
 
 
 @pytest.mark.parametrize("act", [A, TAU])
@@ -395,10 +415,55 @@ def test_delta_incomparable_inputs(act):
     lts = tangle(rng, 120, 8)
     masks = [_chain(rng, lts, 0.5, 0, True)[0] for _ in range(8)]
     assert all(a & ~b and b & ~a for a, b in zip(masks, masks[1:]))
-    pre_masks, rechecked = _replay(lts, fm.Dia(act, fm.Var("X")), masks)
-    assert pre_masks == masks and not rechecked
-    pre_masks, rechecked = _replay(lts, fm.Box(act, fm.Var("X")), masks)
-    assert pre_masks == [lts.full_mask & ~m for m in masks] and not rechecked
+    pre_masks, post_masks = _replay(lts, fm.Dia(act, fm.Var("X")), masks)
+    assert pre_masks == masks and not post_masks
+    pre_masks, post_masks = _replay(lts, fm.Box(act, fm.Var("X")), masks)
+    assert pre_masks == [lts.full_mask & ~m for m in masks] and not post_masks
+
+
+@pytest.mark.parametrize("seed, n, cycle", [(0, 120, 8), (1, 120, 8), (0, 200, 12)])
+def test_shrinking_box_input_costs_like_a_recompute(monkeypatch, seed, n, cycle):
+    # [a]X under min takes the pre-image of a shrinking complement, whose
+    # suspects on a tau tangle have long forward tau closures; the update
+    # must not search them one suspect at a time, which took 7-23 times
+    # the images of recomputing every pre-image in full
+    phi = parse_formula(r"min X. (<b>tt \/ ([a]X /\ <a>tt))")
+    image = lts_module._image
+    calls = []
+    monkeypatch.setattr(lts_module, "_image", lambda rows, mask: calls.append(1) or image(rows, mask))
+
+    def images():
+        calls.clear()
+        out = interpret(tangle(random.Random(seed), n, cycle), phi)
+        return out, len(calls)
+
+    out, updated = images()
+    monkeypatch.setattr(_Evaluator, "_pre", lambda self, node, act, mask: self.lts.pre(act, mask))
+    expected, recomputed = images()
+    assert out == expected
+    assert updated <= 3 * recomputed, (updated, recomputed)
+
+
+def test_acc_is_memoised_per_system_and_action_set():
+    # formulas asked in turn of one system share its Acc denotations, in
+    # whichever order an action set is written; each answer is the
+    # oracle's and that of a fresh copy of the system
+    lts = tangle(random.Random(3), 40, 6)
+    texts = [
+        "Acc{a,b}",
+        r"Acc{b,a} /\ <c>tt",
+        r"min X. (Acc{a} \/ <b>X)",
+        r"max Y. ((Acc{b,a} \/ Acc{c}) /\ [tau]Y)",
+        r"[a]Acc{a} \/ Acc{a,b,c}",
+        "Acc{}",
+    ]
+    for text in texts:
+        phi = parse_formula(text)
+        fresh, _ = parse_lts(format_lts(lts))
+        got = interpret(lts, phi)
+        assert got == interpret(fresh, phi), text
+        assert set(lts.names_of(got)) == oracles.sat_states(lts, phi), text
+    assert sorted(map(sorted, lts._acc)) == [[], ["a"], ["a", "b"], ["a", "b", "c"], ["c"]]
 
 
 # (fixpoint_iterations, evaluations) of the ring formulas of the cli
