@@ -82,8 +82,8 @@ def _load_test_side(value: str, cap: int):
 def _cmd_check(args) -> int:
     lts, _ = _load_lts_file(args.lts)
     formula = parse_formula(_source(args.formula))
-    mask = interpret(lts, formula)
-    verdict = bool(mask & (1 << lts.state_index(args.state)))
+    state = lts.state_index(args.state)
+    verdict = bool(interpret(lts, formula) & (1 << state))
     if args.format == "json":
         _print_json({
             "command": "check",

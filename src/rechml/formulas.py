@@ -24,11 +24,12 @@ of rechml.textio, handed the token cursor.
 Every node carries its free variables in the slot free, built with the
 node from its children's sets, so no walk recomputes them.  Large
 formulas produced by substitution share subterm objects, so the only
-identity memos left, those of substitution itself, tree_size,
-nesting_depth, _offender and approximant, keep those walks linear in the
-size of the shared graph rather than the unfolded tree.  The printer of
-rechml.textio, which serves formulas and tests alike, keeps one more: the
-text of each node with several parents, so it builds that text once.
+identity memos left, those of substitution itself, fold (behind
+tree_size, nesting_depth and both compilers of rechml.translate),
+_offender and approximant, keep those walks linear in the size of the
+shared graph rather than the unfolded tree.  The printer of
+rechml.textio, which serves formulas and tests alike, keeps one more:
+the text of each node with several parents, so it builds that text once.
 """
 
 from .lts import LtsError, variable_name, visible
@@ -405,35 +406,31 @@ def is_tt_grammar(formula) -> bool:
     return _offender(formula, (Tt, And, Min)) is None
 
 
-def nesting_depth(formula) -> int:
-    """Maximum number of nested fixpoint binders."""
-    return _depth(formula, {})
+def fold(term, combine):
+    """combine(node, values) at the root, values being the children's results in
+    order.  Each distinct node is combined once, memoised by id; combine never gives None."""
+    return _folded(term, combine, {})
 
 
-def _depth(node, memo):
+def _folded(node, combine, memo):
     got = memo.get(id(node))
     if got is None:
-        got = 0
+        values = []  # a loop: before Python 3.12 a comprehension takes a frame per level
         for child in node.children():
-            got = max(got, _depth(child, memo))
-        got = memo[id(node)] = got + isinstance(node, Binder)
+            values.append(_folded(child, combine, memo))
+        got = memo[id(node)] = combine(node, values)
     return got
+
+
+def nesting_depth(formula) -> int:
+    """Maximum number of nested fixpoint binders."""
+    return fold(formula, lambda node, depths: max(depths, default=0) + isinstance(node, Binder))
 
 
 def tree_size(formula) -> int:
     """Number of nodes of the formula printed as a tree, counted over its
     shared subterms in time linear in the distinct nodes."""
-    return _size(formula, {})
-
-
-def _size(node, memo):
-    got = memo.get(id(node))
-    if got is None:
-        got = 1
-        for child in node.children():
-            got += _size(child, memo)
-        memo[id(node)] = got
-    return got
+    return fold(formula, lambda node, sizes: 1 + sum(sizes))
 
 
 def approximant(formula, k: int) -> Formula:

@@ -127,6 +127,9 @@ class _Harness:
             ("must_implies_may", self.cfg.property_trials, self.check_must_implies_may),
             ("tt_grammar_semantic", self.cfg.property_trials, self.check_tt_grammar),
         ]
+        unknown = sorted(set(only or ()) - {name for name, _, _ in table})
+        if unknown:
+            raise ValueError(f"no such check: {', '.join(unknown)}")
         for name, count, fn in table:
             if only is not None and name not in only:
                 continue

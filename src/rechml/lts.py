@@ -79,7 +79,8 @@ class lazy:
         return value
 
 
-_STATE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# not alphabet, which starts an alphabet line, so that every move reads back
+_STATE_NAME = re.compile(r"(?!alphabet$)[A-Za-z_][A-Za-z0-9_]*")
 _VARIABLE = re.compile(r"[A-Z][A-Za-z0-9_]*")
 _VISIBLE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _RESERVED = frozenset({"tau", "omega", "w", "tt", "ff", "min", "max", "mu"})

@@ -1,15 +1,18 @@
 """Translations between formulas and tests.
 
 Formula to test: a must formula compiles to a test that a process must
-pass exactly when it satisfies the formula, and dually for may.  The one
-delicate case is conjunction on the must side: a conjunction that already
-denotes the full state set must compile to immediate success rather than
-to a tau-choice, because a divergent process must-fails any test that
-cannot succeed at once.  Within the must fragment a subformula denotes the
-full state set exactly when it compiles to success, so the compiler reads
-the rule off the compiled arms in the same single pass.  The must
-compiler has one deliberately wrong variant, in which a visible box loses
-its tau escape to success; the harness's mutation self-test runs it.
+pass exactly when it satisfies the formula, and dually for may.  Each
+compiler is a combine function of rechml.formulas.fold, so each distinct
+subformula is compiled once, and a compile costs the shared graph that
+Bekic elimination leaves, not the printed tree.  The one delicate case
+is conjunction on the must side: a conjunction that already denotes the
+full state set must compile to immediate success rather than to a
+tau-choice, because a divergent process must-fails any test that cannot
+succeed at once.  Within the must fragment a subformula denotes the full
+state set exactly when it compiles to success, so the compiler reads the
+rule off the compiled arms in the same single pass.  The must compiler
+has one deliberately wrong variant, in which a visible box loses its tau
+escape to success; the harness's mutation self-test runs it.
 
 Test to formula: the reachable states of the test induce one equation per
 state, whose variable X_s is named after the state s; packaging them as
@@ -17,7 +20,7 @@ a simultaneous least fixpoint and eliminating it yields a single formula
 in the corresponding fragment.
 """
 
-from functools import reduce
+from functools import partial, reduce
 
 from . import formulas as fm
 from . import testterms as tm
@@ -26,7 +29,7 @@ from .lts import OMEGA, TAU, Lts, visible
 from .testterms import Test
 
 
-def _fold(join, parts: list, empty):
+def _join(join, parts: list, empty):
     """The parts joined left-nested by the binary constructor join, or
     empty when there are none."""
     return reduce(join, parts) if parts else empty
@@ -57,30 +60,29 @@ def _must_test(formula: Formula, escape: bool) -> Test:
     deadlocked processes.  verify --self-test-mutation runs that variant
     to show that the harness can see a broken translation."""
     _require_fragment(formula, "must", "formula_to_must_test")
-    return _must(formula, escape)
+    return fm.fold(formula, _must if escape else partial(_must, escape=False))
 
 
-def _must(node, escape: bool) -> Test:
+def _must(node, tests, escape=True) -> Test:
     kind = type(node)
     if kind is fm.Box:
         action = node.action
-        step = tm.Prefix(action, _must(node.body, escape))
+        step = tm.Prefix(action, tests[0])
         if action is TAU or not escape:
             return step
         return tm.Sum(step, tm.Prefix(TAU, tm.Success()))
     if kind is fm.And:
         # a type test, not ==: comparing two large equal tests is deep
-        lt, rt = _must(node.left, escape), _must(node.right, escape)
+        lt, rt = tests
         if type(lt) is tm.Success and type(rt) is tm.Success:
             return tm.Success()
         return tm.Sum(tm.Prefix(TAU, lt), tm.Prefix(TAU, rt))
     if kind is fm.Var:
         return tm.Var(node.name)
     if kind is fm.Min:
-        body = _must(node.body, escape)
-        return tm.Mu(node.var, body) if node.body.free else body
+        return tm.Mu(node.var, tests[0]) if node.body.free else tests[0]
     if kind is fm.Acc:
-        return _fold(tm.Sum, [tm.Prefix(visible(a), tm.Success()) for a in sorted(node.actions)], tm.Nil())
+        return _join(tm.Sum, [tm.Prefix(visible(a), tm.Success()) for a in sorted(node.actions)], tm.Nil())
     if kind is fm.Tt:
         return tm.Success()
     if kind is fm.Ff:
@@ -92,19 +94,19 @@ def formula_to_may_test(formula: Formula) -> Test:
     """Compile a closed may formula to a test characterizing it under
     may-passing."""
     _require_fragment(formula, "may", "formula_to_may_test")
-    return _may(formula)
+    return fm.fold(formula, _may)
 
 
-def _may(node) -> Test:
+def _may(node, tests) -> Test:
     kind = type(node)
     if kind is fm.Dia:
-        return tm.Prefix(node.action, _may(node.body))
+        return tm.Prefix(node.action, tests[0])
     if kind is fm.Or:
-        return tm.Sum(tm.Prefix(TAU, _may(node.left)), tm.Prefix(TAU, _may(node.right)))
+        return tm.Sum(tm.Prefix(TAU, tests[0]), tm.Prefix(TAU, tests[1]))
     if kind is fm.Var:
         return tm.Var(node.name)
     if kind is fm.Min:
-        return tm.Mu(node.var, _may(node.body))
+        return tm.Mu(node.var, tests[0])
     if kind is fm.Tt:
         return tm.Success()
     if kind is fm.Ff:
@@ -145,11 +147,11 @@ def _must_moves(taus, vis) -> Formula:
     parts: list[Formula] = [fm.Box(a, x) for a, x in taus + vis]
     if not taus:
         parts.append(fm.Acc(frozenset(a.name for a, _ in vis)))
-    return _fold(fm.And, parts, fm.Tt())
+    return _join(fm.And, parts, fm.Tt())
 
 
 def _may_moves(taus, vis) -> Formula:
-    return _fold(fm.Or, [fm.Dia(a, x) for a, x in taus + vis], fm.Ff())
+    return _join(fm.Or, [fm.Dia(a, x) for a, x in taus + vis], fm.Ff())
 
 
 def test_lts_to_must_system(lts: Lts, root: str) -> SimFormula:

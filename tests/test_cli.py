@@ -409,6 +409,20 @@ def test_parser_is_built_once_and_answers_as_a_fresh_one(proc_file, capsys):
         assert _main(argv, capsys) == (0, run_cli(*argv).stdout)
 
 
+def test_check_looks_up_the_state_before_it_interprets(proc_file, monkeypatch, capsys):
+    # an unknown state is reported without interpreting the formula; a
+    # formula that does not parse is still reported first
+    def refused(*args, **kwargs):
+        raise AssertionError("interpret was called")
+
+    monkeypatch.setattr(cli, "interpret", refused)
+    assert cli.main(["check", proc_file, "nosuch", "min X. [a]X"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown state 'nosuch'\n")
+    assert cli.main(["check", proc_file, "nosuch", "min X. [a"]) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("error: ") and "unknown state" not in err
+
+
 @pytest.mark.parametrize("name, argv", [
     ("interpret", ["check", "{lts}", "p0", "tt"]),
     ("parallel_compose", ["must", "{lts}", "p0", "a.w.0"]),

@@ -66,6 +66,12 @@ def test_only_restricts_the_run():
     assert [c.name for c in report.checks] == ["bekic_equivalence"]
 
 
+def test_only_refuses_an_unknown_check():
+    # a misspelled name ran no check and reported a pass
+    with pytest.raises(ValueError, match="^no such check: bekic_equivalance, nope$"):
+        verify_theorems(small_config(), only={"nope", "unfold_law", "bekic_equivalance"})
+
+
 def test_test_side_trials_explore_each_test_once(monkeypatch):
     # the compiled formula and the experiment read one exploration of the
     # drawn test; explore converts its root once, whoever imported it

@@ -56,6 +56,10 @@ def test_construction_interns_transition_states():
     assert Lts(states=["s0", "s0"]).states == ("s0",)
     with pytest.raises(LtsError):
         Lts(states=[""])
+    # format_lts would write a move from it as an alphabet line
+    with pytest.raises(LtsError, match="^bad state name 'alphabet'$"):
+        Lts(states=["alphabet"])
+    assert Lts(states=["alphabets", "Alphabet"]).states == ("alphabets", "Alphabet")
     with pytest.raises(LtsError):
         Lts(states=["x"], transitions=[("x", "a", "x")])
 

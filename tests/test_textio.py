@@ -467,6 +467,9 @@ def parsed_as(text):
     ("p0 a\n", "line 1: cannot parse 'p0 a'"),
     # a bad destination is reported before a bad label
     ("p0 B 9x\n", "line 1: bad state name '9x'"),
+    # a state named alphabet would print its moves as alphabet lines
+    ("p0 a alphabet\n", "line 1: bad state name 'alphabet'"),
+    ("state alphabet\n", "line 1: bad state name 'alphabet'"),
 ])
 def test_reader_line_table(text, expected):
     # recorded before parse_lts dispatched on the token count

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 import tracemalloc
 from functools import reduce
 
@@ -14,7 +15,7 @@ from rechml.generators import TrialConfig, generate_formula, generate_test, spaw
 from rechml.lts import OMEGA, TAU, Lts, visible
 from rechml.semantics import interpret_states
 from rechml.testterms import reachable_lts
-from rechml.textio import format_formula, format_test, parse_test
+from rechml.textio import format_formula, format_test, parse_formula, parse_lts, parse_test
 from rechml.translate import _must_test, formula_to_may_test, formula_to_must_test
 from rechml.translate import test_lts_to_may_system as lts_to_may_system
 from rechml.translate import test_lts_to_must_system as lts_to_must_system
@@ -22,6 +23,7 @@ from rechml.translate import test_to_may_formula as to_may_formula
 from rechml.translate import test_to_must_formula as to_must_formula
 
 import oracles
+from test_cli import _dense_test_lts
 
 A = visible("a")
 B = visible("b")
@@ -271,6 +273,49 @@ def test_eliminated_formula_output_frozen():
             text = format_formula(bekic_eliminate(build(lts, root)))
             h.update(f"{len(text)}:{text}".encode())
     assert h.hexdigest() == ELIMINATED_DIGEST
+
+
+def _distinct(term):
+    """The number of distinct node objects in term."""
+    seen, stack = set(), [term]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children())
+    return len(seen)
+
+
+def _eliminated_dense(n):
+    """(compiler, eliminated formula) for must and may of the dense n-state test."""
+    lts, root = parse_lts(_dense_test_lts(n))
+    return [(formula_to_must_test, bekic_eliminate(lts_to_must_system(lts, root))),
+            (formula_to_may_test, bekic_eliminate(lts_to_may_system(lts, root)))]
+
+
+def test_fold_combines_each_distinct_node_once():
+    shape = fm.fold(fm.And(fm.Tt(), fm.Box(A, fm.Ff())), lambda node, parts: (type(node).__name__, *parts))
+    assert shape == ("And", ("Tt",), ("Box", ("Ff",)))
+    [(_, must), _] = _eliminated_dense(5)
+    combined = []
+    size = fm.fold(must, lambda node, sizes: combined.append(node) or 1 + sum(sizes))
+    assert len(combined) == len({id(node) for node in combined}) == _distinct(must) == 119
+    assert size == fm.tree_size(must) == 24_511
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_shared_formulas_compile_in_their_shared_size(n):
+    # each distinct subformula compiles once: the 6-state formulas print
+    # as 5.4e7-node trees, and compiling them tree-wise did not finish
+    for compile_, formula in _eliminated_dense(n):
+        start = time.perf_counter()
+        test = compile_(formula)
+        assert time.perf_counter() - start < 1.0
+        assert _distinct(test) <= 3 * _distinct(formula)
+        if n == 5:
+            copy = parse_formula(format_formula(formula))
+            assert _distinct(copy) == fm.tree_size(formula)
+            assert test == compile_(copy)
 
 
 def test_must_compiler_walks_once(monkeypatch):
